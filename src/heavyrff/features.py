@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import GbpParams, StableParams, sample_chi, sample_gbp, sample_stable_cms
-from .kernels import (EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN,
-                      KernelSpec)
+from .kernels import GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, KernelSpec
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_haar_blocks,
                            sample_mv_cauchy, sample_mv_t, sample_mvn,
                            stable_scale_sigma)

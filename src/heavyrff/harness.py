@@ -9,7 +9,7 @@ comparison of exact kernel assembly versus featurize-plus-Gram.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,55 @@ class BenchRow:
         return self.exact_ms / self.feature_ms
 
 
+@dataclass
+class _ExactSide:
+    """What the error of every Gram estimate against one exact K shares:
+    K itself, its symmetry figures and the denominators of the norms asked for."""
+
+    K: np.ndarray
+    abs_max: float
+    asym: float
+    frobenius: float = float("nan")
+    spectrum: np.ndarray | None = None  # |eigvalsh(K)|
+
+
+def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
+    for name in norms:
+        if name not in NORMS:
+            raise ValueError(f"unknown norm {name!r}")
+    exact = _ExactSide(K=K, abs_max=np.abs(K).max(), asym=np.abs(K - K.T).max())
+    if "frobenius" in norms:
+        exact.frobenius = np.linalg.norm(K)
+    if "operator" in norms or "nuclear" in norms:
+        exact.spectrum = np.abs(np.linalg.eigvalsh(K))
+    return exact
+
+
+def _gram_errors(exact: _ExactSide, G: np.ndarray,
+                 norms: tuple[str, ...]) -> dict[str, float]:
+    """Relative errors of G against the exact side; norms not asked for are nan."""
+    K = exact.K
+    scale = max(exact.abs_max, np.abs(G).max(), 1.0)
+    if max(exact.asym, np.abs(G - G.T).max()) > 1e-10 * scale:
+        raise ValueError("matrices must be symmetric")
+    errs = dict.fromkeys(NORMS, float("nan"))
+    if "frobenius" in norms:
+        if exact.frobenius == 0.0:
+            raise ZeroDivisionError("||K|| is zero")
+        errs["frobenius"] = float(np.linalg.norm(G - K) / exact.frobenius)
+    if exact.spectrum is not None:
+        # one eigendecomposition of G - K serves both spectral norms
+        ev_diff = np.abs(np.linalg.eigvalsh(G - K))
+        for name, reduce in (("operator", np.max), ("nuclear", np.sum)):
+            if name not in norms:
+                continue
+            denom = reduce(exact.spectrum)
+            if denom == 0.0:
+                raise ZeroDivisionError("||K|| is zero")
+            errs[name] = float(reduce(ev_diff) / denom)
+    return errs
+
+
 def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     """||G - K|| / ||K|| for symmetric matrices in the requested norm.
 
@@ -79,48 +128,40 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     G = np.asarray(G, dtype=float)
     if K.shape != G.shape:
         raise ValueError(f"shape mismatch {K.shape} vs {G.shape}")
-    scale = max(np.abs(K).max(), np.abs(G).max(), 1.0)
-    if max(np.abs(K - K.T).max(), np.abs(G - G.T).max()) > 1e-10 * scale:
-        raise ValueError("matrices must be symmetric")
-    if norm == "frobenius":
-        denom = np.linalg.norm(K)
-        if denom == 0.0:
-            raise ZeroDivisionError("||K|| is zero")
-        return float(np.linalg.norm(G - K) / denom)
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
-    ev_diff = np.abs(np.linalg.eigvalsh(G - K))
-    ev_k = np.abs(np.linalg.eigvalsh(K))
-    if norm == "operator":
-        denom = ev_k.max()
-    else:
-        denom = ev_k.sum()
-    if denom == 0.0:
-        raise ZeroDivisionError("||K|| is zero")
-    num = ev_diff.max() if norm == "operator" else ev_diff.sum()
-    return float(num / denom)
+    return _gram_errors(_exact_side(K, (norm,)), G, (norm,))[norm]
 
 
-def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str, p: int,
-                          rng: RngStream,
-                          norms: tuple[str, ...] = NORMS) -> ErrorReport:
-    """Build an operator, featurize X and compare the Gram against the exact kernel."""
+def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
+                          p_grid: list[int], rng: RngStream,
+                          norms: tuple[str, ...] = NORMS) -> list[ErrorReport]:
+    """Featurize X at each p of the grid and compare each Gram against the
+    exact kernel, one ErrorReport per p.
+
+    Grid point j draws its operator from ``rng.substream(j)``. The exact
+    kernel, its checks and its spectrum are computed once for the whole grid,
+    so every report carries the same ``exact_ms``.
+    """
     t0 = time.perf_counter()
     K = kernel_matrix(spec, X)
-    t1 = time.perf_counter()
-    op = build_operator(scheme, spec, p, rng)
-    phi = featurize(op, X)
-    t2 = time.perf_counter()
-    G = gram_approx(phi)
-    t3 = time.perf_counter()
-    errs = {name: (rel_error(K, G, name) if name in norms else float("nan"))
-            for name in NORMS}
-    return ErrorReport(
-        n=X.shape[0], p=p, kernel=spec.family, scheme=scheme,
-        rel_frobenius=errs["frobenius"], rel_operator=errs["operator"],
-        rel_nuclear=errs["nuclear"], seed=rng.seed, stream_id=rng.stream_id,
-        exact_ms=1e3 * (t1 - t0), featurize_ms=1e3 * (t2 - t1),
-        gram_ms=1e3 * (t3 - t2))
+    exact_ms = 1e3 * (time.perf_counter() - t0)
+    exact = _exact_side(K, norms)
+    reports = []
+    for j, p in enumerate(p_grid):
+        op_rng = rng.substream(j)
+        t1 = time.perf_counter()
+        phi = featurize(build_operator(scheme, spec, p, op_rng), X)
+        t2 = time.perf_counter()
+        G = gram_approx(phi)
+        t3 = time.perf_counter()
+        errs = _gram_errors(exact, G, norms)
+        reports.append(ErrorReport(
+            n=X.shape[0], p=p, kernel=spec.family, scheme=scheme,
+            rel_frobenius=errs["frobenius"], rel_operator=errs["operator"],
+            rel_nuclear=errs["nuclear"], seed=op_rng.seed,
+            stream_id=op_rng.stream_id, exact_ms=exact_ms,
+            featurize_ms=1e3 * (t2 - t1), gram_ms=1e3 * (t3 - t2)))
+        del phi, G  # free this point's arrays before the next, larger p is built
+    return reports
 
 
 def fourier_sampler(spec: KernelSpec):

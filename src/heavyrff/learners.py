@@ -10,7 +10,7 @@ logistic regression.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -66,6 +66,10 @@ def clip_renormalize(scores: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, p / np.where(s > 0.0, s, 1.0), uniform)
 
 
+def _link_probabilities(scores: np.ndarray, link: str) -> np.ndarray:
+    return softmax(scores) if link == "softmax" else clip_renormalize(scores)
+
+
 @dataclass
 class LinearModel:
     """Feature-space linear model; one weight column per output."""
@@ -82,10 +86,7 @@ class LinearModel:
         return phi @ self.theta
 
     def predict_proba(self, data) -> np.ndarray:
-        scores = self.decision_function(data)
-        if self.link == "softmax":
-            return softmax(scores)
-        return clip_renormalize(scores)
+        return _link_probabilities(self.decision_function(data), self.link)
 
     def predict_labels(self, data) -> np.ndarray:
         return self.decision_function(data).argmax(axis=1)
@@ -106,12 +107,13 @@ class ExactKernelModel:
     X_train: np.ndarray
     spec: KernelSpec
     lam: float
+    link = "identity"           # class constant: ridge outputs on one-hot targets
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.spec, np.asarray(X, dtype=float), self.X_train) @ self.alphas
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return clip_renormalize(self.decision_function(X))
+        return _link_probabilities(self.decision_function(X), self.link)
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         return self.decision_function(X).argmax(axis=1)
@@ -270,17 +272,18 @@ def evaluate(model, inputs, y_test: np.ndarray, task: str,
 
     ``inputs`` is whatever the model consumes: a FeatureMatrix (or raw X if
     the model carries its operator) for feature models, raw X for exact
-    kernel models.
+    kernel models. The scores are computed once, so an exact model builds its
+    test kernel once.
     """
     y_test = np.asarray(y_test)
+    if task not in ("classification", "regression"):
+        raise ValueError(f"unknown task {task!r}")
+    scores = model.decision_function(inputs)
     if task == "classification":
-        pred = model.predict_labels(inputs)
-        probs = model.predict_proba(inputs)
+        pred = scores.argmax(axis=1)
+        probs = _link_probabilities(scores, model.link)
         return {
             "accuracy": float((pred == y_test).mean()),
             "ece": expected_calibration_error(probs, y_test, n_bins=n_bins),
         }
-    if task == "regression":
-        scores = model.decision_function(inputs)
-        return {"r2": r_squared(y_test, scores[:, 0] if scores.ndim == 2 else scores)}
-    raise ValueError(f"unknown task {task!r}")
+    return {"r2": r_squared(y_test, scores[:, 0] if scores.ndim == 2 else scores)}

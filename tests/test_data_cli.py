@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -262,6 +263,24 @@ class TestCliRuns:
         feat = report["results"][1]
         assert feat["model"] == "logistic_features"
         assert 0.0 <= feat["metrics"]["ece"] <= 1.0
+
+    def test_klr_reports_solver_state_and_fit_times(self, tmp_path):
+        out = tmp_path / "klr"
+        rc = main(["klr", "--kernel", "laplacian", "--p", "64",
+                   "--n", "200", "--d", "4", "--classes", "3",
+                   "--lambda", "1e-2", "--seed", "6", "--out", str(out)])
+        assert rc == 0
+        report = read_report(out)
+        assert report["schema_version"] == 1
+        exact, feat = report["results"]
+        assert feat["converged"] is True
+        assert 0.0 <= feat["grad_norm"] < 1e-6
+        for res in (exact, feat):
+            assert isinstance(res["time_ms"], float) and res["time_ms"] > 0
+        with open(str(out) + ".csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["time_ms"]) for row in rows] == [exact["time_ms"],
+                                                           feat["time_ms"]]
 
     def test_features_writes_operator_files(self, tmp_path):
         out = tmp_path / "feat"

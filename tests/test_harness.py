@@ -3,9 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import heavyrff.harness as harness
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, bench_speedup,
-                      cf_check, rel_error)
+                      cf_check, featurize, gram_approx, kernel_matrix, rel_error)
+from heavyrff.features import build_operator
 from heavyrff.harness import fourier_sampler, measure_approximation
+
+NORMS = ("frobenius", "operator", "nuclear")
 
 
 def power_iteration_norm(A, iters=500, seed=0):
@@ -88,19 +92,69 @@ class TestCfCheck:
                      RngStream(0))
 
 
+def sweep_inputs():
+    g = np.random.default_rng(3)
+    X = g.standard_normal((80, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return KernelSpec("laplacian", ShapeMatrix.identity(4)), X
+
+
 class TestMeasureApproximation:
     def test_report_fields_and_determinism(self):
-        g = np.random.default_rng(3)
-        X = g.standard_normal((80, 4))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        spec = KernelSpec("laplacian", ShapeMatrix.identity(4))
-        a = measure_approximation(spec, X, "rff", 256, RngStream(133))
-        b = measure_approximation(spec, X, "rff", 256, RngStream(133))
+        spec, X = sweep_inputs()
+        (a,) = measure_approximation(spec, X, "rff", [256], RngStream(133))
+        (b,) = measure_approximation(spec, X, "rff", [256], RngStream(133))
         for field in ("rel_frobenius", "rel_operator", "rel_nuclear"):
             va, vb = getattr(a, field), getattr(b, field)
             assert va == vb          # bit-identical modulo wall times
             assert np.isfinite(va) and va >= 0.0
         assert a.n == 80 and a.p == 256 and a.scheme == "rff"
+
+    @pytest.mark.parametrize("norms", [NORMS, ("operator",)])
+    def test_sweep_equals_independent_rel_error(self, norms):
+        spec, X = sweep_inputs()
+        rng = RngStream(135)
+        p_grid = [32, 128, 512]
+        reports = measure_approximation(spec, X, "orf", p_grid, rng, norms=norms)
+        K = kernel_matrix(spec, X)
+        assert [r.p for r in reports] == p_grid
+        for j, (p, rep) in enumerate(zip(p_grid, reports)):
+            op_rng = rng.substream(j)
+            assert (rep.seed, rep.stream_id) == (op_rng.seed, op_rng.stream_id)
+            G = gram_approx(featurize(build_operator("orf", spec, p, op_rng), X))
+            for norm in NORMS:
+                value = getattr(rep, f"rel_{norm}")
+                if norm in norms:
+                    assert value == rel_error(K, G, norm)   # bit for bit
+                else:
+                    assert np.isnan(value)
+        assert len({r.exact_ms for r in reports}) == 1   # one exact kernel per sweep
+
+    @pytest.mark.parametrize("norms, eigh_calls", [
+        (NORMS, 1 + 3), (("nuclear",), 1 + 3), (("frobenius",), 0)])
+    def test_exact_side_computed_once(self, monkeypatch, norms, eigh_calls):
+        spec, X = sweep_inputs()
+        calls = {"kernel_matrix": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "kernel_matrix",
+                            counted("kernel_matrix", harness.kernel_matrix))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        measure_approximation(spec, X, "rff", [32, 128, 512], RngStream(136),
+                              norms=norms)
+        assert calls == {"kernel_matrix": 1, "eigvalsh": eigh_calls}
+
+    def test_rejects_unknown_norm(self):
+        spec, X = sweep_inputs()
+        with pytest.raises(ValueError, match="unknown norm"):
+            measure_approximation(spec, X, "rff", [32], RngStream(137),
+                                  norms=("trace",))
 
 
 class TestBenchSpeedup:

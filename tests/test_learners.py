@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import heavyrff.learners as learners
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_rff, evaluate,
                       expected_calibration_error, featurize, fit_krr_exact,
                       fit_logistic_features, fit_ridge_features, kernel_matrix,
@@ -221,6 +222,23 @@ class TestEvaluate:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             evaluate(None, None, np.zeros(2), "ranking")
+
+    def test_exact_model_builds_test_kernel_once(self, monkeypatch):
+        g = np.random.default_rng(12)
+        X = unit_rows(g, 60, 3)
+        y = (X[:, 0] > 0).astype(int)
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(3))
+        model = fit_krr_exact(spec, X, one_hot(y), 1e-4)
+        calls = []
+        real = learners.kernel_matrix
+        monkeypatch.setattr(learners, "kernel_matrix",
+                            lambda *args: calls.append(1) or real(*args))
+        rec = evaluate(model, X, y, "classification")
+        assert len(calls) == 1
+        # the same figures as labels and probabilities taken apart
+        probs = clip_renormalize(kernel_matrix(spec, X, X) @ model.alphas)
+        assert rec["accuracy"] == float((probs.argmax(axis=1) == y).mean())
+        assert rec["ece"] == expected_calibration_error(probs, y)
 
 
 class TestParityProperty:
