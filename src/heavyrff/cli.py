@@ -236,7 +236,9 @@ def _run_learning(cfg: ExperimentConfig, rng: RngStream, logistic: bool) -> dict
             "operator": operator_record(op),
         }
         if logistic:
-            result.update(converged=model.converged, grad_norm=model.grad_norm)
+            result.update(converged=model.converged, grad_norm=model.grad_norm,
+                          n_iter=model.n_iter, n_fev=model.n_fev,
+                          n_hessp=model.n_hessp)
         results.append(result)
         rows.append({"dataset": _dataset_name(cfg), "kernel": cfg.kernel,
                      "scheme": cfg.scheme, "p": p, "norm": metric_name,

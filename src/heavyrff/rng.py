@@ -39,7 +39,15 @@ class RngStream:
         return self._gen
 
     def substream(self, k: int) -> "RngStream":
-        """Derive an independent child stream, e.g. one per worker or row block."""
+        """Derive an independent child stream, e.g. one per worker or row block.
+
+        The child keeps the seed and takes the id
+        ``stream_id * 0x9E3779B97F4A7C15 + k + 1 (mod 2**64)``. This map is
+        not injective across parents: two different ``(stream_id, k)`` pairs
+        can give the same child id, and then the same draws (for example
+        ``k' = k + 0x9E3779B97F4A7C15`` from the parent ``stream_id - 1``).
+        Children of one parent with distinct ``k`` are distinct streams.
+        """
         child = (self.stream_id * _SPLIT_MULT + k + 1) & _UINT64_MASK
         return RngStream(self.seed, child)
 

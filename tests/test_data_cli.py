@@ -9,6 +9,7 @@ from heavyrff.cli import ExperimentConfig, main, run_experiment
 from heavyrff.data import (DataError, load_csv, make_classification,
                            make_regression, preprocess, subsample,
                            train_test_split)
+from heavyrff.learners import LogisticOptions
 from heavyrff.rng import RngStream
 
 
@@ -275,6 +276,8 @@ class TestCliRuns:
         exact, feat = report["results"]
         assert feat["converged"] is True
         assert 0.0 <= feat["grad_norm"] < 1e-6
+        assert 1 <= feat["n_iter"] <= LogisticOptions().max_iter
+        assert feat["n_fev"] >= 1 and feat["n_hessp"] >= 1
         for res in (exact, feat):
             assert isinstance(res["time_ms"], float) and res["time_ms"] > 0
         with open(str(out) + ".csv") as fh:

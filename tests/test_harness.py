@@ -173,3 +173,20 @@ class TestBenchSpeedup:
             assert r1.feature_ms > 0 and r1.exact_ms > 0
         errs = [r.rel_frobenius for r in rows5]
         assert errs[-1] < errs[0]
+
+    def test_exact_side_once_and_errors_match_rel_error(self, monkeypatch):
+        spec, X = sweep_inputs()
+        calls = []
+        real = harness._exact_side
+        monkeypatch.setattr(harness, "_exact_side",
+                            lambda *args: calls.append(1) or real(*args))
+        rng = RngStream(138)
+        p_grid = [32, 128, 512]
+        rows = bench_speedup(spec, X, p_grid, "orf", rng, repeats=1)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        K = kernel_matrix(spec, X)
+        for j, (p, row) in enumerate(zip(p_grid, rows)):
+            op = build_operator("orf", spec, p, rng.substream(j))
+            G = gram_approx(featurize(op, X))
+            assert row.rel_frobenius == rel_error(K, G, "frobenius")  # bit for bit

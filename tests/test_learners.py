@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import heavyrff.learners as learners
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_rff, evaluate,
@@ -9,8 +10,9 @@ from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_rff, evaluate,
                       fit_logistic_features, fit_ridge_features, kernel_matrix,
                       r_squared)
 from heavyrff.features import FeatureMatrix
-from heavyrff.learners import (LogisticOptions, _logistic_objective,
-                               clip_renormalize, one_hot, softmax)
+from heavyrff.learners import (LogisticOptions, _logistic_hessp,
+                               _logistic_objective, clip_renormalize, one_hot,
+                               softmax)
 
 
 def unit_rows(g, n, d):
@@ -110,6 +112,47 @@ class TestLogisticFeatures:
             fd = (_logistic_objective(tp, P, Yoh, 0.05)[0]
                   - _logistic_objective(tm, P, Yoh, 0.05)[0]) / (2 * step)
             assert fd == pytest.approx(grad[i, j], rel=1e-5, abs=1e-8)
+
+    def test_hessp_matches_finite_differences(self):
+        # central differences of the gradient along random directions
+        g = np.random.default_rng(15)
+        P = g.standard_normal((40, 6))
+        labels = g.integers(0, 3, size=40)
+        Yoh = one_hot(labels)
+        theta = g.standard_normal((6, 3)) * 0.3
+        step = 1e-6
+        for _ in range(10):
+            V = g.standard_normal((6, 3))
+            hv = _logistic_hessp(theta, V, P, 0.05)
+            fd = (_logistic_objective(theta + step * V, P, Yoh, 0.05)[1]
+                  - _logistic_objective(theta - step * V, P, Yoh, 0.05)[1]) / (2 * step)
+            np.testing.assert_allclose(hv, fd, rtol=1e-5, atol=1e-8)
+            # flattened arguments give the flattened product
+            flat = _logistic_hessp(theta.ravel(), V.ravel(), P, 0.05)
+            np.testing.assert_array_equal(flat, hv.ravel())
+
+    def test_reaches_the_minimiser(self):
+        g = np.random.default_rng(16)
+        P = g.standard_normal((80, 6))
+        labels = g.integers(0, 3, size=80)
+        Yoh = one_hot(labels)
+        lam, opts = 0.01, LogisticOptions()
+        model = fit_logistic_features(fake_phi(P), labels, lam, opts)
+        assert model.converged and model.grad_norm < opts.tol
+        assert 1 <= model.n_iter <= opts.max_iter
+        assert model.n_fev >= 1 and model.n_hessp >= 1
+
+        def flat_objective(t):
+            obj, grad = _logistic_objective(t.reshape(6, 3), P, Yoh, lam)
+            return obj, grad.ravel()
+
+        ref = minimize(flat_objective, np.zeros(18), method="L-BFGS-B",
+                       jac=True, options={"gtol": 1e-10, "ftol": 1e-15,
+                                          "maxiter": 10_000})
+        obj = _logistic_objective(model.theta, P, Yoh, lam)[0]
+        assert obj <= ref.fun + 1e-10
+        np.testing.assert_array_equal(model.predict_labels(fake_phi(P)),
+                                      (P @ ref.x.reshape(6, 3)).argmax(axis=1))
 
     def test_huge_lambda_gives_uniform_probs(self):
         g = np.random.default_rng(6)
