@@ -89,40 +89,117 @@ def bessel_k(nu: float, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
-    """General-nu Matern profile (2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r."""
+    """General-nu Matern profile (2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r.
+
+    One ``kve`` call per entry. Where ``kve`` overflows (tiny t, large nu)
+    the product is inf or nan, and only those entries are recomputed by
+    ``_matern_ladder``.
+    """
     t = np.sqrt(2.0 * nu) * r
     out = np.ones_like(t)
     pos = t > 0.0
     tp = t[pos]
     # log-space for the t^nu prefactor; kve keeps the e^{-t} decay separate
     log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu) + nu * np.log(tp)
-    out[pos] = np.exp(log_pref - tp) * special.kve(nu, tp)
+    with np.errstate(invalid="ignore"):
+        out[pos] = np.exp(log_pref - tp) * special.kve(nu, tp)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = _matern_ladder(nu, r[bad])
     return out
 
 
-def _matern_closed(nu: float, r: np.ndarray) -> np.ndarray:
-    if nu == 0.5:
-        return np.exp(-r)
-    if nu == 1.5:
-        t = np.sqrt(3.0) * r
-        return (1.0 + t) * np.exp(-t)
-    if nu == 2.5:
-        t = np.sqrt(5.0) * r
-        return (1.0 + t + t * t / 3.0) * np.exp(-t)
-    raise ValueError(f"no closed form for nu={nu}")
+def _matern_ladder(nu: float, r: np.ndarray) -> np.ndarray:
+    """Matern profile by the upward recurrence in the order.
+
+    With v_m = e^t t^m K_m(t) / (2^{m-1} Gamma(m)), the recurrence
+    K_{m+1} = K_{m-1} + (2m/t) K_m reads v_{m+1} = v_m + t^2 v_{m-1} / (4m(m-1)),
+    and the profile is v_nu e^{-t}. All terms are positive, so no digits
+    cancel, and v_nu <= e^t is finite for t < 709. The ladder starts at the
+    lowest order m in (0, 1] that differs from nu by an integer, with
+    v_{m+1} = v_m + t^{m+1} kve(1-m, t) / (2^m Gamma(m+1)) from K_{1-m} = K_{m-1}:
+    v_{1/2} = 1 and v_{3/2} = 1 + t for half-integer nu, which makes every
+    half-integer profile a finite closed form (DLMF 10.49.12); v_1 = t k1e(t)
+    and v_2 = v_1 + t^2 k0e(t) / 2 for integer nu; ``kve`` at orders m and
+    1 - m otherwise. Each step updates the arrays in place.
+    """
+    t = np.sqrt(2.0 * nu) * r.ravel()
+    m = nu - np.floor(nu) or 1.0
+    if m == 0.5:
+        if nu == 0.5:
+            np.negative(t, out=t)
+            return np.exp(t, out=t).reshape(r.shape)
+        lo, hi = None, 1.0 + t               # lo = v_{1/2} = 1 stays implicit
+    elif m == 1.0:
+        # t k1e(t) is exactly 1 at the smallest normal t, and nan at t = 0
+        np.maximum(t, np.finfo(float).tiny, out=t)
+        lo = special.k1e(t)
+        lo *= t
+        if nu > 1.0:
+            hi = special.k0e(t)
+            hi *= t
+            hi *= t
+            hi *= 0.5
+            hi += lo
+    else:
+        # kve is inf below t ~ 1e-304 at every order; the profile is 1 there
+        # to double precision for all but tiny fractional orders
+        np.maximum(t, 1e-300, out=t)
+        log_t = np.log(t)
+        lo = special.kve(m, t)
+        lo *= np.exp((1.0 - m) * np.log(2.0) - special.gammaln(m) + m * log_t)
+        if nu > m:
+            hi = special.kve(1.0 - m, t)
+            hi *= np.exp((m + 1.0) * log_t - m * np.log(2.0) - special.gammaln(m + 1.0))
+            hi += lo
+    if nu == m:
+        lo, hi = None, lo
+    if nu > m + 1.0:
+        t2 = np.multiply(t, t, out=t)        # t's buffer; t is recomputed below
+        m += 1.0                             # the order of hi
+        while m < nu:
+            # v_{m+1} = v_m + t^2 v_{m-1} / (4m(m-1)), written over v_{m-1}
+            c = 4.0 * m * (m - 1.0)
+            if lo is None:
+                lo = t2 / c
+            else:
+                lo *= t2
+                lo /= c
+            lo += hi
+            lo, hi = hi, lo
+            m += 1.0
+        t = np.multiply(np.sqrt(2.0 * nu), r.ravel(), out=t2)
+    del lo
+    np.negative(t, out=t)
+    hi *= np.exp(t, out=t)
+    return hi.reshape(r.shape)
 
 
 def matern_profile(nu: float, r: float | np.ndarray, method: str = "auto") -> float | np.ndarray:
     """Matern correlation as a function of the Mahalanobis distance r >= 0.
 
-    ``method`` selects the closed forms (nu in {1/2, 3/2, 5/2}), the general
-    Bessel path, or ``auto`` (closed form when available).
+    ``auto`` evaluates every nu with 2 nu an integer by the ladder
+    (``_matern_ladder``) and any other nu by one ``kve`` call per entry;
+    ``closed`` is the ladder for half-integer nu, where it is a finite closed
+    form, and raises otherwise; ``bessel`` is always the ``kve`` path, which
+    keeps it an independent cross-check. Beyond t = 708, where the ladder's
+    e^{-t} factor is subnormal and v_nu may overflow, entries are taken from
+    the ``kve`` path (except at nu = 1/2, where the profile is e^{-r}).
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("distance must be non-negative")
-    if method == "closed" or (method == "auto" and nu in (0.5, 1.5, 2.5)):
-        out = _matern_closed(nu, r)
+    frac = nu - np.floor(nu)
+    if method == "closed" and frac != 0.5:
+        raise ValueError(f"no closed form for nu={nu}")
+    if method == "closed" or (method == "auto" and frac in (0.0, 0.5)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _matern_ladder(nu, r)
+        bad = ~np.isfinite(out)
+        if nu > 0.5:
+            bad |= r > 708.0 / np.sqrt(2.0 * nu)  # e^{-t} is subnormal beyond
+        if bad.any():
+            out[bad] = _matern_bessel(nu, r[bad])
     elif method in ("auto", "bessel"):
         out = _matern_bessel(nu, r)
     else:

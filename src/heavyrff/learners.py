@@ -186,7 +186,8 @@ class LogisticOptions:
 
 
 def _logistic_objective(theta: np.ndarray, P: np.ndarray, Yoh: np.ndarray,
-                        lam: float) -> tuple[float, np.ndarray]:
+                        lam: float, keep: dict | None = None) -> tuple[float, np.ndarray]:
+    """Objective and gradient at theta; ``keep["S"]`` receives softmax(P theta)."""
     n = P.shape[0]
     scores = P @ theta
     scores -= scores.max(axis=1, keepdims=True)
@@ -194,21 +195,24 @@ def _logistic_objective(theta: np.ndarray, P: np.ndarray, Yoh: np.ndarray,
     ce = (log_z - (scores * Yoh).sum(axis=1)).mean()
     obj = ce + 0.5 * lam * float((theta * theta).sum())
     probs = softmax(scores)
+    if keep is not None:
+        keep["S"] = probs
     grad = P.T @ (probs - Yoh) / n + lam * theta
     return obj, grad
 
 
 def _logistic_hessp(theta: np.ndarray, v: np.ndarray, P: np.ndarray,
-                    lam: float) -> np.ndarray:
+                    lam: float, S: np.ndarray | None = None) -> np.ndarray:
     """Hessian of the logistic objective at theta times v:
     P^T [S o (PV - rowsum(S o PV))] / n + lam V with S = softmax(P theta).
 
     theta and v are (2p, C) matrices or their row-major flattenings; the
-    product has the shape of v.
+    product has the shape of v. ``S``, when given, must be softmax(P theta).
     """
     m = P.shape[1]
     V = v.reshape(m, -1)
-    S = softmax(P @ theta.reshape(m, -1))
+    if S is None:
+        S = softmax(P @ theta.reshape(m, -1))
     PV = P @ V
     SPV = S * PV
     inner = SPV - S * SPV.sum(axis=1, keepdims=True)
@@ -232,12 +236,22 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     Yoh = one_hot(np.asarray(labels))
     shape = (P.shape[1], Yoh.shape[1])
 
+    # trust-ncg takes Hessian-vector products at its iterate, which is most
+    # often the theta it last evaluated; the objective's softmax serves them
+    # bit for bit there, since softmax of max-shifted scores shifts by zero
+    last = {"theta": None}
+
     def objective(t):
-        obj, grad = _logistic_objective(t.reshape(shape), P, Yoh, lam)
+        obj, grad = _logistic_objective(t.reshape(shape), P, Yoh, lam, last)
+        last["theta"] = t.copy()
         return obj, grad.ravel()
 
+    def hessp(t, v):
+        S = last["S"] if np.array_equal(t, last["theta"]) else None
+        return _logistic_hessp(t, v, P, lam, S)
+
     res = minimize(objective, np.zeros(shape).ravel(), method="trust-ncg",
-                   jac=True, hessp=lambda t, v: _logistic_hessp(t, v, P, lam),
+                   jac=True, hessp=hessp,
                    options={"gtol": opts.tol, "maxiter": opts.max_iter})
     gnorm = float(np.linalg.norm(res.jac))
     converged = gnorm < opts.tol

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, bessel_k,
@@ -24,6 +27,18 @@ def bessel_quadrature(nu, x):
     upper = np.arccosh(760.0 / x) + 2.0 if x < 700.0 else 1.0
     val, _ = integrate.quad(integrand, 0, upper, limit=400)
     return val
+
+
+def matern_mpmath(nu, r):
+    """(2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r, at 50 digits."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+        t = mpmath.sqrt(2 * nu) * mpmath.mpf(r)
+        return float(2 ** (1 - nu) / mpmath.gamma(nu) * t ** nu * mpmath.besselk(nu, t))
+
+
+# deterministic examples, no example database on disk
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_spd(d, seed):
@@ -185,6 +200,71 @@ class TestMaternProfile:
     def test_no_closed_form(self):
         with pytest.raises(ValueError):
             matern_profile(2.0, 1.0, method="closed")
+        with pytest.raises(ValueError):
+            matern_profile(3.7, 1.0, method="closed")
+
+    def test_ladder_matches_bessel_path(self):
+        # stricter than criterion 2's 1e-8
+        r = np.geomspace(1e-6, 20.0, 10_000)
+        for nu in (1, 2, 3, 3.5, 4, 6, 10, 20, 40):
+            np.testing.assert_allclose(matern_profile(nu, r),
+                                       matern_profile(nu, r, method="bessel"),
+                                       rtol=1e-12, atol=0)
+
+    def test_against_mpmath(self):
+        # covers the kve path's overflow at tiny r: it read nan at (4, 1e-100),
+        # (60, 1e-5) and (3.7, 1e-120), and inf at (20, 1e-15)
+        r = np.concatenate([[1e-120, 1e-100, 1e-15, 1e-5],
+                            np.geomspace(1e-3, 30.0, 12)])
+        for nu in (1, 3.5, 4, 20, 3.7, 60, 60.3, 200):
+            ref = np.array([matern_mpmath(nu, x) for x in r])
+            for method in ("auto", "bessel"):
+                np.testing.assert_allclose(matern_profile(nu, r, method=method),
+                                           ref, rtol=1e-12, atol=0,
+                                           err_msg=f"nu={nu} {method}")
+
+    def test_beyond_the_ladder_range(self):
+        # at t = sqrt(400) * 40 = 800 the ladder's e^{-t} underflows to 0
+        assert matern_profile(200, 40.0) == pytest.approx(
+            matern_mpmath(200, 40.0), rel=1e-12)
+        assert matern_profile(4, 1e6) == 0.0
+
+    def test_half_integers_bit_equal_literal_forms(self):
+        r = np.geomspace(1e-6, 20.0, 10_000)
+        t3, t5 = np.sqrt(3.0) * r, np.sqrt(5.0) * r
+        literal = {0.5: np.exp(-r), 1.5: (1.0 + t3) * np.exp(-t3),
+                   2.5: (1.0 + t5 + t5 * t5 / 3.0) * np.exp(-t5)}
+        for nu, expected in literal.items():
+            for method in ("auto", "closed"):
+                np.testing.assert_array_equal(matern_profile(nu, r, method=method),
+                                              expected)
+
+    def test_closed_form_at_seven_halves(self):
+        # DLMF 10.49.12: (1 + t + 2t^2/5 + t^3/15) e^{-t}
+        r = np.geomspace(1e-6, 20.0, 500)
+        t = np.sqrt(7.0) * r
+        closed = matern_profile(3.5, r, method="closed")
+        np.testing.assert_array_equal(closed, matern_profile(3.5, r))
+        np.testing.assert_allclose(closed, (1 + t + 2 * t**2 / 5 + t**3 / 15) * np.exp(-t),
+                                   rtol=1e-14)
+
+    def test_scalar_and_matrix_shapes(self):
+        assert isinstance(matern_profile(4, 0.7), float)
+        R = np.array([[0.0, 0.5], [0.5, 0.0]])
+        K = matern_profile(4, R)
+        assert K.shape == (2, 2) and K[0, 0] == 1.0 and K[0, 1] == K[1, 0]
+
+    @PROPERTY
+    @given(k=st.integers(1, 200),
+           r=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=30))
+    def test_half_integer_profile_property(self, k, r):
+        # in [0, 1], 1 at r = 0, not increasing in r: up to rounding, since
+        # t k1e(t) reads 1 + 2 ulp at tiny t
+        r = np.sort(np.concatenate([[0.0], r]))
+        v = matern_profile(k / 2, r)
+        assert v[0] == 1.0
+        assert np.all(v >= 0.0) and np.all(v <= 1.0 + 4 * np.finfo(float).eps)
+        assert np.all(np.diff(v) <= 1e-14 * v[:-1])
 
 
 class TestKernelMatrix:
@@ -223,3 +303,21 @@ class TestKernelMatrix:
         with pytest.raises(ValueError):
             kernel_matrix(KernelSpec("laplacian", ShapeMatrix.identity(3)),
                           np.zeros((2, 2)))
+
+    @PROPERTY
+    @given(family=st.sampled_from([("gaussian", {}), ("l1_laplacian", {}),
+                                   ("laplacian", {}), ("exp_power", {"alpha": 0.6}),
+                                   ("matern", {"nu": 3.5}), ("matern", {"nu": 4.0}),
+                                   ("matern", {"nu": 1.3})]),
+           d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_kernel_eval_property(self, family, d, seed):
+        # random SPD M; kernel_eval(spec, x, z) is kernel_matrix(spec, X)[i, j]
+        name, kw = family
+        g = np.random.default_rng(seed)
+        A = g.standard_normal((d, d))
+        spec = KernelSpec(name, ShapeMatrix(A @ A.T / d + 0.1 * np.eye(d)), **kw)
+        X = g.standard_normal((5, d))
+        K = kernel_matrix(spec, X)
+        for i in range(5):
+            for j in range(5):
+                assert kernel_eval(spec, X[i], X[j]) == pytest.approx(K[i, j], rel=1e-12)

@@ -131,6 +131,30 @@ class TestLogisticFeatures:
             flat = _logistic_hessp(theta.ravel(), V.ravel(), P, 0.05)
             np.testing.assert_array_equal(flat, hv.ravel())
 
+    def test_hessp_reuses_the_objective_softmax(self, monkeypatch):
+        g = np.random.default_rng(17)
+        P = g.standard_normal((300, 24))
+        labels = g.integers(0, 5, size=300)
+        keep = {}
+        theta = g.standard_normal((24, 5))
+        _logistic_objective(theta, P, one_hot(labels), 1e-3, keep)
+        np.testing.assert_array_equal(keep["S"], softmax(P @ theta))
+
+        cached = fit_logistic_features(fake_phi(P), labels, 1e-3)
+        given = []
+        real = learners._logistic_hessp
+
+        def recomputing(t, v, P, lam, S=None):
+            given.append(S is not None)
+            return real(t, v, P, lam)
+
+        monkeypatch.setattr(learners, "_logistic_hessp", recomputing)
+        plain = fit_logistic_features(fake_phi(P), labels, 1e-3)
+        assert sum(given) > len(given) / 2
+        np.testing.assert_array_equal(cached.theta, plain.theta)
+        assert (cached.n_iter, cached.n_fev, cached.n_hessp, cached.grad_norm) == \
+            (plain.n_iter, plain.n_fev, plain.n_hessp, plain.grad_norm)
+
     def test_reaches_the_minimiser(self):
         g = np.random.default_rng(16)
         P = g.standard_normal((80, 6))
