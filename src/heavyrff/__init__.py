@@ -13,7 +13,7 @@ from .features import (FeatureMatrix, FeatureOperator, build_orf, build_rff,
 from .harness import BenchRow, ErrorReport, bench_speedup, cf_check, rel_error
 from .kernels import (EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN,
                       KernelSpec, bessel_k, kernel_eval, kernel_matrix,
-                      mahalanobis_norm, matern_profile)
+                      matern_profile)
 from .learners import (ExactKernelModel, LinearModel, evaluate,
                        expected_calibration_error, fit_krr_exact,
                        fit_logistic_features, fit_ridge_features, r_squared)

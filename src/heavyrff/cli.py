@@ -328,6 +328,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="round p up to a multiple of d for ORF")
 
 
+def _positive_int(flag: str, value: str | int) -> int:
+    """``value`` as an integer >= 1, or a ValueError that names ``flag``."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise ValueError(f"{flag} must be an integer >= 1, got {value!r}")
+    return number
+
+
 def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     label_col: int | str = args.label_col
     try:
@@ -337,13 +348,14 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         kind=kind, kernel=args.kernel, alpha=args.alpha, nu=args.nu,
         scheme=args.scheme,
-        p_grid=tuple(int(tok) for tok in args.p.split(",")),
+        p_grid=tuple(_positive_int("--p", tok) for tok in args.p.split(",")),
         seed=args.seed, lam=args.lam,
         norms=tuple(args.norms.split(",")),
         out=args.out, data_path=args.data, label_col=label_col,
         task=args.task, recipe=args.recipe, m_file=args.m_file,
-        n=args.n, d=args.d, n_classes=args.classes,
-        test_fraction=args.test_fraction, cap=args.cap,
+        n=_positive_int("--n", args.n), d=_positive_int("--d", args.d),
+        n_classes=args.classes, test_fraction=args.test_fraction,
+        cap=_positive_int("--cap", args.cap),
         repeats=args.repeats, round_p=args.round_p)
 
 
@@ -388,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated distribution parameters")
     sample.add_argument("--draws", type=int, default=100_000)
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args.command, args)
     try:
+        cfg = _config_from_args(args.command, args)
         if args.command == "sample":
             run_experiment(cfg, dist=args.dist,
                            params=[float(tok) for tok in args.params.split(",")],

@@ -17,9 +17,9 @@ import numpy as np
 
 from .distributions import GbpParams, StableParams, sample_chi, sample_gbp, sample_stable_cms
 from .kernels import GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, KernelSpec
-from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_haar_blocks,
-                           sample_mv_cauchy, sample_mv_t, sample_mvn,
-                           stable_scale_sigma)
+from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
+                           sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
+                           sample_mvn, stable_scale_sigma)
 from .rng import RngStream
 
 __all__ = [
@@ -77,10 +77,6 @@ class FeatureOperator:
     def dim(self) -> int:
         return self.kernel.dim
 
-    @property
-    def n_features(self) -> int:
-        return 2 * self.p
-
     def project(self, X: np.ndarray) -> np.ndarray:
         """Linear part of the map: W x for RFF, S Q sqrt(M) x for ORF."""
         X = np.asarray(X, dtype=float)
@@ -96,15 +92,10 @@ class FeatureMatrix:
     """n x 2p SinCos feature matrix; every row has unit squared norm."""
 
     phi: np.ndarray
-    p: int
-    operator_seed: tuple[int, int]
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
 
 
 def _rff_rows(spec: KernelSpec, p: int, rng: RngStream) -> np.ndarray:
+    """p draws from the weight law whose characteristic function is the kernel."""
     shape = spec.shape
     if spec.family == GAUSSIAN:
         return sample_mvn(shape, rng, size=p)
@@ -120,10 +111,7 @@ def _rff_rows(spec: KernelSpec, p: int, rng: RngStream) -> np.ndarray:
         # the stable scale constant degenerates at alpha=2; e^{-r^2} is a
         # Gaussian kernel with doubled M, i.e. rows sqrt(2) * N(0, M)
         return np.sqrt(2.0) * sample_mvn(shape, rng, size=p)
-    params = StableParams(spec.alpha / 2.0, 1.0, stable_scale_sigma(spec.alpha))
-    s = sample_stable_cms(params, rng, size=p)
-    u = sample_mvn(shape, rng, size=p)
-    return u * np.sqrt(s)[:, None]
+    return sample_ec_stable(spec.alpha, shape, rng, size=p)
 
 
 def build_rff(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
@@ -178,7 +166,7 @@ def build_operator(scheme: str, kernel: KernelSpec, p: int,
 def featurize(op: FeatureOperator, X: np.ndarray) -> FeatureMatrix:
     """Apply the operator and the SinCos map to every row of X."""
     phi = psi(op.project(np.asarray(X, dtype=float)))
-    return FeatureMatrix(phi, op.p, (op.seed, op.stream_id))
+    return FeatureMatrix(phi)
 
 
 def gram_approx(phi: FeatureMatrix) -> np.ndarray:

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import build_operator, featurize, gram_approx
-from .kernels import (EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN,
-                      KernelSpec, kernel_matrix, kernel_profile)
-from .multivariate import sample_ec_stable, sample_mv_cauchy, sample_mv_t, sample_mvn
+from .features import _rff_rows, build_operator, featurize, gram_approx
+from .kernels import L1_LAPLACIAN, KernelSpec, kernel_matrix, kernel_profile
 from .rng import RngStream
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "BenchRow",
     "rel_error",
     "measure_approximation",
-    "fourier_sampler",
     "cf_check",
     "bench_speedup",
 ]
@@ -164,29 +161,14 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     return reports
 
 
-def fourier_sampler(spec: KernelSpec):
-    """Sampler for the weight law whose characteristic function is the kernel."""
-    if spec.family == GAUSSIAN:
-        return lambda rng, n: sample_mvn(spec.shape, rng, size=n)
-    if spec.family == LAPLACIAN:
-        return lambda rng, n: sample_mv_cauchy(spec.shape, rng, size=n)
-    if spec.family == MATERN:
-        return lambda rng, n: sample_mv_t(spec.nu, spec.shape, rng, size=n)
-    if spec.family == EXP_POWER:
-        if spec.alpha == 2.0:
-            return lambda rng, n: np.sqrt(2.0) * sample_mvn(spec.shape, rng, size=n)
-        return lambda rng, n: sample_ec_stable(spec.alpha, spec.shape, rng, size=n)
-    # l1_laplacian: independent standard Cauchy coordinates
-    return lambda rng, n: rng.generator.standard_cauchy((n, spec.dim))
-
-
-def cf_check(sampler, spec: KernelSpec, probes: np.ndarray, n_samples: int,
+def cf_check(spec: KernelSpec, probes: np.ndarray, n_samples: int,
              rng: RngStream) -> np.ndarray:
-    """Per-probe deviation |mean cos(w^T D) - kappa(D)| over n_samples draws."""
+    """Per-probe deviation |mean cos(w^T D) - kappa(D)| over n_samples draws
+    of the RFF weight law that ``build_rff`` samples."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if not np.isfinite(probes).all():
         raise ValueError("probes must be finite")
-    draws = sampler(rng, n_samples)
+    draws = _rff_rows(spec, n_samples, rng)
     emp = np.cos(draws @ probes.T).mean(axis=0)
     if spec.family == L1_LAPLACIAN:
         r = np.abs(probes).sum(axis=1)
@@ -196,13 +178,12 @@ def cf_check(sampler, spec: KernelSpec, probes: np.ndarray, n_samples: int,
 
 
 def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: str,
-                  rng: RngStream, repeats: int = 3,
-                  include_build: bool = False) -> list[BenchRow]:
+                  rng: RngStream, repeats: int = 3) -> list[BenchRow]:
     """Time exact kernel assembly against featurize + Gram across a p grid.
 
-    Operator construction is timed separately and excluded from the speedup
-    by default; pass ``include_build=True`` to fold it in. K's checks and
-    Frobenius norm are computed once and shared by every p.
+    Operator construction is timed separately as ``build_ms`` and excluded
+    from the speedup. K's checks and Frobenius norm are computed once and
+    shared by every p.
     """
     X = np.asarray(X, dtype=float)
     exact_times = []
@@ -229,8 +210,6 @@ def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: st
             gram_times.append(1e3 * (t3 - t2))
         feat_ms = float(np.median(feat_times))
         gram_ms = float(np.median(gram_times))
-        if include_build:
-            feat_ms += build_ms
         errs = _gram_errors(exact, G, ("frobenius",))
         rows.append(BenchRow(p=p, exact_ms=exact_ms, featurize_ms=feat_ms,
                              gram_ms=gram_ms, build_ms=build_ms,

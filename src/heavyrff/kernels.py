@@ -22,7 +22,6 @@ __all__ = [
     "EXP_POWER",
     "MATERN",
     "KernelSpec",
-    "mahalanobis_norm",
     "bessel_k",
     "matern_profile",
     "kernel_profile",
@@ -65,11 +64,6 @@ class KernelSpec:
     @property
     def dim(self) -> int:
         return self.shape.dim
-
-
-def mahalanobis_norm(shape: ShapeMatrix, u: np.ndarray) -> float | np.ndarray:
-    """sqrt(u^T M u), computed through the symmetric square root for stability."""
-    return shape.norm(u)
 
 
 def bessel_k(nu: float, x: float | np.ndarray) -> float | np.ndarray:

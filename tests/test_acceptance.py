@@ -20,7 +20,6 @@ from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,
 from heavyrff.multivariate import sample_haar_blocks
 from heavyrff.data import make_classification, train_test_split
 from heavyrff.features import build_operator
-from heavyrff.harness import fourier_sampler
 from heavyrff.learners import _logistic_objective, one_hot
 
 KS_LEVEL = 0.01
@@ -78,8 +77,7 @@ class TestAcceptance:
         probes = g.standard_normal((5, d)) * 0.5
         worst, worst_name = 0.0, ""
         for j, spec in enumerate(specs):
-            dev = cf_check(fourier_sampler(spec), spec, probes, 1_000_000,
-                           RngStream(1003, j)).max()
+            dev = cf_check(spec, probes, 1_000_000, RngStream(1003, j)).max()
             if dev > worst:
                 worst, worst_name = float(dev), spec.family
         verdict(3, worst < 0.005,
@@ -213,7 +211,7 @@ class TestAcceptance:
         from heavyrff.features import FeatureMatrix
         P = g.standard_normal((60, 12))
         Y = g.standard_normal(60)
-        model = fit_ridge_features(FeatureMatrix(P, 6, (0, 0)), Y, 0.2)
+        model = fit_ridge_features(FeatureMatrix(P), Y, 0.2)
         resid = P.T @ (P @ model.theta[:, 0] - Y) + 0.2 * model.theta[:, 0]
         checks.append(np.linalg.norm(resid) < 1e-8)
         # finite-difference gradient of the logistic objective

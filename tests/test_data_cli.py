@@ -234,6 +234,20 @@ class TestCliRuns:
         assert report["results"][0]["p"] == 112
         assert any("rounded" in note for note in report["notes"])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "12,abc"), ("--p", ""), ("--p", "16,,32"), ("--p", "64,0"),
+        ("--n", "0"), ("--d", "0"), ("--cap", "0"), ("--n", "-5"),
+    ])
+    def test_malformed_integer_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        args = ["approx", "--p", "64", "--n", "60", "--d", "3",
+                "--out", str(out), flag, value]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and flag in err[0]
+        assert not (tmp_path / "bad.json").exists()
+
     def test_krr_smoke_with_csv_and_m_file(self, tmp_path):
         ds = make_classification(300, 3, 2, RngStream(210), margin=0.05)
         rows = ["x0,x1,x2,y"] + [

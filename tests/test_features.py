@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,
@@ -10,6 +14,38 @@ from heavyrff.features import (build_operator, operator_from_record,
                                operator_record)
 
 KS_LEVEL = 0.01
+
+# deterministic examples, no example database on disk
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+PIN_M = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.0]])
+# (scheme, family, parameters, drawn values) at seed 2024, stream 7, p = 6,
+# M = PIN_M: W[0, 0], W[3, 1], W[-1, -1] for RFF and S[0], S[-1], Q[0, 1],
+# Q[-1, -1] for ORF. A change that moves them must bump RECORD_VERSION.
+PINNED_DRAWS = [
+    ("rff", "gaussian", {}, ("-0x1.64c0016fb6f6ap-2", "0x1.0864d151c083ep-1",
+                             "0x1.5986b48be61b3p-1")),
+    ("rff", "l1_laplacian", {}, ("0x1.4e2ce1e58fe67p-1", "0x1.fe6fc9e99f187p+0",
+                                 "0x1.90ffbfd0ee83cp+0")),
+    ("rff", "laplacian", {}, ("0x1.24be83d873c62p-2", "-0x1.67986ff814666p-1",
+                              "-0x1.99bf11c1efdd8p-1")),
+    ("rff", "matern", {"nu": 1.5}, ("-0x1.9a67eb33af254p-1", "0x1.d72dc7d72351ap-1",
+                                    "0x1.0768096093196p-1")),
+    ("rff", "exp_power", {"alpha": 1.3}, ("0x1.4bfb8d0356c94p-1", "-0x1.296c8e708b6c0p+1",
+                                          "-0x1.480eedd087524p-1")),
+    ("rff", "exp_power", {"alpha": 2.0}, ("-0x1.f8854ddd63da8p-2", "0x1.75e8c97ee674ap-1",
+                                          "0x1.e8a5d80580af9p-1")),
+    ("orf", "gaussian", {}, ("0x1.816f51d0e2d9fp-1", "0x1.22d216f618d97p+1",
+                             "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
+    ("orf", "laplacian", {}, ("0x1.22a6402abbac9p+2", "0x1.14737029d3762p+3",
+                              "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
+    ("orf", "matern", {"nu": 1.5}, ("0x1.8c8a73a204a8ap+0", "0x1.a2cf22817558dp+1",
+                                    "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
+    ("orf", "exp_power", {"alpha": 1.3}, ("0x1.aaf198dc6a496p-1", "0x1.ccf56eb42187ep+1",
+                                          "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
+    ("orf", "exp_power", {"alpha": 2.0}, ("0x1.108b28c0e3b25p+0", "0x1.9b485399a5d6ap+1",
+                                          "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
+]
 
 
 def spec_for(family, d=4, **kw):
@@ -198,6 +234,43 @@ class TestSerialization:
         save_operator(op, path)
         clone = load_operator(path)
         np.testing.assert_array_equal(op.W, clone.W)
+
+    @pytest.mark.parametrize("scheme, family, kw, pinned", PINNED_DRAWS)
+    def test_drawn_values_are_pinned(self, scheme, family, kw, pinned):
+        spec = KernelSpec(family, ShapeMatrix(PIN_M), **kw)
+        op = build_operator(scheme, spec, 6, RngStream(2024, 7))
+        if scheme == "rff":
+            drawn = (op.W[0, 0], op.W[3, 1], op.W[-1, -1])
+        else:
+            drawn = (op.S[0], op.S[-1], op.Q.Q[0, 1], op.Q.Q[-1, -1])
+        assert tuple(float(v).hex() for v in drawn) == pinned
+
+    @PROPERTY
+    @given(family=st.sampled_from(["gaussian", "l1_laplacian", "laplacian",
+                                   "matern", "exp_power"]),
+           alpha=st.one_of(st.just(2.0), st.floats(0.1, 2.0)),
+           # below nu ~ 0.01 ORF's beta-prime norm draw overflows to inf
+           nu=st.floats(0.05, 50.0),
+           d=st.integers(1, 4), blocks=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))
+    def test_record_roundtrip_and_unit_rows_property(self, family, alpha, nu, d,
+                                                      blocks, seed, stream_id):
+        g = np.random.default_rng(seed)
+        A = g.standard_normal((d, d))
+        kw = {"exp_power": {"alpha": alpha}, "matern": {"nu": nu}}.get(family, {})
+        spec = KernelSpec(family, ShapeMatrix(A @ A.T / d + 0.1 * np.eye(d)), **kw)
+        X = g.standard_normal((7, d))
+        schemes = ("rff",) if family == "l1_laplacian" else ("rff", "orf")
+        for scheme in schemes:
+            op = build_operator(scheme, spec, d * blocks, RngStream(seed, stream_id))
+            clone = operator_from_record(json.loads(json.dumps(operator_record(op))))
+            if scheme == "rff":
+                np.testing.assert_array_equal(op.W, clone.W)
+            else:
+                np.testing.assert_array_equal(op.S, clone.S)
+                np.testing.assert_array_equal(op.Q.Q, clone.Q.Q)
+            norms = np.linalg.norm(featurize(op, X).phi, axis=1)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
     def test_rejects_foreign_record(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import heavyrff.harness as harness
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, bench_speedup,
                       cf_check, featurize, gram_approx, kernel_matrix, rel_error)
 from heavyrff.features import build_operator
-from heavyrff.harness import fourier_sampler, measure_approximation
+from heavyrff.harness import measure_approximation
 
 NORMS = ("frobenius", "operator", "nuclear")
 
@@ -68,28 +68,26 @@ class TestRelError:
 class TestCfCheck:
     def test_zero_probe_exact(self):
         spec = KernelSpec("laplacian", ShapeMatrix.identity(3))
-        dev = cf_check(fourier_sampler(spec), spec, np.zeros((1, 3)), 1000,
-                       RngStream(130))
+        dev = cf_check(spec, np.zeros((1, 3)), 1000, RngStream(130))
         assert dev[0] == 0.0
 
     def test_laplacian_deviation_small(self):
         spec = KernelSpec("laplacian", ShapeMatrix.identity(4))
         probe = np.array([0.5, 0.5, 0.5, 0.5])  # unit norm
-        dev = cf_check(fourier_sampler(spec), spec, probe, 1_000_000, RngStream(131))
+        dev = cf_check(spec, probe, 1_000_000, RngStream(131))
         assert dev.max() < 0.005
 
     def test_matern_probes(self):
         spec = KernelSpec("matern", ShapeMatrix.identity(8), nu=2.0)
         g = np.random.default_rng(2)
         probes = g.standard_normal((5, 8)) * 0.4
-        dev = cf_check(fourier_sampler(spec), spec, probes, 1_000_000, RngStream(132))
+        dev = cf_check(spec, probes, 1_000_000, RngStream(132))
         assert dev.max() < 0.005
 
     def test_rejects_nonfinite_probe(self):
         spec = KernelSpec("gaussian", ShapeMatrix.identity(2))
         with pytest.raises(ValueError):
-            cf_check(fourier_sampler(spec), spec, np.array([np.nan, 0.0]), 10,
-                     RngStream(0))
+            cf_check(spec, np.array([np.nan, 0.0]), 10, RngStream(0))
 
 
 def sweep_inputs():

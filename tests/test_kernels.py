@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, bessel_k,
-                      kernel_eval, kernel_matrix, mahalanobis_norm,
-                      matern_profile)
+                      kernel_eval, kernel_matrix, matern_profile)
 
 # frozen from the quadrature oracle below; equals sqrt(pi/2) * e^{-1}
 K_HALF_AT_1 = 0.4610685044478946
@@ -62,18 +61,6 @@ class TestKernelSpec:
             KernelSpec("laplacian", sm, alpha=1.0)   # stray parameter
         with pytest.raises(ValueError):
             KernelSpec("gaussian", sm, nu=1.0)
-
-
-class TestMahalanobisNorm:
-    def test_zero(self):
-        assert mahalanobis_norm(ShapeMatrix.identity(3), np.zeros(3)) == 0.0
-
-    def test_euclidean(self):
-        assert mahalanobis_norm(ShapeMatrix.identity(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_diagonal(self):
-        sm = ShapeMatrix.diagonal([4.0, 1.0])
-        assert mahalanobis_norm(sm, np.array([1.0, 1.0])) == pytest.approx(np.sqrt(5.0))
 
 
 class TestBesselK:

@@ -20,10 +20,6 @@ def unit_rows(g, n, d):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def fake_phi(P):
-    return FeatureMatrix(P, P.shape[1] // 2, (0, 0))
-
-
 class TestKrrExact:
     def test_interpolates_at_zero_lambda(self):
         g = np.random.default_rng(0)
@@ -62,13 +58,13 @@ class TestRidgeFeatures:
     def test_identity_features(self):
         P = np.eye(5)
         Y = np.arange(5.0)
-        model = fit_ridge_features(fake_phi(P), Y, 0.0)
+        model = fit_ridge_features(FeatureMatrix(P), Y, 0.0)
         np.testing.assert_allclose(model.theta[:, 0], Y, atol=1e-12)
 
     def test_large_lambda_shrinks_to_zero(self):
         g = np.random.default_rng(2)
         P = g.standard_normal((30, 8))
-        model = fit_ridge_features(fake_phi(P), g.standard_normal(30), 1e9)
+        model = fit_ridge_features(FeatureMatrix(P), g.standard_normal(30), 1e9)
         assert np.linalg.norm(model.theta) < 1e-6
 
     def test_normal_equation_residual(self):
@@ -77,14 +73,14 @@ class TestRidgeFeatures:
             P = g.standard_normal((n, m))
             Y = g.standard_normal(n)
             lam = 0.3
-            model = fit_ridge_features(fake_phi(P), Y, lam)
+            model = fit_ridge_features(FeatureMatrix(P), Y, lam)
             resid = P.T @ (P @ model.theta[:, 0] - Y) + lam * model.theta[:, 0]
             assert np.linalg.norm(resid) < 1e-8
 
     def test_singular_at_zero_lambda(self):
         P = np.zeros((4, 6))
         with pytest.raises(np.linalg.LinAlgError):
-            fit_ridge_features(fake_phi(P), np.ones(4), 0.0)
+            fit_ridge_features(FeatureMatrix(P), np.ones(4), 0.0)
 
 
 class TestLogisticFeatures:
@@ -93,8 +89,8 @@ class TestLogisticFeatures:
         P = np.vstack([g.standard_normal((30, 4)) + 3.0,
                        g.standard_normal((30, 4)) - 3.0])
         labels = np.array([0] * 30 + [1] * 30)
-        model = fit_logistic_features(fake_phi(P), labels, 0.1)
-        assert (model.predict_labels(fake_phi(P)) == labels).mean() == 1.0
+        model = fit_logistic_features(FeatureMatrix(P), labels, 0.1)
+        assert (model.predict_labels(FeatureMatrix(P)) == labels).mean() == 1.0
 
     def test_gradient_matches_finite_differences(self):
         g = np.random.default_rng(5)
@@ -140,7 +136,7 @@ class TestLogisticFeatures:
         _logistic_objective(theta, P, one_hot(labels), 1e-3, keep)
         np.testing.assert_array_equal(keep["S"], softmax(P @ theta))
 
-        cached = fit_logistic_features(fake_phi(P), labels, 1e-3)
+        cached = fit_logistic_features(FeatureMatrix(P), labels, 1e-3)
         given = []
         real = learners._logistic_hessp
 
@@ -149,7 +145,7 @@ class TestLogisticFeatures:
             return real(t, v, P, lam)
 
         monkeypatch.setattr(learners, "_logistic_hessp", recomputing)
-        plain = fit_logistic_features(fake_phi(P), labels, 1e-3)
+        plain = fit_logistic_features(FeatureMatrix(P), labels, 1e-3)
         assert sum(given) > len(given) / 2
         np.testing.assert_array_equal(cached.theta, plain.theta)
         assert (cached.n_iter, cached.n_fev, cached.n_hessp, cached.grad_norm) == \
@@ -161,7 +157,7 @@ class TestLogisticFeatures:
         labels = g.integers(0, 3, size=80)
         Yoh = one_hot(labels)
         lam, opts = 0.01, LogisticOptions()
-        model = fit_logistic_features(fake_phi(P), labels, lam, opts)
+        model = fit_logistic_features(FeatureMatrix(P), labels, lam, opts)
         assert model.converged and model.grad_norm < opts.tol
         assert 1 <= model.n_iter <= opts.max_iter
         assert model.n_fev >= 1 and model.n_hessp >= 1
@@ -175,15 +171,15 @@ class TestLogisticFeatures:
                                           "maxiter": 10_000})
         obj = _logistic_objective(model.theta, P, Yoh, lam)[0]
         assert obj <= ref.fun + 1e-10
-        np.testing.assert_array_equal(model.predict_labels(fake_phi(P)),
+        np.testing.assert_array_equal(model.predict_labels(FeatureMatrix(P)),
                                       (P @ ref.x.reshape(6, 3)).argmax(axis=1))
 
     def test_huge_lambda_gives_uniform_probs(self):
         g = np.random.default_rng(6)
         P = g.standard_normal((30, 4))
         labels = g.integers(0, 3, size=30)
-        model = fit_logistic_features(fake_phi(P), labels, 1e6)
-        probs = model.predict_proba(fake_phi(P))
+        model = fit_logistic_features(FeatureMatrix(P), labels, 1e6)
+        probs = model.predict_proba(FeatureMatrix(P))
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-4)
         assert np.linalg.norm(model.theta) < 1e-4
 
@@ -216,7 +212,7 @@ class TestLogisticFeatures:
         P = g.standard_normal((40, 6))
         labels = g.integers(0, 2, size=40)
         with pytest.warns(RuntimeWarning):
-            model = fit_logistic_features(fake_phi(P), labels, 1e-8,
+            model = fit_logistic_features(FeatureMatrix(P), labels, 1e-8,
                                           LogisticOptions(tol=1e-14, max_iter=3))
         assert not model.converged
         assert model.grad_norm > 0

@@ -53,6 +53,7 @@ class TestShapeMatrix:
     def test_norm_euclidean(self):
         sm = ShapeMatrix.identity(2)
         assert sm.norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert ShapeMatrix.identity(3).norm(np.zeros(3)) == 0.0
 
     def test_norm_diagonal(self):
         sm = ShapeMatrix.diagonal([4.0, 1.0])
