@@ -356,7 +356,7 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
         n=_positive_int("--n", args.n), d=_positive_int("--d", args.d),
         n_classes=args.classes, test_fraction=args.test_fraction,
         cap=_positive_int("--cap", args.cap),
-        repeats=args.repeats, round_p=args.round_p)
+        repeats=_positive_int("--repeats", args.repeats), round_p=args.round_p)
 
 
 def run_experiment(cfg: ExperimentConfig, **kwargs) -> dict:

@@ -11,6 +11,8 @@ unit Euclidean norm and Gram entries are averages of cos(w^T (x - z)).
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,18 +42,47 @@ __all__ = [
 LAYOUT = "interleaved-cos-sin"
 RECORD_FORMAT = "heavyrff-operator"
 RECORD_VERSION = 1
+# a psi worker gets at least this many entries; smaller inputs run serially
+_MIN_ENTRIES_PER_WORKER = 2 ** 16
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def psi(u: np.ndarray) -> np.ndarray:
-    """SinCos map: (..., p) -> (..., 2p) interleaved (cos u_i, sin u_i)/sqrt(p)."""
+    """SinCos map: (..., p) -> (..., 2p) interleaved (cos u_i, sin u_i)/sqrt(p).
+
+    Large inputs are split by columns over the CPUs this process may run on.
+    Every column is computed by the same ufuncs in either case, so the result
+    is bit-identical to the serial map.
+    """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("projections must be finite")
     p = u.shape[-1]
     out = np.empty(u.shape[:-1] + (2 * p,))
-    out[..., 0::2] = np.cos(u)
-    out[..., 1::2] = np.sin(u)
-    out /= np.sqrt(p)
+    scale = np.sqrt(p)
+
+    def sincos(cols: tuple[int, int]) -> None:
+        a, b = cols
+        np.cos(u[..., a:b], out=out[..., 2 * a:2 * b:2])
+        np.sin(u[..., a:b], out=out[..., 2 * a + 1:2 * b:2])
+        out[..., 2 * a:2 * b] /= scale
+
+    # numpy's ufuncs release the GIL, so threads run the slices in parallel
+    workers = max(1, min(_cpu_count(), p, u.size // _MIN_ENTRIES_PER_WORKER))
+    bounds = [p * k // workers for k in range(workers + 1)]
+    slices = list(zip(bounds[:-1], bounds[1:]))
+    if workers == 1:
+        sincos(slices[0])
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(sincos, slices))
     return out
 
 
@@ -84,7 +115,9 @@ class FeatureOperator:
             raise ValueError(f"dimension mismatch: {X.shape[-1]} != {self.dim}")
         if self.scheme == "rff":
             return X @ self.W.T
-        return (X @ self.sqrtM @ self.Q.Q.T) * self.S
+        out = X @ self.sqrtM @ self.Q.Q.T
+        out *= self.S
+        return out
 
 
 @dataclass

@@ -77,11 +77,41 @@ class _ExactSide:
     spectrum: np.ndarray | None = None  # |eigvalsh(K)|
 
 
+_TILE = 256  # side of the square tiles _asym_max compares
+
+
+def _abs_max(A: np.ndarray) -> float:
+    """max |A| without an |A| temporary; not finite exactly when A is not."""
+    return max(A.max(), -A.min())
+
+
+def _asym_max(A: np.ndarray) -> float:
+    """max |A - A.T| over tile pairs (I, J >= I), without an n x n temporary.
+
+    IEEE subtraction is exactly antisymmetric, a - b == -(b - a), so the tiles
+    on and above the diagonal give the full maximum bit for bit.
+    """
+    n = A.shape[0]
+    worst = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            diff = A[i:i + _TILE, j:j + _TILE] - A[j:j + _TILE, i:i + _TILE].T
+            worst = max(worst, _abs_max(diff))
+    return worst
+
+
+def _finite_abs_max(A: np.ndarray) -> float:
+    abs_max = _abs_max(A)
+    if not np.isfinite(abs_max):
+        raise ValueError("matrices must be finite")
+    return abs_max
+
+
 def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
     for name in norms:
         if name not in NORMS:
             raise ValueError(f"unknown norm {name!r}")
-    exact = _ExactSide(K=K, abs_max=np.abs(K).max(), asym=np.abs(K - K.T).max())
+    exact = _ExactSide(K=K, abs_max=_finite_abs_max(K), asym=_asym_max(K))
     if "frobenius" in norms:
         exact.frobenius = np.linalg.norm(K)
     if "operator" in norms or "nuclear" in norms:
@@ -91,19 +121,23 @@ def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
 
 def _gram_errors(exact: _ExactSide, G: np.ndarray,
                  norms: tuple[str, ...]) -> dict[str, float]:
-    """Relative errors of G against the exact side; norms not asked for are nan."""
-    K = exact.K
-    scale = max(exact.abs_max, np.abs(G).max(), 1.0)
-    if max(exact.asym, np.abs(G - G.T).max()) > 1e-10 * scale:
+    """Relative errors of G against the exact side; norms not asked for are nan.
+
+    Consumes G: once it has passed the checks it is overwritten by G - K, so
+    no n x n temporary is formed. A caller that still needs G passes a copy.
+    """
+    scale = max(exact.abs_max, _finite_abs_max(G), 1.0)
+    if max(exact.asym, _asym_max(G)) > 1e-10 * scale:
         raise ValueError("matrices must be symmetric")
+    diff = np.subtract(G, exact.K, out=G)
     errs = dict.fromkeys(NORMS, float("nan"))
     if "frobenius" in norms:
         if exact.frobenius == 0.0:
             raise ZeroDivisionError("||K|| is zero")
-        errs["frobenius"] = float(np.linalg.norm(G - K) / exact.frobenius)
+        errs["frobenius"] = float(np.linalg.norm(diff) / exact.frobenius)
     if exact.spectrum is not None:
         # one eigendecomposition of G - K serves both spectral norms
-        ev_diff = np.abs(np.linalg.eigvalsh(G - K))
+        ev_diff = np.abs(np.linalg.eigvalsh(diff))
         for name, reduce in (("operator", np.max), ("nuclear", np.sum)):
             if name not in norms:
                 continue
@@ -122,7 +156,7 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     sum of |eigenvalues|).
     """
     K = np.asarray(K, dtype=float)
-    G = np.asarray(G, dtype=float)
+    G = np.array(G, dtype=float)  # _gram_errors consumes its G
     if K.shape != G.shape:
         raise ValueError(f"shape mismatch {K.shape} vs {G.shape}")
     return _gram_errors(_exact_side(K, (norm,)), G, (norm,))[norm]
@@ -150,14 +184,15 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
         t2 = time.perf_counter()
         G = gram_approx(phi)
         t3 = time.perf_counter()
+        del phi  # only G is scored
         errs = _gram_errors(exact, G, norms)
+        del G  # free this point's Gram before the next, larger p is built
         reports.append(ErrorReport(
             n=X.shape[0], p=p, kernel=spec.family, scheme=scheme,
             rel_frobenius=errs["frobenius"], rel_operator=errs["operator"],
             rel_nuclear=errs["nuclear"], seed=op_rng.seed,
             stream_id=op_rng.stream_id, exact_ms=exact_ms,
             featurize_ms=1e3 * (t2 - t1), gram_ms=1e3 * (t3 - t2)))
-        del phi, G  # free this point's arrays before the next, larger p is built
     return reports
 
 
@@ -183,11 +218,14 @@ def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: st
 
     Operator construction is timed separately as ``build_ms`` and excluded
     from the speedup. K's checks and Frobenius norm are computed once and
-    shared by every p.
+    shared by every p. At most K, one G and one p's Phi are resident at a time.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=float)
     exact_times = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
+        K = None  # free the last repeat's K before assembling the next
         t0 = time.perf_counter()
         K = kernel_matrix(spec, X)
         exact_times.append(1e3 * (time.perf_counter() - t0))
@@ -200,7 +238,8 @@ def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: st
         op = build_operator(scheme, spec, p, op_rng)
         build_ms = 1e3 * (time.perf_counter() - t0)
         feat_times, gram_times = [], []
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
+            phi = G = None  # free the last repeat's arrays before timing the next
             t1 = time.perf_counter()
             phi = featurize(op, X)
             t2 = time.perf_counter()
@@ -210,7 +249,9 @@ def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: st
             gram_times.append(1e3 * (t3 - t2))
         feat_ms = float(np.median(feat_times))
         gram_ms = float(np.median(gram_times))
+        del phi  # only G is scored
         errs = _gram_errors(exact, G, ("frobenius",))
+        del G
         rows.append(BenchRow(p=p, exact_ms=exact_ms, featurize_ms=feat_ms,
                              gram_ms=gram_ms, build_ms=build_ms,
                              rel_frobenius=errs["frobenius"]))

@@ -237,6 +237,7 @@ class TestCliRuns:
     @pytest.mark.parametrize("flag, value", [
         ("--p", "12,abc"), ("--p", ""), ("--p", "16,,32"), ("--p", "64,0"),
         ("--n", "0"), ("--d", "0"), ("--cap", "0"), ("--n", "-5"),
+        ("--repeats", "0"), ("--repeats", "-3"),
     ])
     def test_malformed_integer_flags(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"

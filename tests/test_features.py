@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import heavyrff.features as features
 from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,
                       build_orf, build_rff, featurize, gram_approx,
                       kernel_eval, kernel_matrix, load_operator, psi,
@@ -75,6 +77,39 @@ class TestPsi:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             psi(np.array([np.inf]))
+
+    # (shape, pool size at 3 CPUs): a worker needs 2**16 entries
+    @pytest.mark.parametrize("shape, workers", [
+        ((7,), 1), ((1,), 1), ((5, 3), 1), ((200_000, 1), 1),
+        ((2, 65_535), 1), ((2, 65_536), 2), ((2, 3, 40_000), 3), ((24, 65_536), 3),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"w{v}")
+    def test_equals_serial_map_bit_for_bit(self, monkeypatch, shape, workers):
+        pools = []
+        real_pool = features.ThreadPoolExecutor
+        monkeypatch.setattr(features, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(features, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or real_pool(n))
+        g = np.random.default_rng(len(shape))
+        # heavy-tailed projections exercise the large-argument reduction
+        u = g.standard_cauchy(shape) * 10.0
+        p = shape[-1]
+        ref = np.empty(shape[:-1] + (2 * p,))
+        ref[..., 0::2] = np.cos(u)
+        ref[..., 1::2] = np.sin(u)
+        ref = ref / np.sqrt(p)
+        assert psi(u).tobytes() == ref.tobytes()
+        assert pools == ([] if workers == 1 else [workers])
+
+    def test_memory_is_output_plus_finiteness_mask(self):
+        u = np.random.default_rng(7).standard_normal((1000, 2000))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = psi(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= out.nbytes + u.size + 2 ** 20
 
 
 class TestBuildRff:

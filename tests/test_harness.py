@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,59 @@ class TestRelError:
             rel_error(np.zeros((2, 2)), np.eye(2) * 0.0)
         with pytest.raises(ValueError):
             rel_error(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["K", "G"])
+    def test_rejects_nonfinite(self, side, bad):
+        # a nan passes the symmetry test (nan > tol is False) and used to
+        # come out as a nan or inf error
+        mats = {"K": np.eye(3), "G": np.eye(3)}
+        mats[side][1, 2] = mats[side][2, 1] = bad
+        for norm in NORMS:
+            with pytest.raises(ValueError, match="finite"):
+                rel_error(mats["K"], mats["G"], norm)
+
+    def test_leaves_callers_g_unchanged(self):
+        g = np.random.default_rng(5)
+        A = g.standard_normal((30, 30))
+        K = A @ A.T + np.eye(30)
+        G = K + 0.1 * (A + A.T)
+        before = G.copy()
+        for norm in NORMS:
+            rel_error(K, G, norm)
+        assert G.tobytes() == before.tobytes()
+
+
+class TestInPlaceChecks:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", ["symmetric", "near_symmetric", "asymmetric"])
+    def test_helpers_equal_numpy_bit_for_bit(self, n, kind):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        if kind != "asymmetric":
+            A = (A + A.T) / 2
+        if kind == "near_symmetric":
+            A[-1, 0] += 1e-3  # in the last tile pair, off the diagonal for n > 1
+        assert harness._asym_max(A) == np.abs(A - A.T).max()
+        assert harness._abs_max(A) == np.abs(A).max()
+        assert harness._abs_max(-A) == np.abs(A).max()
+
+    def test_gram_errors_holds_no_n_by_n_temporary(self):
+        n = 1000
+        g = np.random.default_rng(6)
+        A = g.standard_normal((n, 40)) / np.sqrt(40)
+        E = g.standard_normal((n, n)) * 1e-2
+        K = A @ A.T + np.eye(n)
+        G = K + (E + E.T)
+        del E
+        exact = harness._exact_side(K, ("frobenius",))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            harness._gram_errors(exact, G, ("frobenius",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < G.nbytes / 4
 
 
 class TestCfCheck:
@@ -154,6 +208,21 @@ class TestMeasureApproximation:
             measure_approximation(spec, X, "rff", [32], RngStream(137),
                                   norms=("trace",))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("target", ["kernel_matrix", "gram_approx"])
+    def test_rejects_nonfinite(self, monkeypatch, target, bad):
+        spec, X = sweep_inputs()
+        real = getattr(harness, target)
+
+        def poisoned(*args):
+            M = real(*args)
+            M[0, 1] = M[1, 0] = bad
+            return M
+
+        monkeypatch.setattr(harness, target, poisoned)
+        with pytest.raises(ValueError, match="matrices must be finite"):
+            measure_approximation(spec, X, "rff", [32], RngStream(139))
+
 
 class TestBenchSpeedup:
     def test_table_well_formed_and_error_decreases(self):
@@ -188,3 +257,9 @@ class TestBenchSpeedup:
             op = build_operator("orf", spec, p, rng.substream(j))
             G = gram_approx(featurize(op, X))
             assert row.rel_frobenius == rel_error(K, G, "frobenius")  # bit for bit
+
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_rejects_repeats_below_one(self, repeats):
+        spec, X = sweep_inputs()
+        with pytest.raises(ValueError, match="repeats"):
+            bench_speedup(spec, X, [32], "rff", RngStream(140), repeats=repeats)
