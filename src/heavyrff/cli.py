@@ -2,8 +2,9 @@
 
 Subcommands mirror the experiment taxonomy: ``sample`` (distribution draws
 with goodness-of-fit checks), ``features`` (build and serialize operators),
-``approx`` (Gram error sweeps), ``bench`` (timing), ``krr`` and ``klr``
-(ridge / logistic regression on features vs the exact baseline).
+``approx`` and ``bench`` (one Gram-error and timing sweep, with different
+defaults), ``krr`` and ``klr`` (ridge / logistic regression on features vs
+the exact baseline).
 
 Every run writes one JSON report embedding the full config and seeds, plus a
 long-format CSV for plotting. Writes are atomic (temp file + rename).
@@ -32,7 +33,7 @@ from .distributions import (GbpParams, StableParams, gbp_cdf, sample_betaprime,
                             sample_chi, sample_gbp, sample_stable_cms,
                             stable_charfn)
 from .features import build_operator, featurize, operator_record, save_operator
-from .harness import NORMS, bench_speedup, measure_approximation
+from .harness import NORMS, measure_approximation
 from .kernels import EXP_POWER, FAMILIES, MATERN, KernelSpec
 from .learners import (evaluate, fit_krr_exact, fit_logistic_features,
                        fit_ridge_features, one_hot)
@@ -65,7 +66,7 @@ class ExperimentConfig:
     n_classes: int = 2
     test_fraction: float = 0.2
     cap: int = 10_000
-    repeats: int = 3
+    repeats: int = 1
     round_p: bool = False
 
 
@@ -159,36 +160,26 @@ def _dataset_name(cfg: ExperimentConfig) -> str:
     return os.path.basename(cfg.data_path) if cfg.data_path else "synthetic"
 
 
-def _run_approx(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _run_sweep(cfg: ExperimentConfig, rng: RngStream) -> dict:
     ds, notes = _load_dataset(cfg, rng)
     spec = _kernel_spec(cfg, ds.d)
     p_grid = _rounded_p(cfg, ds.d, notes)
-    reports = measure_approximation(spec, ds.X, cfg.scheme, list(p_grid), rng,
-                                    norms=cfg.norms)
+    # bench draws its operators below substream 0 of the seed, approx below the seed
+    root = rng.substream(0) if cfg.kind == "bench" else rng
+    reports = measure_approximation(spec, ds.X, cfg.scheme, list(p_grid), root,
+                                    norms=cfg.norms, repeats=cfg.repeats)
     results, rows = [], []
     for rep in reports:
-        rec = dataclasses.asdict(rep)
+        rec = dict(dataclasses.asdict(rep), speedup=rep.speedup)
+        for norm in NORMS:
+            if norm not in cfg.norms:
+                rec[f"rel_{norm}"] = None  # not nan: JSON has no NaN token
         results.append(rec)
         for norm in cfg.norms:
             rows.append({"dataset": _dataset_name(cfg), "kernel": cfg.kernel,
                          "scheme": cfg.scheme, "p": rep.p, "norm": norm,
-                         "value": rec[f"rel_{norm}"],
-                         "time_ms": rep.featurize_ms + rep.gram_ms,
+                         "value": rec[f"rel_{norm}"], "time_ms": rep.feature_ms,
                          "seed": cfg.seed})
-    return _emit(cfg, results, rows, notes)
-
-
-def _run_bench(cfg: ExperimentConfig, rng: RngStream) -> dict:
-    ds, notes = _load_dataset(cfg, rng)
-    spec = _kernel_spec(cfg, ds.d)
-    p_grid = _rounded_p(cfg, ds.d, notes)
-    bench = bench_speedup(spec, ds.X, list(p_grid), cfg.scheme,
-                          rng.substream(0), repeats=cfg.repeats)
-    results = [dict(dataclasses.asdict(b), speedup=b.speedup) for b in bench]
-    rows = [{"dataset": _dataset_name(cfg), "kernel": cfg.kernel,
-             "scheme": cfg.scheme, "p": b.p, "norm": "frobenius",
-             "value": b.rel_frobenius, "time_ms": b.feature_ms,
-             "seed": cfg.seed} for b in bench]
     return _emit(cfg, results, rows, notes)
 
 
@@ -309,7 +300,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated feature counts")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--lambda", dest="lam", type=float, default=1e-6)
-    sub.add_argument("--norms", type=str, default="frobenius,operator,nuclear")
+    sub.add_argument("--norms", type=str, default=None,
+                     help="comma-separated error norms (approx: all three, "
+                          "bench: frobenius)")
     sub.add_argument("--out", type=str, default="report")
     sub.add_argument("--data", type=str, default=None, help="CSV dataset path")
     sub.add_argument("--label-col", type=str, default="-1")
@@ -323,7 +316,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--classes", type=int, default=2)
     sub.add_argument("--test-fraction", type=float, default=0.2)
     sub.add_argument("--cap", type=int, default=10_000)
-    sub.add_argument("--repeats", type=int, default=3)
+    sub.add_argument("--repeats", type=int, default=None,
+                     help="timed repeats per p (approx: 1, bench: 3)")
     sub.add_argument("--round-p", action="store_true",
                      help="round p up to a multiple of d for ORF")
 
@@ -345,28 +339,30 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
         label_col = int(args.label_col)
     except ValueError:
         pass
+    norms, repeats = (("frobenius",), 3) if kind == "bench" else (NORMS, 1)
+    if args.norms is not None:
+        norms = tuple(args.norms.split(","))
+    if args.repeats is not None:
+        repeats = _positive_int("--repeats", args.repeats)
     return ExperimentConfig(
         kind=kind, kernel=args.kernel, alpha=args.alpha, nu=args.nu,
         scheme=args.scheme,
         p_grid=tuple(_positive_int("--p", tok) for tok in args.p.split(",")),
-        seed=args.seed, lam=args.lam,
-        norms=tuple(args.norms.split(",")),
+        seed=args.seed, lam=args.lam, norms=norms,
         out=args.out, data_path=args.data, label_col=label_col,
         task=args.task, recipe=args.recipe, m_file=args.m_file,
         n=_positive_int("--n", args.n), d=_positive_int("--d", args.d),
         n_classes=args.classes, test_fraction=args.test_fraction,
         cap=_positive_int("--cap", args.cap),
-        repeats=_positive_int("--repeats", args.repeats), round_p=args.round_p)
+        repeats=repeats, round_p=args.round_p)
 
 
 def run_experiment(cfg: ExperimentConfig, **kwargs) -> dict:
     """Run one experiment and write its JSON + CSV reports."""
     rng = RngStream(cfg.seed)
     try:
-        if cfg.kind == "approx":
-            return _run_approx(cfg, rng)
-        if cfg.kind == "bench":
-            return _run_bench(cfg, rng)
+        if cfg.kind in ("approx", "bench"):
+            return _run_sweep(cfg, rng)
         if cfg.kind == "krr":
             return _run_learning(cfg, rng, logistic=False)
         if cfg.kind == "klr":

@@ -1,9 +1,10 @@
-"""Approximation-error measurement and timing benchmarks.
+"""Approximation-error measurement and timing.
 
-Relative error of the featurized Gram matrix against the exact kernel matrix
-in Frobenius, operator and nuclear norms; empirical characteristic-function
-checks of the weight samplers against their target kernels; and wall-clock
-comparison of exact kernel assembly versus featurize-plus-Gram.
+One sweep over a feature-count grid gives the relative error of each
+featurized Gram matrix against the exact kernel matrix in Frobenius, operator
+and nuclear norms, with the wall-clock time of exact kernel assembly against
+featurize-plus-Gram. An empirical characteristic-function check compares
+either scheme's feature operator with its target kernel.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import _rff_rows, build_operator, featurize, gram_approx
-from .kernels import L1_LAPLACIAN, KernelSpec, kernel_matrix, kernel_profile
+from .features import build_operator, featurize, gram_approx
+from .kernels import KernelSpec, kernel_matrix
 from .rng import RngStream
 
 __all__ = [
     "ErrorReport",
-    "BenchRow",
     "rel_error",
     "measure_approximation",
     "cf_check",
-    "bench_speedup",
 ]
 
 NORMS = ("frobenius", "operator", "nuclear")
@@ -45,16 +44,7 @@ class ErrorReport:
     exact_ms: float = 0.0
     featurize_ms: float = 0.0
     gram_ms: float = 0.0
-
-
-@dataclass
-class BenchRow:
-    p: int
-    exact_ms: float
-    featurize_ms: float
-    gram_ms: float
-    build_ms: float
-    rel_frobenius: float
+    build_ms: float = 0.0
 
     @property
     def feature_ms(self) -> float:
@@ -164,61 +154,17 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
 
 def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
                           p_grid: list[int], rng: RngStream,
-                          norms: tuple[str, ...] = NORMS) -> list[ErrorReport]:
+                          norms: tuple[str, ...] = NORMS,
+                          repeats: int = 1) -> list[ErrorReport]:
     """Featurize X at each p of the grid and compare each Gram against the
     exact kernel, one ErrorReport per p.
 
-    Grid point j draws its operator from ``rng.substream(j)``. The exact
-    kernel, its checks and its spectrum are computed once for the whole grid,
-    so every report carries the same ``exact_ms``.
-    """
-    t0 = time.perf_counter()
-    K = kernel_matrix(spec, X)
-    exact_ms = 1e3 * (time.perf_counter() - t0)
-    exact = _exact_side(K, norms)
-    reports = []
-    for j, p in enumerate(p_grid):
-        op_rng = rng.substream(j)
-        t1 = time.perf_counter()
-        phi = featurize(build_operator(scheme, spec, p, op_rng), X)
-        t2 = time.perf_counter()
-        G = gram_approx(phi)
-        t3 = time.perf_counter()
-        del phi  # only G is scored
-        errs = _gram_errors(exact, G, norms)
-        del G  # free this point's Gram before the next, larger p is built
-        reports.append(ErrorReport(
-            n=X.shape[0], p=p, kernel=spec.family, scheme=scheme,
-            rel_frobenius=errs["frobenius"], rel_operator=errs["operator"],
-            rel_nuclear=errs["nuclear"], seed=op_rng.seed,
-            stream_id=op_rng.stream_id, exact_ms=exact_ms,
-            featurize_ms=1e3 * (t2 - t1), gram_ms=1e3 * (t3 - t2)))
-    return reports
-
-
-def cf_check(spec: KernelSpec, probes: np.ndarray, n_samples: int,
-             rng: RngStream) -> np.ndarray:
-    """Per-probe deviation |mean cos(w^T D) - kappa(D)| over n_samples draws
-    of the RFF weight law that ``build_rff`` samples."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if not np.isfinite(probes).all():
-        raise ValueError("probes must be finite")
-    draws = _rff_rows(spec, n_samples, rng)
-    emp = np.cos(draws @ probes.T).mean(axis=0)
-    if spec.family == L1_LAPLACIAN:
-        r = np.abs(probes).sum(axis=1)
-    else:
-        r = spec.shape.norm(probes)
-    return np.abs(emp - kernel_profile(spec, r))
-
-
-def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: str,
-                  rng: RngStream, repeats: int = 3) -> list[BenchRow]:
-    """Time exact kernel assembly against featurize + Gram across a p grid.
-
-    Operator construction is timed separately as ``build_ms`` and excluded
-    from the speedup. K's checks and Frobenius norm are computed once and
-    shared by every p. At most K, one G and one p's Phi are resident at a time.
+    Grid point j draws its operator from ``rng.substream(j)``. The operator
+    build is timed once per p as ``build_ms`` and excluded from the speedup;
+    ``exact_ms``, ``featurize_ms`` and ``gram_ms`` are medians over
+    ``repeats``. The exact kernel's checks and norms are computed once for
+    the whole grid, so every report carries the same ``exact_ms``. At most K,
+    one G and one p's Phi are resident at a time.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -230,8 +176,8 @@ def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: st
         K = kernel_matrix(spec, X)
         exact_times.append(1e3 * (time.perf_counter() - t0))
     exact_ms = float(np.median(exact_times))
-    exact = _exact_side(K, ("frobenius",))
-    rows = []
+    exact = _exact_side(K, norms)
+    reports = []
     for j, p in enumerate(p_grid):
         op_rng = rng.substream(j)
         t0 = time.perf_counter()
@@ -247,12 +193,27 @@ def bench_speedup(spec: KernelSpec, X: np.ndarray, p_grid: list[int], scheme: st
             t3 = time.perf_counter()
             feat_times.append(1e3 * (t2 - t1))
             gram_times.append(1e3 * (t3 - t2))
-        feat_ms = float(np.median(feat_times))
-        gram_ms = float(np.median(gram_times))
         del phi  # only G is scored
-        errs = _gram_errors(exact, G, ("frobenius",))
-        del G
-        rows.append(BenchRow(p=p, exact_ms=exact_ms, featurize_ms=feat_ms,
-                             gram_ms=gram_ms, build_ms=build_ms,
-                             rel_frobenius=errs["frobenius"]))
-    return rows
+        errs = _gram_errors(exact, G, norms)
+        del G  # free this point's Gram before the next, larger p is built
+        reports.append(ErrorReport(
+            n=X.shape[0], p=p, kernel=spec.family, scheme=scheme,
+            rel_frobenius=errs["frobenius"], rel_operator=errs["operator"],
+            rel_nuclear=errs["nuclear"], seed=op_rng.seed,
+            stream_id=op_rng.stream_id, exact_ms=exact_ms,
+            featurize_ms=float(np.median(feat_times)),
+            gram_ms=float(np.median(gram_times)), build_ms=build_ms))
+    return reports
+
+
+def cf_check(spec: KernelSpec, probes: np.ndarray, n_samples: int,
+             rng: RngStream, scheme: str = "rff") -> np.ndarray:
+    """Per-probe deviation |mean cos(w^T D) - kappa(D)| over the n_samples
+    rows w of the operator that ``build_operator(scheme, ...)`` samples."""
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    if not np.isfinite(probes).all():
+        raise ValueError("probes must be finite")
+    op = build_operator(scheme, spec, n_samples, rng)
+    emp = np.cos(op.project(probes)).mean(axis=1)
+    kappa = kernel_matrix(spec, probes, np.zeros((1, probes.shape[1])))[:, 0]
+    return np.abs(emp - kappa)

@@ -22,7 +22,6 @@ __all__ = [
     "EXP_POWER",
     "MATERN",
     "KernelSpec",
-    "bessel_k",
     "matern_profile",
     "kernel_profile",
     "kernel_eval",
@@ -64,22 +63,6 @@ class KernelSpec:
     @property
     def dim(self) -> int:
         return self.shape.dim
-
-
-def bessel_k(nu: float, x: float | np.ndarray) -> float | np.ndarray:
-    """Modified Bessel function of the second kind K_nu(x) for x > 0.
-
-    Evaluated through the exponentially scaled routine so that large
-    arguments (x up to ~700) keep full relative accuracy instead of
-    underflowing inside the unscaled evaluation.
-    """
-    if not nu > 0:
-        raise ValueError(f"order must be positive, got {nu}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_k requires x > 0")
-    out = special.kve(nu, x) * np.exp(-x)
-    return float(out) if out.ndim == 0 else out
 
 
 def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:

@@ -92,11 +92,6 @@ class ShapeMatrix:
             raise ValueError(f"dimension mismatch: {u.shape[-1]} != {self.dim}")
         return np.linalg.norm(u @ self.sqrtM, axis=-1)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """M^{-1} b via the cached Cholesky factor."""
-        y = np.linalg.solve(self.cholM, b)
-        return np.linalg.solve(self.cholM.T, y)
-
     def __repr__(self) -> str:
         return f"ShapeMatrix(dim={self.dim})"
 

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,
-                      bench_speedup, build_orf, cf_check, evaluate, featurize,
+                      build_orf, cf_check, evaluate, featurize,
                       fit_krr_exact, fit_logistic_features,
                       fit_ridge_features, gbp_cdf, gram_approx, kernel_eval,
                       kernel_matrix, matern_profile, rel_error,
@@ -20,6 +20,7 @@ from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,
 from heavyrff.multivariate import sample_haar_blocks
 from heavyrff.data import make_classification, train_test_split
 from heavyrff.features import build_operator
+from heavyrff.harness import measure_approximation
 from heavyrff.learners import _logistic_objective, one_hot
 
 KS_LEVEL = 0.01
@@ -192,8 +193,8 @@ class TestAcceptance:
         X = g.standard_normal((10_000, 12))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         spec = KernelSpec("matern", ShapeMatrix.identity(12), nu=4.0)
-        rows = bench_speedup(spec, X, [96, 384, 1536], "orf", RngStream(180),
-                             repeats=1)
+        rows = measure_approximation(spec, X, "orf", [96, 384, 1536],
+                                     RngStream(180), norms=("frobenius",))
         exists = any(r.speedup > 1.0 and r.rel_frobenius < 0.1 for r in rows)
         errs = [r.rel_frobenius for r in rows]
         times = [r.feature_ms for r in rows]

@@ -249,6 +249,50 @@ class TestCliRuns:
         assert err[0].startswith("error: ") and flag in err[0]
         assert not (tmp_path / "bad.json").exists()
 
+    def test_bench_rejects_unknown_norm(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        args = ["bench", "--p", "64", "--n", "60", "--d", "3", "--repeats", "1",
+                "--norms", "trace", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown norm 'trace'"]
+        assert read_report(out)["status"] == "failed"
+
+    @pytest.mark.parametrize("command, norms, repeats", [
+        ("approx", ["frobenius", "operator", "nuclear"], 1),
+        ("bench", ["frobenius"], 3),
+    ])
+    def test_config_records_the_sweep_that_ran(self, tmp_path, command, norms, repeats):
+        out = tmp_path / command
+        assert main([command, "--p", "32", "--n", "40", "--d", "3",
+                     "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["config"]["norms"] == norms
+        assert report["config"]["repeats"] == repeats
+        (row,) = report["results"]
+        for norm in ("frobenius", "operator", "nuclear"):
+            assert (row[f"rel_{norm}"] is None) == (norm not in norms)
+
+    @pytest.mark.parametrize("command", [["approx", "--norms", "frobenius"], ["bench"]])
+    def test_reports_are_strict_json(self, tmp_path, command):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out = tmp_path / "strict"
+        assert main(command + ["--p", "32,64", "--n", "40", "--d", "3",
+                               "--repeats", "1", "--out", str(out)]) == 0
+        with open(str(out) + ".json") as fh:
+            report = json.loads(fh.read(), parse_constant=reject)
+        assert len(report["results"]) == 2
+
+    def test_bench_draws_grid_point_j_from_substream_j_of_substream_0(self, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["bench", "--p", "16,32,64", "--n", "40", "--d", "3",
+                     "--repeats", "1", "--seed", "12", "--out", str(out)]) == 0
+        root = RngStream(12).substream(0)
+        for j, row in enumerate(read_report(out)["results"]):
+            child = root.substream(j)
+            assert (row["seed"], row["stream_id"]) == (child.seed, child.stream_id)
+
     def test_krr_smoke_with_csv_and_m_file(self, tmp_path):
         ds = make_classification(300, 3, 2, RngStream(210), margin=0.05)
         rows = ["x0,x1,x2,y"] + [

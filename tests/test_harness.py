@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import heavyrff.harness as harness
-from heavyrff import (KernelSpec, RngStream, ShapeMatrix, bench_speedup,
-                      cf_check, featurize, gram_approx, kernel_matrix, rel_error)
+from heavyrff import (KernelSpec, RngStream, ShapeMatrix, cf_check, featurize,
+                      gram_approx, kernel_matrix, rel_error)
 from heavyrff.features import build_operator
 from heavyrff.harness import measure_approximation
 
@@ -138,6 +138,18 @@ class TestCfCheck:
         dev = cf_check(spec, probes, 1_000_000, RngStream(132))
         assert dev.max() < 0.005
 
+    @pytest.mark.parametrize("family, kw", [
+        ("laplacian", {}), ("exp_power", {"alpha": 0.7}), ("matern", {"nu": 1.5})])
+    def test_orf_rows_have_the_kernel_as_characteristic_function(self, family, kw):
+        # ORF rows S_i (Q sqrt(M))_i share one law with the RFF rows only if
+        # the orthogonal coupling leaves E cos(w^T D) = kappa(D) intact
+        d = 16
+        spec = KernelSpec(family, ShapeMatrix.identity(d), **kw)
+        g = np.random.default_rng(141)
+        probes = g.standard_normal((5, d)) * 0.25
+        dev = cf_check(spec, probes, 1_000_000, RngStream(141), scheme="orf")
+        assert dev.max() < 0.005
+
     def test_rejects_nonfinite_probe(self):
         spec = KernelSpec("gaussian", ShapeMatrix.identity(2))
         with pytest.raises(ValueError):
@@ -225,19 +237,23 @@ class TestMeasureApproximation:
 
 
 class TestBenchSpeedup:
+    """The sweep as ``bench`` runs it: Frobenius only, timed over repeats."""
+
     def test_table_well_formed_and_error_decreases(self):
         g = np.random.default_rng(4)
         X = g.standard_normal((400, 6))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         spec = KernelSpec("matern", ShapeMatrix.identity(6), nu=4.0)
-        rows1 = bench_speedup(spec, X, [64, 256, 1024], "rff", RngStream(134),
-                              repeats=1)
-        rows5 = bench_speedup(spec, X, [64, 256, 1024], "rff", RngStream(134),
-                              repeats=3)
+        rows1 = measure_approximation(spec, X, "rff", [64, 256, 1024], RngStream(134),
+                                      norms=("frobenius",), repeats=1)
+        rows5 = measure_approximation(spec, X, "rff", [64, 256, 1024], RngStream(134),
+                                      norms=("frobenius",), repeats=3)
         assert [r.p for r in rows1] == [64, 256, 1024]
         for r1, r5 in zip(rows1, rows5):
             assert r1.rel_frobenius == r5.rel_frobenius
-            assert r1.feature_ms > 0 and r1.exact_ms > 0
+            assert r1.feature_ms > 0 and r1.exact_ms > 0 and r1.build_ms > 0
+            assert r1.feature_ms == r1.featurize_ms + r1.gram_ms
+            assert r1.speedup == r1.exact_ms / r1.feature_ms
         errs = [r.rel_frobenius for r in rows5]
         assert errs[-1] < errs[0]
 
@@ -249,7 +265,8 @@ class TestBenchSpeedup:
                             lambda *args: calls.append(1) or real(*args))
         rng = RngStream(138)
         p_grid = [32, 128, 512]
-        rows = bench_speedup(spec, X, p_grid, "orf", rng, repeats=1)
+        rows = measure_approximation(spec, X, "orf", p_grid, rng,
+                                     norms=("frobenius",), repeats=2)
         assert len(calls) == 1
         monkeypatch.undo()
         K = kernel_matrix(spec, X)
@@ -262,4 +279,5 @@ class TestBenchSpeedup:
     def test_rejects_repeats_below_one(self, repeats):
         spec, X = sweep_inputs()
         with pytest.raises(ValueError, match="repeats"):
-            bench_speedup(spec, X, [32], "rff", RngStream(140), repeats=repeats)
+            measure_approximation(spec, X, "rff", [32], RngStream(140),
+                                  repeats=repeats)

@@ -68,11 +68,6 @@ class TestShapeMatrix:
         with pytest.raises(ValueError):
             sm.M[0, 0] = 2.0
 
-    def test_solve(self):
-        sm = ShapeMatrix(random_spd(4, 2))
-        b = np.arange(4.0)
-        np.testing.assert_allclose(sm.M @ sm.solve(b), b, atol=1e-10)
-
 
 class TestHaar:
     def test_orthogonal(self):
