@@ -17,8 +17,8 @@ from .learners import (ExactKernelModel, LinearModel, evaluate,
                        expected_calibration_error, fit_krr_exact,
                        fit_logistic_features, fit_ridge_features, r_squared)
 from .multivariate import (HaarBlockMatrix, NotPositiveDefiniteError,
-                           ShapeMatrix, sample_ec_stable, sample_haar_unitary,
-                           sample_mv_cauchy, sample_mv_t, sample_mvn, sqrt_psd)
+                           ShapeMatrix, sample_ec_stable, sample_mv_cauchy,
+                           sample_mv_t, sample_mvn, sqrt_psd)
 from .rng import RngStream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,13 +6,15 @@ with goodness-of-fit checks), ``features`` (build and serialize operators),
 defaults), ``krr`` and ``klr`` (ridge / logistic regression on features vs
 the exact baseline).
 
-Every run writes one JSON report embedding the full config and seeds, plus a
-long-format CSV for plotting. Writes are atomic (temp file + rename).
+Each subcommand takes only the flags it reads, and their parsed namespace is
+the run's config. Every run writes one JSON report embedding that config,
+plus a long-format CSV for plotting. Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -21,7 +23,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -34,7 +35,7 @@ from .distributions import (GbpParams, StableParams, gbp_cdf, sample_betaprime,
                             stable_charfn)
 from .features import build_operator, featurize, operator_record, save_operator
 from .harness import NORMS, measure_approximation
-from .kernels import EXP_POWER, FAMILIES, MATERN, KernelSpec
+from .kernels import FAMILIES, KernelSpec
 from .learners import (evaluate, fit_krr_exact, fit_logistic_features,
                        fit_ridge_features, one_hot)
 from .multivariate import ShapeMatrix
@@ -42,32 +43,6 @@ from .rng import RngStream
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("dataset", "kernel", "scheme", "p", "norm", "value", "time_ms", "seed")
-
-
-@dataclass
-class ExperimentConfig:
-    kind: str
-    kernel: str = "laplacian"
-    alpha: float | None = None
-    nu: float | None = None
-    scheme: str = "rff"
-    p_grid: tuple[int, ...] = (1024,)
-    seed: int = 0
-    lam: float = 1e-6
-    norms: tuple[str, ...] = NORMS
-    out: str = "report"
-    data_path: str | None = None
-    label_col: int | str = -1
-    task: str = "classification"
-    recipe: str = "none"
-    m_file: str | None = None
-    n: int = 1000
-    d: int = 16
-    n_classes: int = 2
-    test_fraction: float = 0.2
-    cap: int = 10_000
-    repeats: int = 1
-    round_p: bool = False
 
 
 def _load_shape(d: int, m_file: str | None) -> ShapeMatrix:
@@ -79,14 +54,11 @@ def _load_shape(d: int, m_file: str | None) -> ShapeMatrix:
     return ShapeMatrix(M)
 
 
-def _kernel_spec(cfg: ExperimentConfig, d: int) -> KernelSpec:
-    shape = _load_shape(d, cfg.m_file)
-    alpha = cfg.alpha if cfg.kernel == EXP_POWER else None
-    nu = cfg.nu if cfg.kernel == MATERN else None
-    return KernelSpec(cfg.kernel, shape, alpha=alpha, nu=nu)
+def _kernel_spec(cfg: argparse.Namespace, d: int) -> KernelSpec:
+    return KernelSpec(cfg.kernel, _load_shape(d, cfg.m_file), alpha=cfg.alpha, nu=cfg.nu)
 
 
-def _load_dataset(cfg: ExperimentConfig, rng: RngStream) -> tuple[DataSet, list[str]]:
+def _load_dataset(cfg: argparse.Namespace, rng: RngStream) -> tuple[DataSet, list[str]]:
     notes = []
     if cfg.data_path:
         ds = load_csv(cfg.data_path, label_col=cfg.label_col, task=cfg.task)
@@ -105,7 +77,7 @@ def _load_dataset(cfg: ExperimentConfig, rng: RngStream) -> tuple[DataSet, list[
     return ds, notes
 
 
-def _rounded_p(cfg: ExperimentConfig, d: int, notes: list[str]) -> tuple[int, ...]:
+def _rounded_p(cfg: argparse.Namespace, d: int, notes: list[str]) -> tuple[int, ...]:
     if cfg.scheme != "orf":
         return cfg.p_grid
     out = []
@@ -136,13 +108,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: ExperimentConfig, results: list[dict], rows: list[dict],
+def _emit(cfg: argparse.Namespace, results: list[dict], rows: list[dict],
           notes: list[str], status: str = "ok") -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "status": status,
-        "config": dataclasses.asdict(cfg),
+        "config": vars(cfg),
         "notes": notes,
         "results": results,
     }
@@ -156,11 +128,11 @@ def _emit(cfg: ExperimentConfig, results: list[dict], rows: list[dict],
     return report
 
 
-def _dataset_name(cfg: ExperimentConfig) -> str:
+def _dataset_name(cfg: argparse.Namespace) -> str:
     return os.path.basename(cfg.data_path) if cfg.data_path else "synthetic"
 
 
-def _run_sweep(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _run_sweep(cfg: argparse.Namespace, rng: RngStream) -> dict:
     ds, notes = _load_dataset(cfg, rng)
     spec = _kernel_spec(cfg, ds.d)
     p_grid = _rounded_p(cfg, ds.d, notes)
@@ -192,7 +164,7 @@ def _fit_feature_model(cfg, spec, p, train: DataSet, rng, logistic: bool):
     return op, fit_ridge_features(phi, Y, cfg.lam, operator=op)
 
 
-def _run_learning(cfg: ExperimentConfig, rng: RngStream, logistic: bool) -> dict:
+def _run_learning(cfg: argparse.Namespace, rng: RngStream, logistic: bool) -> dict:
     ds, notes = _load_dataset(cfg, rng)
     spec = _kernel_spec(cfg, ds.d)
     p_grid = _rounded_p(cfg, ds.d, notes)
@@ -238,7 +210,7 @@ def _run_learning(cfg: ExperimentConfig, rng: RngStream, logistic: bool) -> dict
     return _emit(cfg, results, rows, notes)
 
 
-def _run_features(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _run_features(cfg: argparse.Namespace, rng: RngStream) -> dict:
     spec = _kernel_spec(cfg, cfg.d)
     notes: list[str] = []
     p_grid = _rounded_p(cfg, cfg.d, notes)
@@ -251,13 +223,15 @@ def _run_features(cfg: ExperimentConfig, rng: RngStream) -> dict:
     return _emit(cfg, results, [], notes)
 
 
-_SAMPLE_DISTS = ("chi", "betaprime", "gbp", "stable")
+# each law's parameters, in the order --params gives them
+_SAMPLE_PARAMS = {"chi": ("k",), "betaprime": ("a", "b"),
+                  "gbp": ("alpha", "beta", "p", "q"),
+                  "stable": ("alpha", "beta", "sigma")}
 
 
-def _run_sample(cfg: ExperimentConfig, rng: RngStream, dist: str,
-                params: list[float], n_draws: int) -> dict:
+def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
     """Draw from a scalar law and run the matching goodness-of-fit check."""
-    notes: list[str] = []
+    dist, params, n_draws = cfg.dist, cfg.params, cfg.draws
     if dist == "chi":
         (k,) = params
         draws = sample_chi(k, rng, size=n_draws)
@@ -288,38 +262,51 @@ def _run_sample(cfg: ExperimentConfig, rng: RngStream, dist: str,
     results = [{"distribution": dist, "params": params, "n": n_draws,
                 "mean": float(draws.mean()), "median": float(np.median(draws)),
                 "check": check}]
-    return _emit(cfg, results, [], notes)
+    return _emit(cfg, results, [], [])
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
+    """Declare the flags subcommand ``kind`` reads; each dest is a config key."""
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", type=str, default="report")
+    if kind == "sample":
+        sub.add_argument("--dist", choices=tuple(_SAMPLE_PARAMS), required=True)
+        sub.add_argument("--params", type=str, required=True,
+                         help="comma-separated distribution parameters")
+        sub.add_argument("--draws", type=int, default=100_000)
+        return
     sub.add_argument("--kernel", choices=FAMILIES, default="laplacian")
     sub.add_argument("--alpha", type=float, default=None, help="exp_power exponent")
     sub.add_argument("--nu", type=float, default=None, help="matern smoothness")
     sub.add_argument("--scheme", choices=("rff", "orf"), default="rff")
-    sub.add_argument("--p", type=str, default="1024",
+    sub.add_argument("--p", dest="p_grid", type=str, default="1024",
                      help="comma-separated feature counts")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--lambda", dest="lam", type=float, default=1e-6)
-    sub.add_argument("--norms", type=str, default=None,
-                     help="comma-separated error norms (approx: all three, "
-                          "bench: frobenius)")
-    sub.add_argument("--out", type=str, default="report")
-    sub.add_argument("--data", type=str, default=None, help="CSV dataset path")
+    sub.add_argument("--round-p", action="store_true",
+                     help="round p up to a multiple of d for ORF")
+    sub.add_argument("--m-file", type=str, default=None,
+                     help="CSV with the shape matrix (single row = diagonal)")
+    sub.add_argument("--d", type=int, default=16,
+                     help="input dimension of the operator or of synthetic data")
+    if kind == "features":
+        return
+    sub.add_argument("--data", dest="data_path", type=str, default=None,
+                     help="CSV dataset path")
     sub.add_argument("--label-col", type=str, default="-1")
     sub.add_argument("--task", choices=("classification", "regression"),
                      default="classification")
     sub.add_argument("--recipe", type=str, default="none")
-    sub.add_argument("--m-file", type=str, default=None,
-                     help="CSV with the shape matrix (single row = diagonal)")
     sub.add_argument("--n", type=int, default=1000, help="synthetic sample count")
-    sub.add_argument("--d", type=int, default=16, help="synthetic dimension")
-    sub.add_argument("--classes", type=int, default=2)
-    sub.add_argument("--test-fraction", type=float, default=0.2)
+    sub.add_argument("--classes", dest="n_classes", type=int, default=2)
     sub.add_argument("--cap", type=int, default=10_000)
-    sub.add_argument("--repeats", type=int, default=None,
-                     help="timed repeats per p (approx: 1, bench: 3)")
-    sub.add_argument("--round-p", action="store_true",
-                     help="round p up to a multiple of d for ORF")
+    if kind in ("approx", "bench"):
+        sub.add_argument("--norms", type=str,
+                         default=",".join(NORMS) if kind == "approx" else "frobenius",
+                         help="comma-separated error norms")
+        sub.add_argument("--repeats", type=int, default=1 if kind == "approx" else 3,
+                         help="timed repeats per p")
+    else:
+        sub.add_argument("--lambda", dest="lam", type=float, default=1e-6)
+        sub.add_argument("--test-fraction", type=float, default=0.2)
 
 
 def _positive_int(flag: str, value: str | int) -> int:
@@ -333,31 +320,39 @@ def _positive_int(flag: str, value: str | int) -> int:
     return number
 
 
-def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
-    label_col: int | str = args.label_col
+def _law_params(dist: str, text: str) -> list[float]:
+    """``--params`` as floats, as many as ``dist`` takes, or a ValueError."""
+    names = _SAMPLE_PARAMS[dist]
     try:
-        label_col = int(args.label_col)
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
-        pass
-    norms, repeats = (("frobenius",), 3) if kind == "bench" else (NORMS, 1)
-    if args.norms is not None:
-        norms = tuple(args.norms.split(","))
-    if args.repeats is not None:
-        repeats = _positive_int("--repeats", args.repeats)
-    return ExperimentConfig(
-        kind=kind, kernel=args.kernel, alpha=args.alpha, nu=args.nu,
-        scheme=args.scheme,
-        p_grid=tuple(_positive_int("--p", tok) for tok in args.p.split(",")),
-        seed=args.seed, lam=args.lam, norms=norms,
-        out=args.out, data_path=args.data, label_col=label_col,
-        task=args.task, recipe=args.recipe, m_file=args.m_file,
-        n=_positive_int("--n", args.n), d=_positive_int("--d", args.d),
-        n_classes=args.classes, test_fraction=args.test_fraction,
-        cap=_positive_int("--cap", args.cap),
-        repeats=repeats, round_p=args.round_p)
+        raise ValueError(f"--params must be comma-separated numbers, got {text!r}") from None
+    least = 1 if dist == "stable" else len(names)  # StableParams defaults beta, sigma
+    if not least <= len(values) <= len(names):
+        count = len(names) if least == len(names) else f"{least} to {len(names)}"
+        raise ValueError(f"--params for {dist} takes {count} value{'s' * (count != 1)} "
+                         f"({','.join(names)}), got {len(values)}")
+    return values
 
 
-def run_experiment(cfg: ExperimentConfig, **kwargs) -> dict:
+def _check_flags(cfg: argparse.Namespace) -> None:
+    """Convert and check, in place, every flag the subcommand took."""
+    flags = vars(cfg)
+    if "p_grid" in flags:
+        cfg.p_grid = tuple(_positive_int("--p", tok) for tok in cfg.p_grid.split(","))
+    for name in ("n", "d", "cap", "repeats", "draws"):
+        if name in flags:
+            flags[name] = _positive_int(f"--{name}", flags[name])
+    if "norms" in flags:
+        cfg.norms = tuple(cfg.norms.split(","))
+    if "label_col" in flags:
+        with contextlib.suppress(ValueError):  # a column name stays a string
+            cfg.label_col = int(cfg.label_col)
+    if "params" in flags:
+        cfg.params = _law_params(cfg.dist, cfg.params)
+
+
+def run_experiment(cfg: argparse.Namespace) -> dict:
     """Run one experiment and write its JSON + CSV reports."""
     rng = RngStream(cfg.seed)
     try:
@@ -370,8 +365,7 @@ def run_experiment(cfg: ExperimentConfig, **kwargs) -> dict:
         if cfg.kind == "features":
             return _run_features(cfg, rng)
         if cfg.kind == "sample":
-            return _run_sample(cfg, rng, kwargs["dist"], kwargs["params"],
-                               kwargs["n_draws"])
+            return _run_sample(cfg, rng)
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     except Exception as exc:
         # flush a failure marker so partial runs are identifiable
@@ -385,25 +379,13 @@ def main(argv: list[str] | None = None) -> int:
         description="Random features for the Laplacian, Exponential-power and "
                     "Matern kernels: sampling checks, approximation sweeps, "
                     "benchmarks and regression experiments.")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in ("approx", "bench", "krr", "klr", "features"):
-        sub = subparsers.add_parser(name)
-        _add_common(sub)
-    sample = subparsers.add_parser("sample")
-    _add_common(sample)
-    sample.add_argument("--dist", choices=_SAMPLE_DISTS, required=True)
-    sample.add_argument("--params", type=str, required=True,
-                        help="comma-separated distribution parameters")
-    sample.add_argument("--draws", type=int, default=100_000)
-    args = parser.parse_args(argv)
+    subparsers = parser.add_subparsers(dest="kind", required=True)
+    for kind in ("approx", "bench", "krr", "klr", "features", "sample"):
+        _add_flags(subparsers.add_parser(kind), kind)
+    cfg = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args.command, args)
-        if args.command == "sample":
-            run_experiment(cfg, dist=args.dist,
-                           params=[float(tok) for tok in args.params.split(",")],
-                           n_draws=args.draws)
-        else:
-            run_experiment(cfg)
+        _check_flags(cfg)
+        run_experiment(cfg)
     except (ValueError, FileNotFoundError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import GbpParams, StableParams, sample_chi, sample_gbp, sample_stable_cms
-from .kernels import GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, KernelSpec
+from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, KernelSpec
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
                            sample_mvn, stable_scale_sigma)
@@ -147,12 +147,28 @@ def _rff_rows(spec: KernelSpec, p: int, rng: RngStream) -> np.ndarray:
     return sample_ec_stable(spec.alpha, shape, rng, size=p)
 
 
+def _finite_draws(scheme: str, kernel: KernelSpec, draw, *args) -> np.ndarray:
+    """``draw(*args)``, refused by name if a value is not finite: tiny alpha or
+    nu put the weight laws' tails beyond float range, and a redraw would change
+    the values a record reproduces."""
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = draw(*args)  # the check below names what these would warn of
+        if np.isfinite(values).all():
+            return values
+    except FloatingPointError:  # the stable sampler failed twice
+        pass
+    param = {EXP_POWER: f" alpha={kernel.alpha}", MATERN: f" nu={kernel.nu}"}
+    raise ValueError(f"{scheme} weights for {kernel.family}"
+                     f"{param.get(kernel.family, '')} are not finite")
+
+
 def build_rff(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
     """Sample a p x d RFF weight matrix for any of the five kernel families."""
     if p < 1:
         raise ValueError(f"feature count must be >= 1, got {p}")
     rng = rng.fresh()
-    W = _rff_rows(kernel, p, rng)
+    W = _finite_draws("rff", kernel, _rff_rows, kernel, p, rng)
     return FeatureOperator("rff", kernel, p, rng.seed, rng.stream_id, W=W)
 
 
@@ -182,7 +198,7 @@ def build_orf(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
         raise ValueError(f"feature count {p} must be a positive multiple of d={d}")
     rng = rng.fresh()
     Q = sample_haar_blocks(p, d, rng)
-    S = _orf_diag(kernel, p, d, rng)
+    S = _finite_draws("orf", kernel, _orf_diag, kernel, p, d, rng)
     return FeatureOperator("orf", kernel, p, rng.seed, rng.stream_id,
                            S=S, Q=Q, sqrtM=kernel.shape.sqrtM)
 

@@ -97,10 +97,13 @@ def _finite_abs_max(A: np.ndarray) -> float:
     return abs_max
 
 
-def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
+def _check_norms(norms: tuple[str, ...]) -> None:
     for name in norms:
         if name not in NORMS:
             raise ValueError(f"unknown norm {name!r}")
+
+
+def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
     exact = _ExactSide(K=K, abs_max=_finite_abs_max(K), asym=_asym_max(K))
     if "frobenius" in norms:
         exact.frobenius = np.linalg.norm(K)
@@ -145,6 +148,7 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     exact for these matrices (spectral norm = max |eigenvalue|, nuclear norm =
     sum of |eigenvalues|).
     """
+    _check_norms((norm,))
     K = np.asarray(K, dtype=float)
     G = np.array(G, dtype=float)  # _gram_errors consumes its G
     if K.shape != G.shape:
@@ -166,6 +170,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     the whole grid, so every report carries the same ``exact_ms``. At most K,
     one G and one p's Phi are resident at a time.
     """
+    _check_norms(norms)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=float)

@@ -19,7 +19,6 @@ __all__ = [
     "ShapeMatrix",
     "HaarBlockMatrix",
     "sqrt_psd",
-    "sample_haar_unitary",
     "sample_haar_blocks",
     "sample_mvn",
     "sample_mv_cauchy",
@@ -113,27 +112,21 @@ class HaarBlockMatrix:
         return self.Q.reshape(self.p // self.d, self.d, self.d)
 
 
-def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed d x d orthogonal matrix.
-
-    QR of an i.i.d. standard Gaussian matrix with the signs of R's diagonal
-    folded into Q, which corrects the raw QR map to Haar measure.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    g = rng.generator.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
-
-
 def sample_haar_blocks(p: int, d: int, rng: RngStream) -> HaarBlockMatrix:
-    """Stack p/d independent Haar blocks into a p x d matrix."""
-    if p % d != 0:
-        raise ValueError(f"feature count {p} must be a multiple of d={d}")
-    blocks = [sample_haar_unitary(d, rng) for _ in range(p // d)]
-    return HaarBlockMatrix(np.vstack(blocks))
+    """Stack p/d independent Haar-distributed d x d orthogonal blocks.
+
+    Each block is the QR of an i.i.d. standard Gaussian matrix with the signs
+    of R's diagonal folded into Q, which corrects the raw QR map to Haar measure.
+    """
+    if d < 1 or p % d != 0:
+        raise ValueError(f"block size d={d} must be >= 1 and divide the feature count {p}")
+    Q = np.empty((p, d))
+    for k in range(0, p, d):
+        q, r = np.linalg.qr(rng.generator.standard_normal((d, d)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        Q[k:k + d] = q * signs
+    return HaarBlockMatrix(Q)
 
 
 def sample_mvn(shape: ShapeMatrix, rng: RngStream,

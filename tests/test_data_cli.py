@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heavyrff.cli import ExperimentConfig, main, run_experiment
+from heavyrff.cli import main, run_experiment
 from heavyrff.data import (DataError, load_csv, make_classification,
                            make_regression, preprocess, subsample,
                            train_test_split)
@@ -190,6 +191,12 @@ class TestSynthetic:
         assert ds.y.std() > 0
 
 
+# the config keys (flag dests) of each group of flags in the CLI's table
+FEATURE_FLAGS = {"seed", "out", "kernel", "alpha", "nu", "scheme", "p_grid",
+                 "round_p", "m_file", "d"}
+DATA_FLAGS = {"data_path", "label_col", "task", "recipe", "n", "n_classes", "cap"}
+
+
 def read_report(out_base):
     with open(str(out_base) + ".json") as fh:
         return json.load(fh)
@@ -248,6 +255,79 @@ class TestCliRuns:
         assert len(err) == 1
         assert err[0].startswith("error: ") and flag in err[0]
         assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("dist, params, draws, message", [
+        ("gbp", "2,0.5,2", "100", "--params for gbp takes 4 values (alpha,beta,p,q), got 3"),
+        ("chi", "3,4", "100", "--params for chi takes 1 value (k), got 2"),
+        ("chi", "abc", "100", "--params must be comma-separated numbers, got 'abc'"),
+        ("stable", "1.3,0,1,2", "100",
+         "--params for stable takes 1 to 3 values (alpha,beta,sigma), got 4"),
+        ("chi", "3", "0", "--draws must be an integer >= 1, got 0"),
+    ])
+    def test_malformed_sample_flags(self, tmp_path, capsys, dist, params, draws, message):
+        out = tmp_path / "bad"
+        assert main(["sample", "--dist", dist, "--params", params, "--draws", draws,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("params", ["1.3", "1.3,0", "1.3,0,1"])
+    def test_sample_stable_takes_one_to_three_params(self, tmp_path, params):
+        out = tmp_path / "stable"
+        assert main(["sample", "--dist", "stable", "--params", params,
+                     "--draws", "100", "--out", str(out)]) == 0
+        assert read_report(out)["config"]["params"] == [float(v) for v in params.split(",")]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["sample", "--dist", "chi", "--params", "3", "--draws", "100"],
+         {"seed", "out", "dist", "params", "draws"}),
+        (["features", "--p", "8", "--d", "2"], FEATURE_FLAGS),
+        (["approx", "--p", "8", "--n", "20", "--d", "2"],
+         FEATURE_FLAGS | DATA_FLAGS | {"norms", "repeats"}),
+        (["bench", "--p", "8", "--n", "20", "--d", "2", "--repeats", "1"],
+         FEATURE_FLAGS | DATA_FLAGS | {"norms", "repeats"}),
+        (["krr", "--p", "8", "--n", "20", "--d", "2"],
+         FEATURE_FLAGS | DATA_FLAGS | {"lam", "test_fraction"}),
+        (["klr", "--p", "8", "--n", "20", "--d", "2"],
+         FEATURE_FLAGS | DATA_FLAGS | {"lam", "test_fraction"}),
+    ])
+    def test_config_records_exactly_the_flags_taken(self, tmp_path, argv, keys):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert set(read_report(out)["config"]) == keys | {"kind"}
+
+    @pytest.mark.parametrize("argv", [
+        ["features", "--lambda", "1"],
+        ["approx", "--lambda", "1", "--n", "20", "--d", "2", "--p", "8"],
+        ["sample", "--dist", "chi", "--params", "3", "--n", "0"],
+    ])
+    def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_parameter_of_another_family_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["approx", "--kernel", "laplacian", "--alpha", "1.3",
+                     "--n", "20", "--d", "2", "--p", "8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alpha is only valid for exp_power, not laplacian"]
+        assert read_report(out)["status"] == "failed"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kernel", "matern", "--nu", "0.003", "--scheme", "orf", "--seed", "0"],
+         "orf weights for matern nu=0.003 are not finite"),
+        (["--kernel", "exp_power", "--alpha", "0.005", "--seed", "2"],
+         "rff weights for exp_power alpha=0.005 are not finite"),
+    ])
+    def test_nonfinite_operator_is_refused(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "feat"
+        assert main(["features", *argv, "--p", "12", "--d", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert read_report(out)["status"] == "failed"
+        assert not list(tmp_path.glob("feat-operator-*"))
 
     def test_bench_rejects_unknown_norm(self, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -399,7 +479,7 @@ class TestCliRuns:
         assert cfg["p_grid"] == [64]
 
     def test_run_experiment_unknown_kind(self, tmp_path):
-        cfg = ExperimentConfig(kind="mystery", out=str(tmp_path / "r"))
+        cfg = argparse.Namespace(kind="mystery", seed=0, out=str(tmp_path / "r"))
         with pytest.raises(ValueError):
             run_experiment(cfg)
         assert read_report(tmp_path / "r")["status"] == "failed"

@@ -220,6 +220,17 @@ class TestMeasureApproximation:
             measure_approximation(spec, X, "rff", [32], RngStream(137),
                                   norms=("trace",))
 
+    def test_rejects_unknown_norm_before_assembling_k(self, monkeypatch):
+        spec, X = sweep_inputs()
+        calls = []
+        real = harness.kernel_matrix
+        monkeypatch.setattr(harness, "kernel_matrix",
+                            lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(ValueError, match="unknown norm 'trace'"):
+            measure_approximation(spec, X, "rff", [32], RngStream(137),
+                                  norms=("trace",), repeats=3)
+        assert calls == []
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("target", ["kernel_matrix", "gram_approx"])
     def test_rejects_nonfinite(self, monkeypatch, target, bad):

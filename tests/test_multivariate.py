@@ -5,9 +5,8 @@ from scipy import stats
 from heavyrff import (GbpParams, NotPositiveDefiniteError, RngStream,
                       StableParams, sample_gbp, sample_stable_cms)
 from heavyrff.multivariate import (ShapeMatrix, sample_ec_stable,
-                                   sample_haar_blocks, sample_haar_unitary,
-                                   sample_mv_cauchy, sample_mv_t, sample_mvn,
-                                   sqrt_psd)
+                                   sample_haar_blocks, sample_mv_cauchy,
+                                   sample_mv_t, sample_mvn, sqrt_psd)
 
 KS_LEVEL = 0.01
 
@@ -71,18 +70,15 @@ class TestShapeMatrix:
 
 class TestHaar:
     def test_orthogonal(self):
-        q = sample_haar_unitary(7, RngStream(51))
+        q = sample_haar_blocks(7, 7, RngStream(51)).Q
         np.testing.assert_allclose(q.T @ q, np.eye(7), atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
 
     def test_first_column_angle_uniform(self):
         # Haar marginal on the circle for d=2: angle uniform over 16 bins
         n = 100_000
-        rng = RngStream(52)
-        angles = np.empty(n)
-        for i in range(n):
-            q = sample_haar_unitary(2, rng)
-            angles[i] = np.arctan2(q[1, 0], q[0, 0])
+        q = sample_haar_blocks(2 * n, 2, RngStream(52)).blocks
+        angles = np.arctan2(q[:, 1, 0], q[:, 0, 0])
         counts, _ = np.histogram(angles, bins=16, range=(-np.pi, np.pi))
         chi2 = ((counts - n / 16) ** 2 / (n / 16)).sum()
         assert chi2 < stats.chi2.ppf(0.99, df=15)
@@ -90,9 +86,10 @@ class TestHaar:
     def test_left_invariance(self):
         # traces of R Q and Q should be identically distributed for fixed orthogonal R
         rng = RngStream(53)
-        R = sample_haar_unitary(4, RngStream(99))
-        tr_q = np.array([np.trace(sample_haar_unitary(4, rng)) for _ in range(20_000)])
-        tr_rq = np.array([np.trace(R @ sample_haar_unitary(4, rng)) for _ in range(20_000)])
+        R = sample_haar_blocks(4, 4, RngStream(99)).Q
+        tr_q = np.trace(sample_haar_blocks(4 * 20_000, 4, rng).blocks, axis1=1, axis2=2)
+        tr_rq = np.trace(R @ sample_haar_blocks(4 * 20_000, 4, rng).blocks,
+                         axis1=1, axis2=2)
         _, pvalue = stats.ks_2samp(tr_q, tr_rq)
         assert pvalue > KS_LEVEL
 
