@@ -25,7 +25,6 @@ import tempfile
 import time
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .data import (DataSet, load_csv, make_classification, make_regression,
@@ -231,6 +230,9 @@ _SAMPLE_PARAMS = {"chi": ("k",), "betaprime": ("a", "b"),
 
 def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
     """Draw from a scalar law and run the matching goodness-of-fit check."""
+    # imported here: scipy.stats is the largest part of the CLI's start-up
+    # and only this subcommand reads it
+    from scipy import stats
     dist, params, n_draws = cfg.dist, cfg.params, cfg.draws
     if dist == "chi":
         (k,) = params

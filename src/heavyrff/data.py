@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +46,24 @@ class DataSet:
         return self.X.shape[1]
 
 
+def _reject_row(path, line: int, row: list[str]) -> None:
+    """Raise a DataError naming the first cell of ``row`` that is not a finite number."""
+    for j, cell in enumerate(row):
+        try:
+            val = float(cell)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}, column {j}: cannot parse {cell!r}") from exc
+        if not math.isfinite(val):
+            raise DataError(f"{path}: line {line}, column {j}: non-finite value")
+
+
 def load_csv(path, label_col: int | str = -1, task: str = "classification",
              has_header: bool = True) -> DataSet:
     """Parse a numeric CSV with a designated label column.
 
     Row order is preserved. Malformed or non-finite cells raise
-    :class:`DataError` naming the offending row and column.
+    :class:`DataError` naming the offending row and column, as do a file
+    with no data rows and a label column outside ``-n_cols .. n_cols - 1``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -66,22 +79,25 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification",
         label_idx = header.index(label_col)
     else:
         label_idx = label_col
-    n_cols = len(rows[0]) if rows else 0
-    label_idx = label_idx % n_cols if n_cols else label_idx
-    data = np.empty((len(rows), n_cols))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    n_cols = len(rows[0])
+    if not -n_cols <= label_idx < n_cols:
+        raise DataError(f"{path}: label column {label_idx} is out of range "
+                        f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
+    values = []
     start_line = 2 if has_header else 1
     for i, row in enumerate(rows):
         if len(row) != n_cols:
             raise DataError(f"{path}: line {start_line + i} has {len(row)} fields, expected {n_cols}")
-        for j, cell in enumerate(row):
-            try:
-                val = float(cell)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: line {start_line + i}, column {j}: cannot parse {cell!r}") from exc
-            if not np.isfinite(val):
-                raise DataError(f"{path}: line {start_line + i}, column {j}: non-finite value")
-            data[i, j] = val
+        try:
+            vals = [float(cell) for cell in row]
+        except ValueError:
+            vals = None
+        if vals is None or not all(map(math.isfinite, vals)):
+            _reject_row(path, start_line + i, row)
+        values.append(vals)
+    data = np.array(values)
     X = np.delete(data, label_idx, axis=1)
     y = data[:, label_idx]
     if task == "classification":
@@ -142,8 +158,11 @@ def train_test_split(ds: DataSet, test_fraction: float,
                      rng: RngStream) -> tuple[DataSet, DataSet]:
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie in (0, 1)")
-    idx = rng.generator.permutation(ds.n)
     n_test = max(1, int(round(test_fraction * ds.n)))
+    if n_test >= ds.n:
+        raise ValueError(f"test_fraction {test_fraction} leaves no training rows "
+                         f"out of {ds.n}")
+    idx = rng.generator.permutation(ds.n)
     test, train = idx[:n_test], idx[n_test:]
     return (replace(ds, X=ds.X[train], y=ds.y[train]),
             replace(ds, X=ds.X[test], y=ds.y[test]))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .features import FeatureMatrix, FeatureOperator, featurize
 from .kernels import KernelSpec, kernel_matrix
@@ -231,6 +230,9 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     converged. The model carries the solver's iteration, evaluation and
     Hessian-vector product counts.
     """
+    # imported here so that loading the package does not pay for scipy.optimize
+    from scipy.optimize import minimize
+
     opts = opts or LogisticOptions()
     P = phi.phi
     Yoh = one_hot(np.asarray(labels))

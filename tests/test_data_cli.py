@@ -2,10 +2,14 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heavyrff
 from heavyrff.cli import main, run_experiment
 from heavyrff.data import (DataError, load_csv, make_classification,
                            make_regression, preprocess, subsample,
@@ -78,6 +82,34 @@ class TestLoadCsv:
         with open(path) as fh:
             n_lines = sum(1 for _ in fh)
         assert ds.n == n_lines - 1 == n
+
+    def test_equals_per_cell_float_parse_bit_for_bit(self, tmp_path):
+        g = np.random.default_rng(7)
+        values = np.concatenate([
+            g.standard_normal((40, 5)) * 10.0 ** g.integers(-300, 300, size=(40, 5)),
+            [[5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308, 0.1]],
+        ])
+        lines = ["a,b,c,d,e"] + [",".join(repr(float(v)) for v in row) for row in values]
+        path = write_csv(tmp_path / "repr.csv", lines)
+        ds = load_csv(path, task="regression")
+        ref = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        assert ds.X.tobytes() == ref[:, :-1].tobytes()
+        assert ds.y.tobytes() == ref[:, -1].tobytes()
+
+    def test_first_bad_cell_in_file_order(self, tmp_path):
+        path = write_csv(tmp_path / "bad.csv", ["a,b,c", "1,2,3", "4,inf,x", "y,5,6"])
+        with pytest.raises(DataError, match=r"line 3, column 1: non-finite value"):
+            load_csv(path)
+        path = write_csv(tmp_path / "bad2.csv", ["a,b,c", "1,2,3", "4,x,inf"])
+        with pytest.raises(DataError, match=r"line 3, column 1: cannot parse 'x'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label_col", [-4, 3])
+    def test_label_index_out_of_range(self, tmp_path, label_col):
+        path = write_csv(tmp_path / "t.csv", ["a,b,c", "1,2,0", "4,5,1"])
+        with pytest.raises(DataError, match=rf"label column {label_col} is out of "
+                                            r"range -3\.\.2"):
+            load_csv(path, label_col=label_col)
 
 
 class TestPreprocess:
@@ -154,6 +186,12 @@ class TestSplitAndSubsample:
         ds = make_classification(10, 2, 2, RngStream(203))
         with pytest.raises(ValueError):
             train_test_split(ds, 1.0, RngStream(0))
+
+    def test_split_rejects_fraction_leaving_no_training_rows(self):
+        ds = make_classification(4, 2, 2, RngStream(206))
+        with pytest.raises(ValueError,
+                           match="test_fraction 0.9 leaves no training rows out of 4"):
+            train_test_split(ds, 0.9, RngStream(0))
 
     def test_subsample_cap_and_identity(self):
         ds = make_classification(100, 3, 2, RngStream(204))
@@ -470,6 +508,11 @@ class TestCliRuns:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_header_only_data_file(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "hdr.csv", ["a,b,label"])
+        assert main(["approx", "--data", data, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {data}: no data rows"]
+
     def test_report_embeds_config(self, tmp_path):
         out = tmp_path / "cfg"
         main(["approx", "--p", "64", "--n", "60", "--d", "3",
@@ -483,3 +526,14 @@ class TestCliRuns:
         with pytest.raises(ValueError):
             run_experiment(cfg)
         assert read_report(tmp_path / "r")["status"] == "failed"
+
+
+def test_cli_import_leaves_stats_and_optimize_unloaded():
+    # a fresh interpreter: this test module has loaded both modules already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heavyrff.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, heavyrff.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
