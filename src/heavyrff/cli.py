@@ -61,6 +61,9 @@ def _load_dataset(cfg: argparse.Namespace, rng: RngStream) -> tuple[DataSet, lis
     notes = []
     if cfg.data_path:
         ds = load_csv(cfg.data_path, label_col=cfg.label_col, task=cfg.task)
+        labels = f", {np.unique(ds.y).size} labels" if ds.task == "classification" else ""
+        notes.append(f"data has {ds.n} rows, {ds.d} feature columns{labels}; "
+                     "--n, --d and --classes are not read")
     elif cfg.task == "regression":
         ds = make_regression(cfg.n, cfg.d, rng.substream(900))
         notes.append("synthetic regression data")
@@ -154,15 +157,6 @@ def _run_sweep(cfg: argparse.Namespace, rng: RngStream) -> dict:
     return _emit(cfg, results, rows, notes)
 
 
-def _fit_feature_model(cfg, spec, p, train: DataSet, rng, logistic: bool):
-    op = build_operator(cfg.scheme, spec, p, rng)
-    phi = featurize(op, train.X)
-    if logistic:
-        return op, fit_logistic_features(phi, train.y, cfg.lam, operator=op)
-    Y = one_hot(train.y) if train.task == "classification" else train.y
-    return op, fit_ridge_features(phi, Y, cfg.lam, operator=op)
-
-
 def _run_learning(cfg: argparse.Namespace, rng: RngStream, logistic: bool) -> dict:
     ds, notes = _load_dataset(cfg, rng)
     spec = _kernel_spec(cfg, ds.d)
@@ -186,7 +180,12 @@ def _run_learning(cfg: argparse.Namespace, rng: RngStream, logistic: bool) -> di
         # fit time covers what training costs from raw inputs, as for the
         # exact model: operator build, featurization and solve
         t0 = time.perf_counter()
-        op, model = _fit_feature_model(cfg, spec, p, train, rng.substream(j), logistic)
+        op = build_operator(cfg.scheme, spec, p, rng.substream(j))
+        phi = featurize(op, train.X)
+        if logistic:
+            model = fit_logistic_features(phi, train.y, cfg.lam)
+        else:
+            model = fit_ridge_features(phi, Y_train, cfg.lam)
         fit_ms = 1e3 * (time.perf_counter() - t0)
         phi_test = featurize(op, test.X)
         metrics = evaluate(model, phi_test, test.y, ds.task)

@@ -35,7 +35,6 @@ class DataSet:
     X: np.ndarray
     y: np.ndarray
     task: str = "classification"     # "classification" | "regression"
-    preprocessing: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -57,45 +56,43 @@ def _reject_row(path, line: int, row: list[str]) -> None:
             raise DataError(f"{path}: line {line}, column {j}: non-finite value")
 
 
-def load_csv(path, label_col: int | str = -1, task: str = "classification",
-             has_header: bool = True) -> DataSet:
-    """Parse a numeric CSV with a designated label column.
+def load_csv(path, label_col: int | str = -1, task: str = "classification") -> DataSet:
+    """Parse a numeric CSV with a header line and a designated label column.
 
-    Row order is preserved. Malformed or non-finite cells raise
-    :class:`DataError` naming the offending row and column, as do a file
+    Row order is preserved and blank lines are skipped. Malformed or
+    non-finite cells raise :class:`DataError` naming the offending line and
+    column, as do a row whose field count differs from the header's, a file
     with no data rows and a label column outside ``-n_cols .. n_cols - 1``.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path}: empty file")
-    header = None
-    if has_header:
-        header, rows = rows[0], rows[1:]
+    header = rows[0]
     if isinstance(label_col, str):
-        if header is None or label_col not in header:
+        if label_col not in header:
             raise DataError(f"{path}: label column {label_col!r} not in header")
         label_idx = header.index(label_col)
     else:
         label_idx = label_col
-    if not rows:
+    # csv.reader yields [] for a blank line; skip those, keeping file line numbers
+    numbered = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    if not numbered:
         raise DataError(f"{path}: no data rows")
-    n_cols = len(rows[0])
+    n_cols = len(header)
     if not -n_cols <= label_idx < n_cols:
         raise DataError(f"{path}: label column {label_idx} is out of range "
                         f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
     values = []
-    start_line = 2 if has_header else 1
-    for i, row in enumerate(rows):
+    for line, row in numbered:
         if len(row) != n_cols:
-            raise DataError(f"{path}: line {start_line + i} has {len(row)} fields, expected {n_cols}")
+            raise DataError(f"{path}: header has {n_cols} fields, line {line} has {len(row)}")
         try:
             vals = [float(cell) for cell in row]
         except ValueError:
             vals = None
         if vals is None or not all(map(math.isfinite, vals)):
-            _reject_row(path, start_line + i, row)
+            _reject_row(path, line, row)
         values.append(vals)
     data = np.array(values)
     X = np.delete(data, label_idx, axis=1)
@@ -117,33 +114,27 @@ def preprocess(ds: DataSet, recipe: str) -> DataSet:
         raise DataError(f"unknown recipe {recipe!r}; expected one of {RECIPES}")
     X = ds.X.copy()
     y = ds.y.copy()
-    applied = list(ds.preprocessing)
     if recipe == "log-target":
         if ds.task != "regression":
             raise DataError("log-target only applies to regression targets")
         if np.any(y <= 0.0):
             bad = np.flatnonzero(y <= 0.0)[:5].tolist()
             raise DataError(f"log-target requires positive targets (rows {bad})")
-        y = np.log(y)
-        applied.append("log-target")
-        return replace(ds, X=X, y=y, preprocessing=tuple(applied))
+        return replace(ds, X=X, y=np.log(y))
     if recipe in ("center", "center+unit-norm"):
         X = X - X.mean(axis=0)
-        applied.append("center")
     if recipe == "standard-scale+unit-norm":
         X = X - X.mean(axis=0)
         std = X.std(axis=0)
         std[std == 0.0] = 1.0
         X = X / std
-        applied.append("standard-scale")
     if recipe.endswith("unit-norm"):
         norms = np.linalg.norm(X, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise DataError(f"cannot unit-normalize zero rows {zero[:5].tolist()}")
         X = X / norms[:, None]
-        applied.append("unit-norm")
-    return replace(ds, X=X, y=y, preprocessing=tuple(applied))
+    return replace(ds, X=X, y=y)
 
 
 def subsample(ds: DataSet, cap: int, rng: RngStream) -> DataSet:
@@ -181,7 +172,6 @@ def _smooth_scores(X: np.ndarray, n_classes: int, rng: RngStream) -> np.ndarray:
 
 
 def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
-                        label_noise: float = 0.0,
                         margin: float = 0.0) -> DataSet:
     """Synthetic classification data with labels from a smooth target.
 
@@ -204,11 +194,7 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
         collected += X.shape[0]
     X = np.concatenate(chunks_x)[:n]
     y = np.concatenate(chunks_y)[:n]
-    if label_noise > 0.0:
-        flip = g.random(n) < label_noise
-        y[flip] = g.integers(0, n_classes, size=int(flip.sum()))
-    return DataSet(X=X, y=y, task="classification",
-                   preprocessing=("unit-norm",))
+    return DataSet(X=X, y=y, task="classification")
 
 
 def make_regression(n: int, d: int, rng: RngStream,
@@ -220,4 +206,4 @@ def make_regression(n: int, d: int, rng: RngStream,
     scores = _smooth_scores(X, 3, rng)
     y = scores @ np.array([1.0, -0.7, 0.4])[:scores.shape[1]]
     y = y + noise * g.standard_normal(n)
-    return DataSet(X=X, y=y, task="regression", preprocessing=("unit-norm",))
+    return DataSet(X=X, y=y, task="regression")

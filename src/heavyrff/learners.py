@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .features import FeatureMatrix, FeatureOperator, featurize
+from .features import FeatureMatrix
 from .kernels import KernelSpec, kernel_matrix
 
 __all__ = [
     "LinearModel",
     "ExactKernelModel",
-    "LogisticOptions",
     "fit_krr_exact",
     "fit_ridge_features",
     "fit_logistic_features",
@@ -38,14 +37,13 @@ __all__ = [
 DESK_SCALE_CAP = 20_000
 
 
-def one_hot(labels: np.ndarray, n_classes: int | None = None) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
-    n_classes = int(labels.max()) + 1 if n_classes is None else n_classes
-    if labels.min() < 0 or labels.max() >= n_classes:
+    if labels.min() < 0:
         raise ValueError("labels out of range")
-    out = np.zeros((labels.shape[0], n_classes))
+    out = np.zeros((labels.shape[0], int(labels.max()) + 1))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
@@ -68,17 +66,11 @@ def clip_renormalize(scores: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, p / np.where(s > 0.0, s, 1.0), uniform)
 
 
-def _link_probabilities(scores: np.ndarray, link: str) -> np.ndarray:
-    return softmax(scores) if link == "softmax" else clip_renormalize(scores)
-
-
 @dataclass
 class LinearModel:
     """Feature-space linear model; one weight column per output."""
 
     theta: np.ndarray           # (2p, n_outputs)
-    lam: float
-    operator: FeatureOperator | None = None
     link: str = "identity"      # "identity" (ridge) | "softmax" (logistic)
     converged: bool = True
     grad_norm: float = 0.0
@@ -88,22 +80,8 @@ class LinearModel:
     n_fev: int = 0
     n_hessp: int = 0
 
-    def decision_function(self, data: FeatureMatrix | np.ndarray) -> np.ndarray:
-        phi = self._phi(data)
-        return phi @ self.theta
-
-    def predict_proba(self, data) -> np.ndarray:
-        return _link_probabilities(self.decision_function(data), self.link)
-
-    def predict_labels(self, data) -> np.ndarray:
-        return self.decision_function(data).argmax(axis=1)
-
-    def _phi(self, data) -> np.ndarray:
-        if isinstance(data, FeatureMatrix):
-            return data.phi
-        if self.operator is None:
-            raise ValueError("raw inputs require the model to carry its operator")
-        return featurize(self.operator, data).phi
+    def decision_function(self, phi: FeatureMatrix) -> np.ndarray:
+        return phi.phi @ self.theta
 
 
 @dataclass
@@ -113,17 +91,10 @@ class ExactKernelModel:
     alphas: np.ndarray          # (n_train, n_outputs)
     X_train: np.ndarray
     spec: KernelSpec
-    lam: float
     link = "identity"           # class constant: ridge outputs on one-hot targets
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.spec, np.asarray(X, dtype=float), self.X_train) @ self.alphas
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _link_probabilities(self.decision_function(X), self.link)
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return self.decision_function(X).argmax(axis=1)
 
 
 def _as_targets(Y: np.ndarray) -> np.ndarray:
@@ -151,11 +122,10 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
         raise np.linalg.LinAlgError(
             f"K + lambda*I is numerically singular ({exc}); use lambda > 0") from exc
     alphas = cho_solve(factor, Y)
-    return ExactKernelModel(alphas=alphas, X_train=X, spec=spec, lam=lam)
+    return ExactKernelModel(alphas=alphas, X_train=X, spec=spec)
 
 
-def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float,
-                       operator: FeatureOperator | None = None) -> LinearModel:
+def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float) -> LinearModel:
     """Ridge regression in feature space: theta = (Phi^T Phi + lam I)^{-1} Phi^T Y.
 
     When the feature dimension exceeds n the algebraically equivalent dual
@@ -175,13 +145,7 @@ def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float,
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"normal equations are singular ({exc}); use lambda > 0") from exc
-    return LinearModel(theta=theta, lam=lam, operator=operator, link="identity")
-
-
-@dataclass
-class LogisticOptions:
-    tol: float = 1e-6
-    max_iter: int = 5000
+    return LinearModel(theta=theta)
 
 
 def _logistic_objective(theta: np.ndarray, P: np.ndarray, Yoh: np.ndarray,
@@ -219,13 +183,12 @@ def _logistic_hessp(theta: np.ndarray, v: np.ndarray, P: np.ndarray,
 
 
 def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
-                          opts: LogisticOptions | None = None,
-                          operator: FeatureOperator | None = None) -> LinearModel:
+                          tol: float = 1e-6, max_iter: int = 5000) -> LinearModel:
     """Softmax cross-entropy + (lam/2)||theta||^2 by trust-region Newton-CG.
 
     scipy's ``trust-ncg`` runs on the exact gradient and Hessian-vector
     products, from theta = 0. It stops when the gradient's 2-norm drops below
-    ``opts.tol`` (converged) or after ``opts.max_iter`` Newton iterations; a
+    ``tol`` (converged) or after ``max_iter`` Newton iterations; a
     fit that stops unconverged emits a RuntimeWarning and is marked as not
     converged. The model carries the solver's iteration, evaluation and
     Hessian-vector product counts.
@@ -233,7 +196,6 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import minimize
 
-    opts = opts or LogisticOptions()
     P = phi.phi
     Yoh = one_hot(np.asarray(labels))
     shape = (P.shape[1], Yoh.shape[1])
@@ -254,16 +216,15 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
 
     res = minimize(objective, np.zeros(shape).ravel(), method="trust-ncg",
                    jac=True, hessp=hessp,
-                   options={"gtol": opts.tol, "maxiter": opts.max_iter})
+                   options={"gtol": tol, "maxiter": max_iter})
     gnorm = float(np.linalg.norm(res.jac))
-    converged = gnorm < opts.tol
+    converged = gnorm < tol
     if not converged:
         warnings.warn(
             f"logistic fit stopped after {res.nit} iterations "
-            f"(max_iter={opts.max_iter}) with gradient norm {gnorm:.3e}: "
+            f"(max_iter={max_iter}) with gradient norm {gnorm:.3e}: "
             f"{res.message}", RuntimeWarning)
-    return LinearModel(theta=res.x.reshape(shape), lam=lam, operator=operator,
-                       link="softmax", converged=converged, grad_norm=gnorm,
+    return LinearModel(theta=res.x.reshape(shape), link="softmax", converged=converged, grad_norm=gnorm,
                        n_iter=int(res.nit), n_fev=int(res.nfev),
                        n_hessp=int(res.nhev))
 
@@ -299,13 +260,11 @@ def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return 1.0 - sse / sst
 
 
-def evaluate(model, inputs, y_test: np.ndarray, task: str,
-             n_bins: int = 15) -> dict:
+def evaluate(model, inputs, y_test: np.ndarray, task: str) -> dict:
     """Metrics record: accuracy + ECE for classification, R^2 for regression.
 
-    ``inputs`` is whatever the model consumes: a FeatureMatrix (or raw X if
-    the model carries its operator) for feature models, raw X for exact
-    kernel models. The scores are computed once, so an exact model builds its
+    ``inputs`` is whatever the model consumes: the test FeatureMatrix for
+    feature models, raw X for exact kernel models. The scores are computed once, so an exact model builds its
     test kernel once.
     """
     y_test = np.asarray(y_test)
@@ -314,9 +273,9 @@ def evaluate(model, inputs, y_test: np.ndarray, task: str,
     scores = model.decision_function(inputs)
     if task == "classification":
         pred = scores.argmax(axis=1)
-        probs = _link_probabilities(scores, model.link)
+        probs = softmax(scores) if model.link == "softmax" else clip_renormalize(scores)
         return {
             "accuracy": float((pred == y_test).mean()),
-            "ece": expected_calibration_error(probs, y_test, n_bins=n_bins),
+            "ece": expected_calibration_error(probs, y_test),
         }
     return {"r2": r_squared(y_test, scores[:, 0] if scores.ndim == 2 else scores)}
