@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import build_operator, featurize, gram_approx
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import TILE, KernelSpec, kernel_matrix
 from .rng import RngStream
 
 __all__ = [
@@ -67,9 +67,6 @@ class _ExactSide:
     spectrum: np.ndarray | None = None  # |eigvalsh(K)|
 
 
-_TILE = 256  # side of the square tiles _asym_max compares
-
-
 def _abs_max(A: np.ndarray) -> float:
     """max |A| without an |A| temporary; not finite exactly when A is not."""
     return max(A.max(), -A.min())
@@ -83,9 +80,9 @@ def _asym_max(A: np.ndarray) -> float:
     """
     n = A.shape[0]
     worst = 0.0
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            diff = A[i:i + _TILE, j:j + _TILE] - A[j:j + _TILE, i:i + _TILE].T
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            diff = A[i:i + TILE, j:j + TILE] - A[j:j + TILE, i:i + TILE].T
             worst = max(worst, _abs_max(diff))
     return worst
 

@@ -36,6 +36,10 @@ MATERN = "matern"
 
 FAMILIES = (GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, EXP_POWER, MATERN)
 
+# Rows per tile of kernel_matrix and the side of the square tiles harness's
+# symmetry check compares; each holds a few tiles of temporaries, never n x n.
+TILE = 256
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -220,16 +224,35 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray,
                   Z: np.ndarray | None = None) -> np.ndarray:
-    """Dense kernel matrix with entries K(X_i, Z_j); Z defaults to X."""
+    """Dense kernel matrix with entries K(X_i, Z_j); Z defaults to X.
+
+    K is filled in place, ``TILE`` rows at a time, so beside K only one
+    tile's distances and profile temporaries are held. When Z is X, tile
+    [a, b) computes the rows' entries from column a on and mirrors them into
+    the rows below, so each entry is computed once. ``cdist`` computes each
+    pair alone and the profile works entry by entry, so K is bit-equal to the
+    profile of the whole distance matrix, and exactly symmetric when Z is X.
+    Non-finite X or Z is refused before any tile is built.
+    """
     X = np.asarray(X, dtype=float)
     Z = X if Z is None else np.asarray(Z, dtype=float)
     if X.shape[1] != spec.dim or Z.shape[1] != spec.dim:
         raise ValueError(
             f"column counts {X.shape[1]}, {Z.shape[1]} must equal d={spec.dim}")
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise ValueError("inputs must be finite")
     if spec.family == L1_LAPLACIAN:
-        R = cdist(X, Z, metric="cityblock")
+        metric, Xs, Zs = "cityblock", X, Z
     else:
-        Xs = X @ spec.shape.sqrtM
+        metric, Xs = "euclidean", X @ spec.shape.sqrtM
         Zs = Xs if Z is X else Z @ spec.shape.sqrtM
-        R = cdist(Xs, Zs, metric="euclidean")
-    return kernel_profile(spec, R)
+    n = Xs.shape[0]
+    K = np.empty((n, Zs.shape[0]))
+    for a in range(0, n, TILE):
+        b = min(a + TILE, n)
+        if Zs is Xs:
+            K[a:b, a:] = kernel_profile(spec, cdist(Xs[a:b], Xs[a:], metric=metric))
+            K[b:, a:b] = K[a:b, b:].T
+        else:
+            K[a:b] = kernel_profile(spec, cdist(Xs[a:b], Zs, metric=metric))
+    return K

@@ -106,7 +106,10 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
                   lam: float) -> ExactKernelModel:
     """Solve (K + lam I) A = Y by Cholesky factorization.
 
-    Y may be real targets (regression) or an n x C one-hot matrix.
+    Y may be real targets (regression) or an n x C one-hot matrix. K is
+    factored in place: lam goes onto its diagonal and LAPACK overwrites it
+    with the factor, so the fit holds one n x n matrix of doubles beside
+    ``kernel_matrix``'s tile temporaries.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] > DESK_SCALE_CAP:
@@ -115,9 +118,11 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
         raise ValueError("lambda must be >= 0")
     Y = _as_targets(Y)
     K = kernel_matrix(spec, X)
-    A = K + lam * np.eye(K.shape[0])
+    K.flat[::K.shape[0] + 1] += lam
     try:
-        factor = cho_factor(A, lower=True)
+        # K is exactly symmetric, so K.T is the same matrix as an F-ordered
+        # view, which LAPACK factors without the copy a C-ordered K needs
+        factor = cho_factor(K.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"K + lambda*I is numerically singular ({exc}); use lambda > 0") from exc

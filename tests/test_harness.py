@@ -150,6 +150,24 @@ class TestCfCheck:
         dev = cf_check(spec, probes, 1_000_000, RngStream(141), scheme="orf")
         assert dev.max() < 0.005
 
+    @pytest.mark.parametrize("scheme, family, kw", [
+        ("rff", "gaussian", {}), ("rff", "laplacian", {}), ("rff", "l1_laplacian", {}),
+        ("rff", "exp_power", {"alpha": 0.7}), ("rff", "exp_power", {"alpha": 1.3}),
+        ("rff", "matern", {"nu": 1.5}), ("rff", "matern", {"nu": 4.0}),
+        ("orf", "laplacian", {})])
+    def test_anisotropic_shape(self, scheme, family, kw):
+        # M with condition number 100 in a random basis: the samplers' cholM
+        # and ORF's sqrtM must carry M into the weight law, which an
+        # identity M cannot tell from M's transpose, inverse or M itself
+        d = 6
+        g = np.random.default_rng(142)
+        basis = np.linalg.qr(g.standard_normal((d, d)))[0]
+        M = (basis * np.geomspace(0.1, 10.0, d)) @ basis.T
+        spec = KernelSpec(family, ShapeMatrix(M), **kw)
+        probes = g.standard_normal((5, d)) * 0.4
+        dev = cf_check(spec, probes, 1_002_000, RngStream(142), scheme=scheme)
+        assert dev.max() < 0.005
+
     def test_rejects_nonfinite_probe(self):
         spec = KernelSpec("gaussian", ShapeMatrix.identity(2))
         with pytest.raises(ValueError):

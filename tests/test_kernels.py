@@ -1,12 +1,16 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
+from scipy.spatial.distance import cdist
 
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, kernel_eval,
                       kernel_matrix, matern_profile)
+from heavyrff.kernels import kernel_profile
 
 # frozen from the quadrature oracle below; equals sqrt(pi/2) * e^{-1}
 K_HALF_AT_1 = 0.4610685044478946
@@ -246,6 +250,11 @@ class TestMaternProfile:
         assert np.all(np.diff(v) <= 1e-14 * v[:-1])
 
 
+TILED_FAMILIES = [("gaussian", {}), ("l1_laplacian", {}), ("laplacian", {}),
+                  ("exp_power", {"alpha": 0.7}), ("matern", {"nu": 4.0}),
+                  ("matern", {"nu": 2.5}), ("matern", {"nu": 1.3})]
+
+
 class TestKernelMatrix:
     def test_unit_diagonal_and_symmetric(self):
         g = np.random.default_rng(6)
@@ -282,6 +291,52 @@ class TestKernelMatrix:
         with pytest.raises(ValueError):
             kernel_matrix(KernelSpec("laplacian", ShapeMatrix.identity(3)),
                           np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["X", "Z", "X as Z"])
+    def test_rejects_nonfinite_inputs(self, where, bad):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
+        X, Z = np.zeros((3, 2)), np.ones((4, 2))
+        (Z if where == "Z" else X)[1, 0] = bad
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            kernel_matrix(spec, X, None if where == "X as Z" else Z)
+
+    @pytest.mark.parametrize("family, kw", TILED_FAMILIES)
+    def test_tiles_equal_the_profile_of_all_distances(self, family, kw):
+        # 600 rows: two full tiles of 256 rows and one of 88
+        g = np.random.default_rng(9)
+        d = 4
+        A = g.standard_normal((d, d))
+        spec = KernelSpec(family, ShapeMatrix(A @ A.T / d + 0.1 * np.eye(d)), **kw)
+        X, Z = g.standard_normal((600, d)), g.standard_normal((300, d))
+        if family == "l1_laplacian":
+            Xs, Zs, metric = X, Z, "cityblock"
+        else:
+            Xs, Zs, metric = X @ spec.shape.sqrtM, Z @ spec.shape.sqrtM, "euclidean"
+        K = kernel_matrix(spec, X)
+        assert np.array_equal(K, kernel_profile(spec, cdist(Xs, Xs, metric=metric)))
+        assert np.array_equal(K, K.T)
+        KZ = kernel_matrix(spec, X, Z)
+        assert np.array_equal(KZ, kernel_profile(spec, cdist(Xs, Zs, metric=metric)))
+
+    @pytest.mark.parametrize("family, kw, bound", [
+        ("laplacian", {}, 2.0), ("matern", {"nu": 4.0}, 2.0), ("matern", {"nu": 1.3}, 2.5)])
+    def test_holds_k_plus_one_tile(self, family, kw, bound):
+        # traced growth in units of n^2 doubles; one full distance matrix
+        # and its profile temporaries would take 3 to 7
+        n, d = 2048, 6
+        g = np.random.default_rng(10)
+        X = g.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        spec = KernelSpec(family, ShapeMatrix.identity(d), **kw)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            kernel_matrix(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < bound * 8 * n * n
 
     @PROPERTY
     @given(family=st.sampled_from([("gaussian", {}), ("l1_laplacian", {}),

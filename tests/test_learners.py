@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 import heavyrff.learners as learners
@@ -51,6 +53,33 @@ class TestKrrExact:
         spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
         with pytest.raises(ValueError):
             fit_krr_exact(spec, np.zeros((30_000, 2)), np.zeros(30_000), 1.0)
+
+    def test_in_place_factor_equals_the_shifted_copy(self):
+        # the fit factors K + lam I in place; the reference factors a copy
+        g = np.random.default_rng(2)
+        X = unit_rows(g, 600, 5)
+        Y = g.standard_normal((600, 3))
+        spec = KernelSpec("matern", ShapeMatrix.identity(5), nu=1.3)
+        A = kernel_matrix(spec, X) + 1e-3 * np.eye(600)
+        expected = cho_solve(cho_factor(A, lower=True), Y)
+        assert np.array_equal(fit_krr_exact(spec, X, Y, 1e-3).alphas, expected)
+
+    def test_holds_one_n_by_n_matrix(self):
+        # traced growth in units of n^2 doubles: K plus one kernel tile, with
+        # no shifted copy of K and no copy made for LAPACK
+        n, d = 2048, 6
+        g = np.random.default_rng(3)
+        X = unit_rows(g, n, d)
+        Y = g.standard_normal((n, 2))
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fit_krr_exact(spec, X, Y, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2.0 * 8 * n * n
 
 
 class TestRidgeFeatures:
