@@ -82,18 +82,10 @@ def _load_dataset(cfg: argparse.Namespace, rng: RngStream) -> tuple[DataSet, lis
 def _rounded_p(cfg: argparse.Namespace, d: int, notes: list[str]) -> tuple[int, ...]:
     if cfg.scheme != "orf":
         return cfg.p_grid
-    out = []
-    for p in cfg.p_grid:
-        if p % d != 0:
-            if not cfg.round_p:
-                raise ValueError(
-                    f"ORF requires p to be a multiple of d={d} (got {p}); "
-                    "pass --round-p to round up")
-            rounded = ((p + d - 1) // d) * d
-            notes.append(f"p rounded {p} -> {rounded} for ORF")
-            p = rounded
-        out.append(p)
-    return tuple(out)
+    rounded = tuple(-(-p // d) * d for p in cfg.p_grid)  # ORF stacks d x d blocks
+    notes.extend(f"p rounded {p} -> {q} for ORF"
+                 for p, q in zip(cfg.p_grid, rounded) if q != p)
+    return rounded
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -110,8 +102,27 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: argparse.Namespace, results: list[dict], rows: list[dict],
-          notes: list[str], status: str = "ok") -> dict:
+def _csv_rows(cfg: argparse.Namespace, results: list[dict]) -> list[dict]:
+    """The long-format CSV rows of a report's results: one per sweep norm and
+    p, or one per fitted model; ``features`` and ``sample`` write none."""
+    if cfg.kind not in ("approx", "bench", "krr", "klr"):
+        return []
+    base = {"dataset": os.path.basename(cfg.data_path) if cfg.data_path else "synthetic",
+            "kernel": cfg.kernel, "seed": cfg.seed}
+    if cfg.kind in ("approx", "bench"):
+        return [dict(base, scheme=cfg.scheme, p=res["p"], norm=norm,
+                     value=res[f"rel_{norm}"],
+                     time_ms=res["featurize_ms"] + res["gram_ms"])
+                for res in results for norm in cfg.norms]
+    metric = "accuracy" if cfg.task == "classification" else "r2"
+    return [dict(base, scheme="exact" if res["p"] is None else cfg.scheme,
+                 p="" if res["p"] is None else res["p"], norm=metric,
+                 value=res["metrics"][metric], time_ms=res["time_ms"])
+            for res in results]
+
+
+def _emit(cfg: argparse.Namespace, results: list[dict], notes: list[str],
+          status: str = "ok") -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -124,14 +135,9 @@ def _emit(cfg: argparse.Namespace, results: list[dict], rows: list[dict],
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row.get(c, "") for c in CSV_COLUMNS})
+    writer.writerows(_csv_rows(cfg, results))
     _atomic_write(cfg.out + ".csv", buf.getvalue())
     return report
-
-
-def _dataset_name(cfg: argparse.Namespace) -> str:
-    return os.path.basename(cfg.data_path) if cfg.data_path else "synthetic"
 
 
 def _run_sweep(cfg: argparse.Namespace, rng: RngStream) -> dict:
@@ -142,27 +148,23 @@ def _run_sweep(cfg: argparse.Namespace, rng: RngStream) -> dict:
     root = rng.substream(0) if cfg.kind == "bench" else rng
     reports = measure_approximation(spec, ds.X, cfg.scheme, list(p_grid), root,
                                     norms=cfg.norms, repeats=cfg.repeats)
-    results, rows = [], []
+    results = []
     for rep in reports:
         rec = dict(dataclasses.asdict(rep), speedup=rep.speedup)
         for norm in NORMS:
             if norm not in cfg.norms:
                 rec[f"rel_{norm}"] = None  # not nan: JSON has no NaN token
         results.append(rec)
-        for norm in cfg.norms:
-            rows.append({"dataset": _dataset_name(cfg), "kernel": cfg.kernel,
-                         "scheme": cfg.scheme, "p": rep.p, "norm": norm,
-                         "value": rec[f"rel_{norm}"], "time_ms": rep.feature_ms,
-                         "seed": cfg.seed})
-    return _emit(cfg, results, rows, notes)
+    return _emit(cfg, results, notes)
 
 
-def _run_learning(cfg: argparse.Namespace, rng: RngStream, logistic: bool) -> dict:
+def _run_learning(cfg: argparse.Namespace, rng: RngStream) -> dict:
+    logistic = cfg.kind == "klr"
     ds, notes = _load_dataset(cfg, rng)
     spec = _kernel_spec(cfg, ds.d)
     p_grid = _rounded_p(cfg, ds.d, notes)
     train, test = train_test_split(ds, cfg.test_fraction, rng.substream(902))
-    results, rows = [], []
+    results = []
     # exact baseline (ridge, per the representer model)
     Y_train = one_hot(train.y) if ds.task == "classification" else train.y
     t0 = time.perf_counter()
@@ -172,10 +174,6 @@ def _run_learning(cfg: argparse.Namespace, rng: RngStream, logistic: bool) -> di
     results.append({"model": "exact_krr", "p": None, "metrics": exact_metrics,
                     "time_ms": exact_ms})
     metric_name = "accuracy" if ds.task == "classification" else "r2"
-    rows.append({"dataset": _dataset_name(cfg), "kernel": cfg.kernel,
-                 "scheme": "exact", "p": "", "norm": metric_name,
-                 "value": exact_metrics[metric_name], "time_ms": exact_ms,
-                 "seed": cfg.seed})
     for j, p in enumerate(p_grid):
         # fit time covers what training costs from raw inputs, as for the
         # exact model: operator build, featurization and solve
@@ -201,11 +199,7 @@ def _run_learning(cfg: argparse.Namespace, rng: RngStream, logistic: bool) -> di
                           n_iter=model.n_iter, n_fev=model.n_fev,
                           n_hessp=model.n_hessp)
         results.append(result)
-        rows.append({"dataset": _dataset_name(cfg), "kernel": cfg.kernel,
-                     "scheme": cfg.scheme, "p": p, "norm": metric_name,
-                     "value": metrics[metric_name], "time_ms": fit_ms,
-                     "seed": cfg.seed})
-    return _emit(cfg, results, rows, notes)
+    return _emit(cfg, results, notes)
 
 
 def _run_features(cfg: argparse.Namespace, rng: RngStream) -> dict:
@@ -218,7 +212,7 @@ def _run_features(cfg: argparse.Namespace, rng: RngStream) -> dict:
         path = f"{cfg.out}-operator-p{p}.json"
         save_operator(op, path)
         results.append({"p": p, "path": path, "operator": operator_record(op)})
-    return _emit(cfg, results, [], notes)
+    return _emit(cfg, results, notes)
 
 
 # each law's parameters, in the order --params gives them
@@ -263,7 +257,7 @@ def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
     results = [{"distribution": dist, "params": params, "n": n_draws,
                 "mean": float(draws.mean()), "median": float(np.median(draws)),
                 "check": check}]
-    return _emit(cfg, results, [], [])
+    return _emit(cfg, results, [])
 
 
 def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
@@ -282,8 +276,6 @@ def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
     sub.add_argument("--scheme", choices=("rff", "orf"), default="rff")
     sub.add_argument("--p", dest="p_grid", type=str, default="1024",
                      help="comma-separated feature counts")
-    sub.add_argument("--round-p", action="store_true",
-                     help="round p up to a multiple of d for ORF")
     sub.add_argument("--m-file", type=str, default=None,
                      help="CSV with the shape matrix (single row = diagonal)")
     sub.add_argument("--d", type=int, default=16,
@@ -353,24 +345,20 @@ def _check_flags(cfg: argparse.Namespace) -> None:
         cfg.params = _law_params(cfg.dist, cfg.params)
 
 
+# each subcommand's runner, in the order the CLI lists them
+_RUNNERS = {"approx": _run_sweep, "bench": _run_sweep, "krr": _run_learning,
+            "klr": _run_learning, "features": _run_features, "sample": _run_sample}
+
+
 def run_experiment(cfg: argparse.Namespace) -> dict:
     """Run one experiment and write its JSON + CSV reports."""
-    rng = RngStream(cfg.seed)
     try:
-        if cfg.kind in ("approx", "bench"):
-            return _run_sweep(cfg, rng)
-        if cfg.kind == "krr":
-            return _run_learning(cfg, rng, logistic=False)
-        if cfg.kind == "klr":
-            return _run_learning(cfg, rng, logistic=True)
-        if cfg.kind == "features":
-            return _run_features(cfg, rng)
-        if cfg.kind == "sample":
-            return _run_sample(cfg, rng)
-        raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+        if cfg.kind not in _RUNNERS:
+            raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+        return _RUNNERS[cfg.kind](cfg, RngStream(cfg.seed))
     except Exception as exc:
         # flush a failure marker so partial runs are identifiable
-        _emit(cfg, [], [], [f"error: {type(exc).__name__}: {exc}"], status="failed")
+        _emit(cfg, [], [f"error: {type(exc).__name__}: {exc}"], status="failed")
         raise
 
 
@@ -381,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
                     "Matern kernels: sampling checks, approximation sweeps, "
                     "benchmarks and regression experiments.")
     subparsers = parser.add_subparsers(dest="kind", required=True)
-    for kind in ("approx", "bench", "krr", "klr", "features", "sample"):
+    for kind in _RUNNERS:
         _add_flags(subparsers.add_parser(kind), kind)
     cfg = parser.parse_args(argv)
     try:

@@ -72,11 +72,14 @@ class KernelSpec:
 def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
     """General-nu Matern profile (2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r.
 
-    One ``kve`` call per entry. Where ``kve`` overflows (tiny t, large nu)
-    the product is inf or nan, and only those entries are recomputed by
+    One ``kve`` call per entry. Where the product is inf or nan, an entry
+    beyond t = max(nu^2, 2000) is 0 (``kve`` is nan from t ~ 1e9 on): there
+    K_nu(t) < e^{1/2} sqrt(pi / 2t) e^{-t}, so the profile is below e^{-1800}.
+    The others, where ``kve`` overflows (tiny t, large nu), are recomputed by
     ``_matern_ladder``.
     """
-    t = np.sqrt(2.0 * nu) * r
+    with np.errstate(over="ignore"):
+        t = np.sqrt(2.0 * nu) * r
     out = np.ones_like(t)
     pos = t > 0.0
     tp = t[pos]
@@ -84,6 +87,7 @@ def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
     log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu) + nu * np.log(tp)
     with np.errstate(invalid="ignore"):
         out[pos] = np.exp(log_pref - tp) * special.kve(nu, tp)
+    out[~np.isfinite(out) & (t > max(nu * nu, 2000.0))] = 0.0
     bad = ~np.isfinite(out)
     if bad.any():
         out[bad] = _matern_ladder(nu, r[bad])

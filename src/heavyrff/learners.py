@@ -102,13 +102,20 @@ def _as_targets(Y: np.ndarray) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
+def _solve_shifted(A: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
+    """Solve (A + lam I) X = B for an exactly symmetric A, overwriting A with
+    its Cholesky factor: A.T is A as an F-ordered view, which LAPACK factors
+    without the copy a C-ordered A needs."""
+    A.flat[::A.shape[0] + 1] += lam
+    return cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), B)
+
+
 def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
                   lam: float) -> ExactKernelModel:
     """Solve (K + lam I) A = Y by Cholesky factorization.
 
     Y may be real targets (regression) or an n x C one-hot matrix. K is
-    factored in place: lam goes onto its diagonal and LAPACK overwrites it
-    with the factor, so the fit holds one n x n matrix of doubles beside
+    factored in place, so the fit holds one n x n matrix of doubles beside
     ``kernel_matrix``'s tile temporaries.
     """
     X = np.asarray(X, dtype=float)
@@ -117,16 +124,11 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     Y = _as_targets(Y)
-    K = kernel_matrix(spec, X)
-    K.flat[::K.shape[0] + 1] += lam
     try:
-        # K is exactly symmetric, so K.T is the same matrix as an F-ordered
-        # view, which LAPACK factors without the copy a C-ordered K needs
-        factor = cho_factor(K.T, lower=True, overwrite_a=True)
+        alphas = _solve_shifted(kernel_matrix(spec, X), lam, Y)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"K + lambda*I is numerically singular ({exc}); use lambda > 0") from exc
-    alphas = cho_solve(factor, Y)
     return ExactKernelModel(alphas=alphas, X_train=X, spec=spec)
 
 
@@ -135,18 +137,17 @@ def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float) -> LinearM
 
     When the feature dimension exceeds n the algebraically equivalent dual
     form theta = Phi^T (Phi Phi^T + lam I)^{-1} Y is solved instead, which is
-    both cheaper and avoids materializing the 2p x 2p normal matrix.
+    both cheaper and avoids materializing the 2p x 2p normal matrix. Either
+    Gram matrix is factored in place.
     """
     P = phi.phi
     Y = _as_targets(Y)
     n, m = P.shape
     try:
         if m <= n or lam == 0.0:
-            A = P.T @ P + lam * np.eye(m)
-            theta = cho_solve(cho_factor(A, lower=True), P.T @ Y)
+            theta = _solve_shifted(P.T @ P, lam, P.T @ Y)
         else:
-            A = P @ P.T + lam * np.eye(n)
-            theta = P.T @ cho_solve(cho_factor(A, lower=True), Y)
+            theta = P.T @ _solve_shifted(P @ P.T, lam, Y)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"normal equations are singular ({exc}); use lambda > 0") from exc

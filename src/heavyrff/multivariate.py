@@ -138,16 +138,23 @@ def sample_mvn(shape: ShapeMatrix, rng: RngStream,
     return out[0] if size is None else out
 
 
+def _draw_nonzero(draw, n: int) -> np.ndarray:
+    """``draw(n)``, each entry below 1e-300 in magnitude redrawn by ``draw(k)``
+    until none is left, so that dividing by it stays finite."""
+    v = draw(n)
+    tiny = np.abs(v) < 1e-300
+    while tiny.any():
+        v[tiny] = draw(int(tiny.sum()))
+        tiny = np.abs(v) < 1e-300
+    return v
+
+
 def sample_mv_cauchy(shape: ShapeMatrix, rng: RngStream,
                      size: int | None = None) -> np.ndarray:
     """Draw from Cauchy(0, M) as u / v with u ~ N(0, M), v ~ N(0, 1)."""
     n = 1 if size is None else int(size)
     u = sample_mvn(shape, rng, size=n)
-    v = rng.generator.standard_normal(n)
-    tiny = np.abs(v) < 1e-300
-    while tiny.any():
-        v[tiny] = rng.generator.standard_normal(int(tiny.sum()))
-        tiny = np.abs(v) < 1e-300
+    v = _draw_nonzero(rng.generator.standard_normal, n)
     out = u / v[:, None]
     return out[0] if size is None else out
 
@@ -162,11 +169,7 @@ def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream,
         raise ValueError(f"nu must be positive, got {nu}")
     n = 1 if size is None else int(size)
     u = sample_mvn(shape, rng, size=n)
-    v = rng.generator.chisquare(2.0 * nu, size=n)
-    tiny = v < 1e-300
-    while tiny.any():
-        v[tiny] = rng.generator.chisquare(2.0 * nu, size=int(tiny.sum()))
-        tiny = v < 1e-300
+    v = _draw_nonzero(lambda k: rng.generator.chisquare(2.0 * nu, size=k), n)
     out = u * np.sqrt(2.0 * nu / v)[:, None]
     return out[0] if size is None else out
 

@@ -251,13 +251,35 @@ class TestSynthetic:
 
 # the config keys (flag dests) of each group of flags in the CLI's table
 FEATURE_FLAGS = {"seed", "out", "kernel", "alpha", "nu", "scheme", "p_grid",
-                 "round_p", "m_file", "d"}
+                 "m_file", "d"}
 DATA_FLAGS = {"data_path", "label_col", "task", "recipe", "n", "n_classes", "cap"}
 
 
 def read_report(out_base):
     with open(str(out_base) + ".json") as fh:
         return json.load(fh)
+
+
+CSV_HEADER = ["dataset", "kernel", "scheme", "p", "norm", "value", "time_ms", "seed"]
+FULL_M = [[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]]
+
+
+def expected_csv_rows(report):
+    """The CSV rows a report's results imply, as (cells but time_ms, time_ms)."""
+    cfg, results = report["config"], report["results"]
+    if cfg["kind"] in ("features", "sample"):
+        return []
+    dataset = os.path.basename(cfg["data_path"]) if cfg["data_path"] else "synthetic"
+    if cfg["kind"] in ("approx", "bench"):
+        return [([dataset, cfg["kernel"], cfg["scheme"], str(res["p"]), norm,
+                  str(res[f"rel_{norm}"]), str(cfg["seed"])],
+                 res["featurize_ms"] + res["gram_ms"])
+                for res in results for norm in cfg["norms"]]
+    metric = "accuracy" if cfg["task"] == "classification" else "r2"
+    return [([dataset, cfg["kernel"], "exact" if res["p"] is None else cfg["scheme"],
+              "" if res["p"] is None else str(res["p"]), metric,
+              str(res["metrics"][metric]), str(cfg["seed"])], res["time_ms"])
+            for res in results]
 
 
 class TestCliRuns:
@@ -287,17 +309,20 @@ class TestCliRuns:
             for key in ("rel_frobenius", "rel_operator", "rel_nuclear"):
                 assert res_a[key] == res_b[key]     # bit-identical modulo timing
 
-    def test_orf_requires_round_p(self, tmp_path, capsys):
+    def test_orf_rounds_p_up_to_a_multiple_of_d(self, tmp_path, capsys):
         out = tmp_path / "orf"
-        args = ["approx", "--scheme", "orf", "--p", "100", "--n", "80",
-                "--d", "16", "--out", str(out)]
-        assert main(args) == 1
-        assert "multiple of d" in capsys.readouterr().err
-        assert read_report(out)["status"] == "failed"
-        assert main(args + ["--round-p"]) == 0
+        args = ["approx", "--scheme", "orf", "--p", "100,32", "--n", "80",
+                "--d", "16", "--norms", "frobenius", "--out", str(out)]
+        assert main(args) == 0
         report = read_report(out)
-        assert report["results"][0]["p"] == 112
-        assert any("rounded" in note for note in report["notes"])
+        assert [row["p"] for row in report["results"]] == [112, 32]
+        assert report["config"]["p_grid"] == [100, 32]
+        assert report["notes"] == ["synthetic classification data",
+                                   "p rounded 100 -> 112 for ORF"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--round-p"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --round-p" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--p", "12,abc"), ("--p", ""), ("--p", "16,,32"), ("--p", "64,0"),
@@ -545,6 +570,50 @@ class TestCliRuns:
                 report["config"]["n_classes"]) == (5, 7, 9)
         assert report["notes"][0] == ("data has 40 rows, 3 feature columns, 4 labels; "
                                       "--n, --d and --classes are not read")
+
+    @pytest.mark.parametrize("argv, note", [
+        (["approx", "--kernel", "matern", "--nu", "2.5", "--p", "16,32", "--n", "60",
+          "--d", "3", "--norms", "frobenius,nuclear", "--m-file", "{m}"],
+         "synthetic classification data"),
+        (["bench", "--scheme", "orf", "--p", "6,12", "--repeats", "2", "--data", "{data}",
+          "--label-col", "y", "--recipe", "center+unit-norm", "--cap", "40"],
+         "subsampled 60 -> 40"),
+        (["krr", "--task", "regression", "--p", "32,64", "--n", "80", "--d", "3",
+          "--lambda", "1e-3", "--cap", "70"], "subsampled 80 -> 70"),
+        (["krr", "--data", "{data}", "--label-col", "y",
+          "--recipe", "standard-scale+unit-norm", "--p", "32", "--lambda", "1e-3"],
+         "data has 60 rows, 3 feature columns, 2 labels; "
+         "--n, --d and --classes are not read"),
+        (["klr", "--p", "32", "--n", "80", "--d", "3", "--classes", "3",
+          "--lambda", "1e-2", "--m-file", "{m}"], "synthetic classification data"),
+        (["features", "--scheme", "orf", "--p", "5", "--d", "3", "--m-file", "{m}"],
+         "p rounded 5 -> 6 for ORF"),
+        (["sample", "--dist", "betaprime", "--params", "2,3", "--draws", "2000"], None),
+    ])
+    def test_csv_rows_match_the_json_results(self, tmp_path, argv, note):
+        ds = make_classification(60, 3, 2, RngStream(211), margin=0.05)
+        data = write_csv(tmp_path / "data.csv", ["x0,x1,x2,y"] + [
+            ",".join(repr(float(v)) for v in x) + f",{y}" for x, y in zip(ds.X, ds.y)])
+        m_file = write_csv(tmp_path / "m.csv", [",".join(map(repr, row)) for row in FULL_M])
+        out = tmp_path / "r"
+        argv = [a.format(data=data, m=m_file) for a in argv]
+        assert main(argv + ["--seed", "4", "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["status"] == "ok" and report["results"]
+        if note is not None:
+            assert note in report["notes"]
+        with open(str(out) + ".csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == CSV_HEADER
+        expected = expected_csv_rows(report)
+        assert [row[:6] + row[7:] for row in rows] == [cells for cells, _ in expected]
+        assert [float(row[6]) for row in rows] == [time_ms for _, time_ms in expected]
+        for res in report["results"]:
+            if "operator" in res:    # every fitted or saved operator carries M
+                assert res["operator"]["kernel"]["M"] == (
+                    FULL_M if "--m-file" in argv else np.eye(3).tolist())
+        if argv[0] == "sample":
+            assert report["results"][0]["check"]["test"] == "ks_vs_betaprime"
 
     def test_report_embeds_config(self, tmp_path):
         out = tmp_path / "cfg"

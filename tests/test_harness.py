@@ -154,7 +154,11 @@ class TestCfCheck:
         ("rff", "gaussian", {}), ("rff", "laplacian", {}), ("rff", "l1_laplacian", {}),
         ("rff", "exp_power", {"alpha": 0.7}), ("rff", "exp_power", {"alpha": 1.3}),
         ("rff", "matern", {"nu": 1.5}), ("rff", "matern", {"nu": 4.0}),
-        ("orf", "laplacian", {})])
+        ("orf", "laplacian", {}),
+        # the envelope's edges: the stable mixture at small alpha, sqrt(2) N(0, M)
+        # at alpha = 2, and the t law with 1 and with 100 degrees of freedom
+        ("rff", "exp_power", {"alpha": 0.1}), ("rff", "exp_power", {"alpha": 2.0}),
+        ("rff", "matern", {"nu": 0.5}), ("rff", "matern", {"nu": 50.0})])
     def test_anisotropic_shape(self, scheme, family, kw):
         # M with condition number 100 in a random basis: the samplers' cholM
         # and ORF's sqrtM must carry M into the weight law, which an

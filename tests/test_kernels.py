@@ -194,12 +194,15 @@ class TestMaternProfile:
                                        matern_profile(nu, r, method="bessel"),
                                        rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("error")
     def test_against_mpmath(self):
         # covers the kve path's overflow at tiny r: it read nan at (4, 1e-100),
-        # (60, 1e-5) and (3.7, 1e-120), and inf at (20, 1e-15)
+        # (60, 1e-5) and (3.7, 1e-120), and inf at (20, 1e-15); where e^{-t}
+        # does not underflow, as at nu = 50 and t <= 1e-5, the ladder serves
+        # these entries, not the far-tail zero
         r = np.concatenate([[1e-120, 1e-100, 1e-15, 1e-5],
                             np.geomspace(1e-3, 30.0, 12)])
-        for nu in (1, 3.5, 4, 20, 3.7, 60, 60.3, 200):
+        for nu in (1, 3.5, 4, 20, 3.7, 50, 60, 60.3, 200):
             ref = np.array([matern_mpmath(nu, x) for x in r])
             for method in ("auto", "bessel"):
                 np.testing.assert_allclose(matern_profile(nu, r, method=method),
@@ -211,6 +214,15 @@ class TestMaternProfile:
         assert matern_profile(200, 40.0) == pytest.approx(
             matern_mpmath(200, 40.0), rel=1e-12)
         assert matern_profile(4, 1e6) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [0.5, 1.3, 2.5, 4.0, 50.0])
+    def test_far_tail_is_zero(self, nu):
+        # kve is nan from t ~ 1e9 and at t = inf; it read nan from r = 1e9 at
+        # nu = 1.3, from r = 3.2e8 at nu = 50, and at r = inf for nu != 1/2
+        r = np.array([3.2e8, 1e9, 1e10, 1e100, 1e200, 1e308, np.inf])
+        for method in ("auto", "bessel"):
+            np.testing.assert_array_equal(matern_profile(nu, r, method=method), 0.0)
 
     def test_half_integers_bit_equal_literal_forms(self):
         r = np.geomspace(1e-6, 20.0, 10_000)
@@ -256,6 +268,14 @@ TILED_FAMILIES = [("gaussian", {}), ("l1_laplacian", {}), ("laplacian", {}),
 
 
 class TestKernelMatrix:
+    @pytest.mark.filterwarnings("error")
+    def test_matern_at_the_largest_distances(self):
+        # pairwise distances 1e308 and inf (cdist overflows): the kernel is 0
+        X = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]])
+        for nu in (4.0, 1.3, 50.0):
+            K = kernel_matrix(KernelSpec("matern", ShapeMatrix.identity(2), nu=nu), X)
+            np.testing.assert_array_equal(K, np.eye(3))
+
     def test_unit_diagonal_and_symmetric(self):
         g = np.random.default_rng(6)
         X = g.standard_normal((30, 3))

@@ -106,9 +106,41 @@ class TestRidgeFeatures:
             assert np.linalg.norm(resid) < 1e-8
 
     def test_singular_at_zero_lambda(self):
-        P = np.zeros((4, 6))
-        with pytest.raises(np.linalg.LinAlgError):
-            fit_ridge_features(FeatureMatrix(P), np.ones(4), 0.0)
+        # 2p > n at lambda = 0 takes the primal branch, whose 2p x 2p normal
+        # matrix has rank at most n
+        for P in (np.zeros((4, 6)), np.random.default_rng(7).standard_normal((20, 60))):
+            with pytest.raises(np.linalg.LinAlgError, match="normal equations are singular"):
+                fit_ridge_features(FeatureMatrix(P), np.ones(P.shape[0]), 0.0)
+
+    @pytest.mark.parametrize("n, m", [(300, 80), (80, 300)])   # primal, dual
+    def test_in_place_solve_equals_the_shifted_copy(self, n, m):
+        g = np.random.default_rng(8)
+        P = g.standard_normal((n, m)) / np.sqrt(m)
+        Y = g.standard_normal((n, 3))
+        lam = 1e-3
+        theta = fit_ridge_features(FeatureMatrix(P), Y, lam).theta
+        if m <= n:
+            expected = cho_solve(cho_factor(P.T @ P + lam * np.eye(m), lower=True), P.T @ Y)
+        else:
+            expected = P.T @ cho_solve(cho_factor(P @ P.T + lam * np.eye(n), lower=True), Y)
+        assert np.array_equal(theta, expected)
+
+    @pytest.mark.parametrize("n, m", [(4096, 2048), (2048, 4096)])   # primal, dual
+    def test_holds_one_k_by_k_matrix(self, n, m):
+        # traced growth in units of k^2 doubles, k = min(n, m): the Gram
+        # matrix, factored in place, with no shifted copy and no LAPACK copy
+        k = min(n, m)
+        g = np.random.default_rng(9)
+        P = g.standard_normal((n, m)) / np.sqrt(m)
+        Y = g.standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fit_ridge_features(FeatureMatrix(P), Y, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * 8 * k * k
 
 
 class TestLogisticFeatures:
