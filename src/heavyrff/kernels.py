@@ -90,7 +90,8 @@ def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
     out[~np.isfinite(out) & (t > max(nu * nu, 2000.0))] = 0.0
     bad = ~np.isfinite(out)
     if bad.any():
-        out[bad] = _matern_ladder(nu, r[bad])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[bad] = _matern_ladder(nu, r[bad])
     return out
 
 
@@ -170,10 +171,16 @@ def matern_profile(nu: float, r: float | np.ndarray, method: str = "auto") -> fl
     keeps it an independent cross-check. Beyond t = 708, where the ladder's
     e^{-t} factor is subnormal and v_nu may overflow, entries are taken from
     the ``kve`` path (except at nu = 1/2, where the profile is e^{-r}).
+
+    An entry that neither path can represent raises ``ValueError`` naming nu
+    and the smallest such r. That happens only at large nu, in a band of
+    moderate t where ``kve`` and the ladder's v_nu both overflow: the
+    profile is finite at every r up to nu ~ 1000, but at nu = 1500 it is not
+    for r in about [14.6, 27.4].
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("distance must be non-negative")
+    if not np.all(r >= 0.0):
+        raise ValueError("distance must be non-negative and not NaN")
     frac = nu - np.floor(nu)
     if method == "closed" and frac != 0.5:
         raise ValueError(f"no closed form for nu={nu}")
@@ -189,6 +196,11 @@ def matern_profile(nu: float, r: float | np.ndarray, method: str = "auto") -> fl
         out = _matern_bessel(nu, r)
     else:
         raise ValueError(f"unknown method {method!r}")
+    if not np.isfinite(out).all():
+        raise ValueError(
+            f"Matern profile at nu={nu} overflows double precision at "
+            f"r={float(r[~np.isfinite(out)].min())!r}; "
+            f"it is finite at every r for nu up to about 1000")
     return float(out) if out.ndim == 0 else out
 
 

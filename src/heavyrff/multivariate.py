@@ -117,16 +117,22 @@ def sample_haar_blocks(p: int, d: int, rng: RngStream) -> HaarBlockMatrix:
 
     Each block is the QR of an i.i.d. standard Gaussian matrix with the signs
     of R's diagonal folded into Q, which corrects the raw QR map to Haar measure.
+    One call draws every block, in the order block-by-block draws would take;
+    each block's Q is written back over its draw (``qr`` copies its input),
+    and one pass over the stack then applies all the signs.
     """
-    if d < 1 or p % d != 0:
-        raise ValueError(f"block size d={d} must be >= 1 and divide the feature count {p}")
-    Q = np.empty((p, d))
-    for k in range(0, p, d):
-        q, r = np.linalg.qr(rng.generator.standard_normal((d, d)))
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        Q[k:k + d] = q * signs
-    return HaarBlockMatrix(Q)
+    if p < 1 or d < 1 or p % d != 0:
+        raise ValueError(f"feature count p={p} must be a positive multiple "
+                         f"of block size d={d} >= 1")
+    Q = rng.generator.standard_normal((p // d, d, d))
+    signs = np.empty((p // d, d))
+    for k in range(p // d):
+        Q[k], r = np.linalg.qr(Q[k])
+        signs[k] = r.diagonal()
+    np.sign(signs, out=signs)
+    signs[signs == 0.0] = 1.0
+    Q *= signs[:, None, :]
+    return HaarBlockMatrix(Q.reshape(p, d))
 
 
 def sample_mvn(shape: ShapeMatrix, rng: RngStream,

@@ -158,7 +158,10 @@ class TestCfCheck:
         # the envelope's edges: the stable mixture at small alpha, sqrt(2) N(0, M)
         # at alpha = 2, and the t law with 1 and with 100 degrees of freedom
         ("rff", "exp_power", {"alpha": 0.1}), ("rff", "exp_power", {"alpha": 2.0}),
-        ("rff", "matern", {"nu": 0.5}), ("rff", "matern", {"nu": 50.0})])
+        ("rff", "matern", {"nu": 0.5}), ("rff", "matern", {"nu": 50.0}),
+        # ORF's sqrtM under the Matern and exp_power norm laws, after the
+        # cases above so that their ids stay
+        ("orf", "matern", {"nu": 4.0}), ("orf", "exp_power", {"alpha": 1.3})])
     def test_anisotropic_shape(self, scheme, family, kw):
         # M with condition number 100 in a random basis: the samplers' cholM
         # and ORF's sqrtM must carry M into the weight law, which an

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import mpmath
@@ -223,6 +224,31 @@ class TestMaternProfile:
         r = np.array([3.2e8, 1e9, 1e10, 1e100, 1e200, 1e308, np.inf])
         for method in ("auto", "bessel"):
             np.testing.assert_array_equal(matern_profile(nu, r, method=method), 0.0)
+
+    @pytest.mark.parametrize("nu, r", [(1500, 20.0), (1e4, 7.07), (1e4, 20.0),
+                                       (1e4, np.array([0.0, 1.0, 20.0, 7.07, 1e6]))])
+    @pytest.mark.parametrize("method", ["auto", "bessel"])
+    def test_large_nu_overflow_is_named(self, nu, r, method):
+        # between t ~ 709 and about nu^2 / 1418 both kve and the ladder's
+        # v_nu overflow; the profile read nan there, not its value (9.5e-87
+        # at nu = 1e4, r = 20)
+        smallest = float(np.min(r[r > 1.0])) if np.ndim(r) else r
+        with pytest.raises(ValueError, match=re.escape(f"nu={nu} ") + ".* "
+                           + re.escape(f"r={smallest!r};")):
+            matern_profile(nu, r, method=method)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_up_to_nu_1000(self):
+        r = np.concatenate([np.linspace(0.0, 60.0, 200_001), np.geomspace(1e-300, 1e12, 2000)])
+        for method in ("auto", "bessel"):
+            v = matern_profile(1000, r, method=method)
+            # 1 + 1 ulp at tiny t, as in the half-integer property below
+            assert np.all((v >= 0.0) & (v <= 1.0 + 4 * np.finfo(float).eps))
+
+    def test_rejects_negative_or_nan_distance(self):
+        for r in (-1.0, np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="non-negative"):
+                matern_profile(4, r)
 
     def test_half_integers_bit_equal_literal_forms(self):
         r = np.geomspace(1e-6, 20.0, 10_000)

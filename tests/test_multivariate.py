@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -97,10 +99,42 @@ class TestHaar:
         with pytest.raises(ValueError):
             sample_haar_blocks(10, 4, RngStream(0))
 
+    @pytest.mark.parametrize("p, d", [(0, 3), (-3, 3), (0, 1), (4, 0)])
+    def test_rejects_empty_or_negative_sizes(self, p, d):
+        with pytest.raises(ValueError, match="must be a positive multiple"):
+            sample_haar_blocks(p, d, RngStream(0))
+
     def test_blocks_orthogonal(self):
         hb = sample_haar_blocks(12, 4, RngStream(54))
         for block in hb.blocks:
             np.testing.assert_allclose(block.T @ block, np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("p, d", [(65536, 16), (16384, 16), (4096, 16), (3072, 12),
+                                      (1536, 12), (4096, 64), (12, 3), (8, 1)])
+    def test_bit_equal_to_block_by_block_draws(self, p, d):
+        # one (p/d, d, d) draw takes the same values as p/d draws of (d, d),
+        # and the signs fixed after the loop are the ones fixed inside it
+        for seed in (0, 7, 11):
+            rng = RngStream(seed)
+            expected = np.empty((p, d))
+            for k in range(0, p, d):
+                q, r = np.linalg.qr(rng.generator.standard_normal((d, d)))
+                signs = np.sign(np.diag(r))
+                signs[signs == 0.0] = 1.0
+                expected[k:k + d] = q * signs
+            np.testing.assert_array_equal(sample_haar_blocks(p, d, RngStream(seed)).Q,
+                                          expected)
+
+    def test_peak_memory_is_about_one_q(self):
+        # the blocks are factored into the drawn stack; a second (p, d)
+        # array beside it would double the peak
+        tracemalloc.start()
+        try:
+            Q = sample_haar_blocks(65536, 16, RngStream(55)).Q
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * Q.nbytes
 
 
 class TestMvn:
