@@ -10,7 +10,7 @@ from .distributions import (GbpParams, StableParams, gbp_cdf, gbp_pdf,
 from .features import (FeatureMatrix, FeatureOperator, build_orf, build_rff,
                        featurize, gram_approx, load_operator, psi,
                        save_operator)
-from .harness import ErrorReport, cf_check, rel_error
+from .harness import cf_check, rel_error
 from .kernels import (EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN,
                       KernelSpec, kernel_eval, kernel_matrix, matern_profile)
 from .learners import (ExactKernelModel, LinearModel, evaluate,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -50,6 +49,9 @@ def _load_shape(d: int, m_file: str | None) -> ShapeMatrix:
     M = np.loadtxt(m_file, delimiter=",", ndmin=2)
     if M.shape == (1, d):  # a single row is read as a diagonal
         return ShapeMatrix.diagonal(M[0])
+    if M.shape != (d, d):
+        raise ValueError(f"--m-file holds a {M.shape[0]}x{M.shape[1]} matrix; "
+                         f"d={d} needs {d}x{d}, or 1x{d} for a diagonal")
     return ShapeMatrix(M)
 
 
@@ -146,15 +148,8 @@ def _run_sweep(cfg: argparse.Namespace, rng: RngStream) -> dict:
     p_grid = _rounded_p(cfg, ds.d, notes)
     # bench draws its operators below substream 0 of the seed, approx below the seed
     root = rng.substream(0) if cfg.kind == "bench" else rng
-    reports = measure_approximation(spec, ds.X, cfg.scheme, list(p_grid), root,
+    results = measure_approximation(spec, ds.X, cfg.scheme, list(p_grid), root,
                                     norms=cfg.norms, repeats=cfg.repeats)
-    results = []
-    for rep in reports:
-        rec = dict(dataclasses.asdict(rep), speedup=rep.speedup)
-        for norm in NORMS:
-            if norm not in cfg.norms:
-                rec[f"rel_{norm}"] = None  # not nan: JSON has no NaN token
-        results.append(rec)
     return _emit(cfg, results, notes)
 
 
@@ -333,9 +328,10 @@ def _check_flags(cfg: argparse.Namespace) -> None:
     flags = vars(cfg)
     if "p_grid" in flags:
         cfg.p_grid = tuple(_positive_int("--p", tok) for tok in cfg.p_grid.split(","))
-    for name in ("n", "d", "cap", "repeats", "draws"):
+    for name, flag in (("n", "--n"), ("d", "--d"), ("n_classes", "--classes"),
+                       ("cap", "--cap"), ("repeats", "--repeats"), ("draws", "--draws")):
         if name in flags:
-            flags[name] = _positive_int(f"--{name}", flags[name])
+            flags[name] = _positive_int(flag, flags[name])
     if "norms" in flags:
         cfg.norms = tuple(cfg.norms.split(","))
     if "label_col" in flags:

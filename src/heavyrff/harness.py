@@ -19,40 +19,12 @@ from .kernels import TILE, KernelSpec, kernel_matrix
 from .rng import RngStream
 
 __all__ = [
-    "ErrorReport",
     "rel_error",
     "measure_approximation",
     "cf_check",
 ]
 
 NORMS = ("frobenius", "operator", "nuclear")
-
-
-@dataclass
-class ErrorReport:
-    """Relative Gram-approximation errors plus the context needed to rerun them."""
-
-    n: int
-    p: int
-    kernel: str
-    scheme: str
-    rel_frobenius: float
-    rel_operator: float
-    rel_nuclear: float
-    seed: int
-    stream_id: int = 0
-    exact_ms: float = 0.0
-    featurize_ms: float = 0.0
-    gram_ms: float = 0.0
-    build_ms: float = 0.0
-
-    @property
-    def feature_ms(self) -> float:
-        return self.featurize_ms + self.gram_ms
-
-    @property
-    def speedup(self) -> float:
-        return self.exact_ms / self.feature_ms
 
 
 @dataclass
@@ -110,8 +82,8 @@ def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
 
 
 def _gram_errors(exact: _ExactSide, G: np.ndarray,
-                 norms: tuple[str, ...]) -> dict[str, float]:
-    """Relative errors of G against the exact side; norms not asked for are nan.
+                 norms: tuple[str, ...]) -> dict[str, float | None]:
+    """Relative errors of G against the exact side; norms not asked for are None.
 
     Consumes G: once it has passed the checks it is overwritten by G - K, so
     no n x n temporary is formed. A caller that still needs G passes a copy.
@@ -120,7 +92,7 @@ def _gram_errors(exact: _ExactSide, G: np.ndarray,
     if max(exact.asym, _asym_max(G)) > 1e-10 * scale:
         raise ValueError("matrices must be symmetric")
     diff = np.subtract(G, exact.K, out=G)
-    errs = dict.fromkeys(NORMS, float("nan"))
+    errs = dict.fromkeys(NORMS)  # None, not nan: JSON has no NaN token
     if "frobenius" in norms:
         if exact.frobenius == 0.0:
             raise ZeroDivisionError("||K|| is zero")
@@ -156,16 +128,20 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
 def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
                           p_grid: list[int], rng: RngStream,
                           norms: tuple[str, ...] = NORMS,
-                          repeats: int = 1) -> list[ErrorReport]:
+                          repeats: int = 1) -> list[dict]:
     """Featurize X at each p of the grid and compare each Gram against the
-    exact kernel, one ErrorReport per p.
+    exact kernel, one JSON-ready report row per p.
 
-    Grid point j draws its operator from ``rng.substream(j)``. The operator
-    build is timed once per p as ``build_ms`` and excluded from the speedup;
-    ``exact_ms``, ``featurize_ms`` and ``gram_ms`` are medians over
-    ``repeats``. The exact kernel's checks and norms are computed once for
-    the whole grid, so every report carries the same ``exact_ms``. At most K,
-    one G and one p's Phi are resident at a time.
+    A row holds ``n, p, kernel, scheme``, the errors ``rel_frobenius,
+    rel_operator, rel_nuclear`` (None for a norm not asked for), the
+    operator's ``seed, stream_id``, and ``exact_ms, featurize_ms, gram_ms,
+    build_ms, speedup``, in that order. Grid point j draws its operator from
+    ``rng.substream(j)``. The operator build is timed once per p as
+    ``build_ms`` and excluded from ``speedup = exact_ms / (featurize_ms +
+    gram_ms)``; ``exact_ms``, ``featurize_ms`` and ``gram_ms`` are medians
+    over ``repeats``. The exact kernel's checks and norms are computed once
+    for the whole grid, so every row carries the same ``exact_ms``. At most
+    K, one G and one p's Phi are resident at a time.
     """
     _check_norms(norms)
     if repeats < 1:
@@ -179,7 +155,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
         exact_times.append(1e3 * (time.perf_counter() - t0))
     exact_ms = float(np.median(exact_times))
     exact = _exact_side(K, norms)
-    reports = []
+    rows = []
     for j, p in enumerate(p_grid):
         op_rng = rng.substream(j)
         t0 = time.perf_counter()
@@ -198,14 +174,16 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
         del phi  # only G is scored
         errs = _gram_errors(exact, G, norms)
         del G  # free this point's Gram before the next, larger p is built
-        reports.append(ErrorReport(
-            n=X.shape[0], p=p, kernel=spec.family, scheme=scheme,
-            rel_frobenius=errs["frobenius"], rel_operator=errs["operator"],
-            rel_nuclear=errs["nuclear"], seed=op_rng.seed,
-            stream_id=op_rng.stream_id, exact_ms=exact_ms,
-            featurize_ms=float(np.median(feat_times)),
-            gram_ms=float(np.median(gram_times)), build_ms=build_ms))
-    return reports
+        featurize_ms = float(np.median(feat_times))
+        gram_ms = float(np.median(gram_times))
+        rows.append({
+            "n": X.shape[0], "p": p, "kernel": spec.family, "scheme": scheme,
+            **{f"rel_{norm}": errs[norm] for norm in NORMS},
+            "seed": op_rng.seed, "stream_id": op_rng.stream_id,
+            "exact_ms": exact_ms, "featurize_ms": featurize_ms,
+            "gram_ms": gram_ms, "build_ms": build_ms,
+            "speedup": exact_ms / (featurize_ms + gram_ms)})
+    return rows
 
 
 def cf_check(spec: KernelSpec, probes: np.ndarray, n_samples: int,

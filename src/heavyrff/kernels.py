@@ -40,6 +40,10 @@ FAMILIES = (GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, EXP_POWER, MATERN)
 # symmetry check compares; each holds a few tiles of temporaries, never n x n.
 TILE = 256
 
+# The largest nu matern_profile evaluates. The ladder takes one step per unit
+# of nu, and from nu ~ 1000 on the profile overflows in a widening band of r.
+_MATERN_NU_MAX = 1e4
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -48,7 +52,7 @@ class KernelSpec:
     family: str
     shape: ShapeMatrix
     alpha: float | None = None  # exp_power only, in (0, 2]
-    nu: float | None = None     # matern only, > 0
+    nu: float | None = None     # matern only, finite and > 0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -59,8 +63,8 @@ class KernelSpec:
         elif self.alpha is not None:
             raise ValueError(f"alpha is only valid for exp_power, not {self.family}")
         if self.family == MATERN:
-            if self.nu is None or not self.nu > 0.0:
-                raise ValueError(f"matern needs nu > 0, got {self.nu}")
+            if self.nu is None or not 0.0 < self.nu < np.inf:
+                raise ValueError(f"matern needs finite nu > 0, got {self.nu}")
         elif self.nu is not None:
             raise ValueError(f"nu is only valid for matern, not {self.family}")
 
@@ -161,30 +165,30 @@ def _matern_ladder(nu: float, r: np.ndarray) -> np.ndarray:
     return hi.reshape(r.shape)
 
 
-def matern_profile(nu: float, r: float | np.ndarray, method: str = "auto") -> float | np.ndarray:
+def matern_profile(nu: float, r: float | np.ndarray) -> float | np.ndarray:
     """Matern correlation as a function of the Mahalanobis distance r >= 0.
 
-    ``auto`` evaluates every nu with 2 nu an integer by the ladder
-    (``_matern_ladder``) and any other nu by one ``kve`` call per entry;
-    ``closed`` is the ladder for half-integer nu, where it is a finite closed
-    form, and raises otherwise; ``bessel`` is always the ``kve`` path, which
-    keeps it an independent cross-check. Beyond t = 708, where the ladder's
-    e^{-t} factor is subnormal and v_nu may overflow, entries are taken from
-    the ``kve`` path (except at nu = 1/2, where the profile is e^{-r}).
+    nu alone picks the route. Every nu with 2 nu an integer is evaluated by
+    the ladder (``_matern_ladder``), which is a finite closed form at
+    half-integer nu; any other nu takes one ``kve`` call per entry
+    (``_matern_bessel``, which also serves as an independent cross-check of
+    the ladder). Beyond t = 708, where the ladder's e^{-t} factor is
+    subnormal and v_nu may overflow, entries are taken from the ``kve`` path
+    (except at nu = 1/2, where the profile is e^{-r}).
 
-    An entry that neither path can represent raises ``ValueError`` naming nu
-    and the smallest such r. That happens only at large nu, in a band of
-    moderate t where ``kve`` and the ladder's v_nu both overflow: the
-    profile is finite at every r up to nu ~ 1000, but at nu = 1500 it is not
-    for r in about [14.6, 27.4].
+    nu outside (0, ``_MATERN_NU_MAX``] is refused before any work. An entry
+    that neither path can represent raises ``ValueError`` naming nu and the
+    smallest such r. That happens only at large nu, in a band of moderate t
+    where ``kve`` and the ladder's v_nu both overflow: the profile is finite
+    at every r up to nu ~ 1000, but at nu = 1500 it is not for r in about
+    [14.6, 27.4].
     """
+    if not 0.0 < nu <= _MATERN_NU_MAX:
+        raise ValueError(f"Matern profile needs nu in (0, {_MATERN_NU_MAX:g}], got nu={nu}")
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0.0):
         raise ValueError("distance must be non-negative and not NaN")
-    frac = nu - np.floor(nu)
-    if method == "closed" and frac != 0.5:
-        raise ValueError(f"no closed form for nu={nu}")
-    if method == "closed" or (method == "auto" and frac in (0.0, 0.5)):
+    if nu - np.floor(nu) in (0.0, 0.5):
         with np.errstate(over="ignore", invalid="ignore"):
             out = _matern_ladder(nu, r)
         bad = ~np.isfinite(out)
@@ -192,10 +196,8 @@ def matern_profile(nu: float, r: float | np.ndarray, method: str = "auto") -> fl
             bad |= r > 708.0 / np.sqrt(2.0 * nu)  # e^{-t} is subnormal beyond
         if bad.any():
             out[bad] = _matern_bessel(nu, r[bad])
-    elif method in ("auto", "bessel"):
-        out = _matern_bessel(nu, r)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        out = _matern_bessel(nu, r)
     if not np.isfinite(out).all():
         raise ValueError(
             f"Matern profile at nu={nu} overflows double precision at "

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import heavyrff
+from heavyrff import kernels
 from heavyrff.cli import main, run_experiment
 from heavyrff.data import (DataError, load_csv, make_classification,
                            make_regression, preprocess, subsample,
@@ -261,6 +262,9 @@ def read_report(out_base):
 
 
 CSV_HEADER = ["dataset", "kernel", "scheme", "p", "norm", "value", "time_ms", "seed"]
+SWEEP_KEYS = ["n", "p", "kernel", "scheme", "rel_frobenius", "rel_operator",
+              "rel_nuclear", "seed", "stream_id", "exact_ms", "featurize_ms",
+              "gram_ms", "build_ms", "speedup"]
 FULL_M = [[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]]
 
 
@@ -327,7 +331,7 @@ class TestCliRuns:
     @pytest.mark.parametrize("flag, value", [
         ("--p", "12,abc"), ("--p", ""), ("--p", "16,,32"), ("--p", "64,0"),
         ("--n", "0"), ("--d", "0"), ("--cap", "0"), ("--n", "-5"),
-        ("--repeats", "0"), ("--repeats", "-3"),
+        ("--repeats", "0"), ("--repeats", "-3"), ("--classes", "0"), ("--classes", "-1"),
     ])
     def test_malformed_integer_flags(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"
@@ -412,6 +416,37 @@ class TestCliRuns:
         assert read_report(out)["status"] == "failed"
         assert not list(tmp_path.glob("feat-operator-*"))
 
+    @pytest.mark.parametrize("rows, shape", [(["1,0,0", "0,1,0", "0,0,1"], "3x3"),
+                                             (["1,2,3"], "1x3")])
+    def test_m_file_must_match_d(self, tmp_path, capsys, rows, shape):
+        m_file = write_csv(tmp_path / "m.csv", rows)
+        out = tmp_path / "feat"
+        assert main(["features", "--d", "16", "--m-file", m_file, "--p", "32",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --m-file holds a {shape} matrix; d=16 needs 16x16, or 1x16 for a diagonal"]
+        assert read_report(out)["status"] == "failed"
+        assert not list(tmp_path.glob("feat-operator-*"))
+
+    @pytest.mark.parametrize("nu, message", [
+        ("inf", "matern needs finite nu > 0, got inf"),
+        ("1e300", "Matern profile needs nu in (0, 10000], got nu=1e+300"),
+        ("1e5", "Matern profile needs nu in (0, 10000], got nu=100000.0"),
+    ])
+    def test_matern_nu_outside_the_envelope_fails_by_name(self, tmp_path, capsys,
+                                                          monkeypatch, nu, message):
+        # the ladder never ended at nu = 1e300 and ran for seconds at 1e5;
+        # patched, it fails any run that reaches it at once instead
+        def reached(*args):
+            raise AssertionError(f"nu={nu} reached the ladder")
+
+        monkeypatch.setattr(kernels, "_matern_ladder", reached)
+        out = tmp_path / "m"
+        assert main(["approx", "--kernel", "matern", "--nu", nu, "--n", "20", "--d", "2",
+                     "--p", "16", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert read_report(out)["status"] == "failed"
+
     def test_bench_rejects_unknown_norm(self, tmp_path, capsys):
         out = tmp_path / "bad"
         args = ["bench", "--p", "64", "--n", "60", "--d", "3", "--repeats", "1",
@@ -434,6 +469,23 @@ class TestCliRuns:
         (row,) = report["results"]
         for norm in ("frobenius", "operator", "nuclear"):
             assert (row[f"rel_{norm}"] is None) == (norm not in norms)
+
+    @pytest.mark.parametrize("argv, norms", [
+        (["approx"], ["frobenius", "operator", "nuclear"]),
+        (["approx", "--norms", "operator"], ["operator"]),
+        (["bench", "--repeats", "2"], ["frobenius"]),
+    ])
+    def test_sweep_rows_hold_exactly_the_report_keys(self, tmp_path, argv, norms):
+        out = tmp_path / "sweep"
+        assert main(argv + ["--p", "16,32", "--n", "40", "--d", "3",
+                            "--out", str(out)]) == 0
+        rows = read_report(out)["results"]
+        assert len(rows) == 2
+        for row in rows:
+            assert list(row) == SWEEP_KEYS
+            for norm in ("frobenius", "operator", "nuclear"):
+                assert (row[f"rel_{norm}"] is None) == (norm not in norms)
+            assert row["speedup"] == row["exact_ms"] / (row["featurize_ms"] + row["gram_ms"])
 
     @pytest.mark.parametrize("command", [["approx", "--norms", "frobenius"], ["bench"]])
     def test_reports_are_strict_json(self, tmp_path, command):

@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, kernel_eval,
                       kernel_matrix, matern_profile)
+from heavyrff import kernels
 from heavyrff.kernels import kernel_profile
 
 # frozen from the quadrature oracle below; equals sqrt(pi/2) * e^{-1}
@@ -33,9 +34,15 @@ def bessel_quadrature(nu, x):
     return val
 
 
+def bessel_route(nu, r):
+    """The Matern profile by the kve route alone, whatever nu: the independent
+    cross-check of the ladder that matern_profile takes when 2 nu is an integer."""
+    return kernels._matern_bessel(nu, np.asarray(r, dtype=float))
+
+
 def bessel_k(nu, x):
     """K_nu(x) read off the Matern profile's independent kve path at t = x."""
-    profile = matern_profile(nu, x / np.sqrt(2 * nu), method="bessel")
+    profile = float(bessel_route(nu, x / np.sqrt(2 * nu)))
     return profile * special.gamma(nu) * 2 ** (nu - 1) / x ** nu
 
 
@@ -72,6 +79,11 @@ class TestKernelSpec:
             KernelSpec("laplacian", sm, alpha=1.0)   # stray parameter
         with pytest.raises(ValueError):
             KernelSpec("gaussian", sm, nu=1.0)
+
+    @pytest.mark.parametrize("nu", [np.inf, -np.inf, np.nan, 0.0, -1.5])
+    def test_matern_needs_finite_positive_nu(self, nu):
+        with pytest.raises(ValueError, match=re.escape(f"matern needs finite nu > 0, got {nu}")):
+            KernelSpec("matern", ShapeMatrix.identity(2), nu=nu)
 
 
 class TestBesselK:
@@ -173,26 +185,19 @@ class TestMaternProfile:
     def test_closed_vs_bessel_paths(self):
         r = np.concatenate([np.geomspace(1e-6, 20, 500)])
         for nu in (0.5, 1.5, 2.5):
-            closed = matern_profile(nu, r, method="closed")
-            bessel = matern_profile(nu, r, method="bessel")
+            closed = matern_profile(nu, r)   # half-integer nu: the closed form
+            bessel = bessel_route(nu, r)
             np.testing.assert_allclose(bessel, closed, rtol=1e-8)
 
     def test_zero_distance_limit(self):
         assert matern_profile(3.7, 0.0) == 1.0
         assert matern_profile(3.7, np.array([0.0, 1.0]))[0] == 1.0
 
-    def test_no_closed_form(self):
-        with pytest.raises(ValueError):
-            matern_profile(2.0, 1.0, method="closed")
-        with pytest.raises(ValueError):
-            matern_profile(3.7, 1.0, method="closed")
-
     def test_ladder_matches_bessel_path(self):
         # stricter than criterion 2's 1e-8
         r = np.geomspace(1e-6, 20.0, 10_000)
         for nu in (1, 2, 3, 3.5, 4, 6, 10, 20, 40):
-            np.testing.assert_allclose(matern_profile(nu, r),
-                                       matern_profile(nu, r, method="bessel"),
+            np.testing.assert_allclose(matern_profile(nu, r), bessel_route(nu, r),
                                        rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("error")
@@ -205,10 +210,9 @@ class TestMaternProfile:
                             np.geomspace(1e-3, 30.0, 12)])
         for nu in (1, 3.5, 4, 20, 3.7, 50, 60, 60.3, 200):
             ref = np.array([matern_mpmath(nu, x) for x in r])
-            for method in ("auto", "bessel"):
-                np.testing.assert_allclose(matern_profile(nu, r, method=method),
-                                           ref, rtol=1e-12, atol=0,
-                                           err_msg=f"nu={nu} {method}")
+            for route in (matern_profile, bessel_route):
+                np.testing.assert_allclose(route(nu, r), ref, rtol=1e-12, atol=0,
+                                           err_msg=f"nu={nu} {route.__name__}")
 
     def test_beyond_the_ladder_range(self):
         # at t = sqrt(400) * 40 = 800 the ladder's e^{-t} underflows to 0
@@ -222,26 +226,45 @@ class TestMaternProfile:
         # kve is nan from t ~ 1e9 and at t = inf; it read nan from r = 1e9 at
         # nu = 1.3, from r = 3.2e8 at nu = 50, and at r = inf for nu != 1/2
         r = np.array([3.2e8, 1e9, 1e10, 1e100, 1e200, 1e308, np.inf])
-        for method in ("auto", "bessel"):
-            np.testing.assert_array_equal(matern_profile(nu, r, method=method), 0.0)
+        for route in (matern_profile, bessel_route):
+            np.testing.assert_array_equal(route(nu, r), 0.0)
 
     @pytest.mark.parametrize("nu, r", [(1500, 20.0), (1e4, 7.07), (1e4, 20.0),
                                        (1e4, np.array([0.0, 1.0, 20.0, 7.07, 1e6]))])
-    @pytest.mark.parametrize("method", ["auto", "bessel"])
-    def test_large_nu_overflow_is_named(self, nu, r, method):
+    @pytest.mark.parametrize("route", ["auto", "bessel"])
+    def test_large_nu_overflow_is_named(self, nu, r, route):
         # between t ~ 709 and about nu^2 / 1418 both kve and the ladder's
         # v_nu overflow; the profile read nan there, not its value (9.5e-87
         # at nu = 1e4, r = 20)
         smallest = float(np.min(r[r > 1.0])) if np.ndim(r) else r
+        if route == "bessel":
+            # the kve route alone fails from the same smallest r
+            out = bessel_route(nu, r)
+            assert float(np.min(np.asarray(r)[~np.isfinite(out)])) == smallest
+            return
         with pytest.raises(ValueError, match=re.escape(f"nu={nu} ") + ".* "
                            + re.escape(f"r={smallest!r};")):
-            matern_profile(nu, r, method=method)
+            matern_profile(nu, r)
+
+    @pytest.mark.parametrize("nu", [1e4 + 1, 1e5, 1e300, np.inf, np.nan, 0.0, -2.5])
+    def test_nu_outside_the_envelope_is_refused_before_any_work(self, monkeypatch, nu):
+        # nu = 1e300 looped forever (m + 1 == m), nu = inf raised an
+        # UnboundLocalError, and nu = 1e5 spent seconds before overflowing;
+        # the patched routes turn any of those into a quick failure
+        def reached(*args):
+            raise AssertionError(f"nu={nu} reached a profile route")
+
+        monkeypatch.setattr(kernels, "_matern_ladder", reached)
+        monkeypatch.setattr(kernels, "_matern_bessel", reached)
+        with pytest.raises(ValueError, match=re.escape(
+                f"Matern profile needs nu in (0, 10000], got nu={nu}")):
+            matern_profile(nu, np.array([0.0, 1.0]))
 
     @pytest.mark.filterwarnings("error")
     def test_finite_up_to_nu_1000(self):
         r = np.concatenate([np.linspace(0.0, 60.0, 200_001), np.geomspace(1e-300, 1e12, 2000)])
-        for method in ("auto", "bessel"):
-            v = matern_profile(1000, r, method=method)
+        for route in (matern_profile, bessel_route):
+            v = route(1000, r)
             # 1 + 1 ulp at tiny t, as in the half-integer property below
             assert np.all((v >= 0.0) & (v <= 1.0 + 4 * np.finfo(float).eps))
 
@@ -256,16 +279,13 @@ class TestMaternProfile:
         literal = {0.5: np.exp(-r), 1.5: (1.0 + t3) * np.exp(-t3),
                    2.5: (1.0 + t5 + t5 * t5 / 3.0) * np.exp(-t5)}
         for nu, expected in literal.items():
-            for method in ("auto", "closed"):
-                np.testing.assert_array_equal(matern_profile(nu, r, method=method),
-                                              expected)
+            np.testing.assert_array_equal(matern_profile(nu, r), expected)
 
     def test_closed_form_at_seven_halves(self):
         # DLMF 10.49.12: (1 + t + 2t^2/5 + t^3/15) e^{-t}
         r = np.geomspace(1e-6, 20.0, 500)
         t = np.sqrt(7.0) * r
-        closed = matern_profile(3.5, r, method="closed")
-        np.testing.assert_array_equal(closed, matern_profile(3.5, r))
+        closed = matern_profile(3.5, r)
         np.testing.assert_allclose(closed, (1 + t + 2 * t**2 / 5 + t**3 / 15) * np.exp(-t),
                                    rtol=1e-14)
 
