@@ -225,7 +225,7 @@ def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
     if dist == "chi":
         (k,) = params
         draws = sample_chi(k, rng, size=n_draws)
-        stat, pvalue = stats.kstest(np.asarray(draws) ** 2, "chi2", args=(k,))
+        stat, pvalue = stats.kstest(draws ** 2, "chi2", args=(k,))
         check = {"test": "ks_vs_chi2", "stat": stat, "pvalue": pvalue}
     elif dist == "betaprime":
         a, b = params
@@ -248,7 +248,6 @@ def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
                  "mc_tolerance": 3.0 / np.sqrt(n_draws)}
     else:
         raise ValueError(f"unknown distribution {dist!r}")
-    draws = np.asarray(draws)
     results = [{"distribution": dist, "params": params, "n": n_draws,
                 "mean": float(draws.mean()), "median": float(np.median(draws)),
                 "check": check}]

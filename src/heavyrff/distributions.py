@@ -60,8 +60,8 @@ class GbpParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-def sample_chi(k: float, rng: RngStream, size: int | None = None) -> float | np.ndarray:
-    """Draw from the Chi distribution with ``k > 0`` degrees of freedom.
+def sample_chi(k: float, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` values from the Chi distribution with ``k > 0`` degrees of freedom.
 
     Squaring a draw yields a chi-squared(k) draw; for integer k this is the
     norm of a standard Gaussian vector in k dimensions.
@@ -71,9 +71,8 @@ def sample_chi(k: float, rng: RngStream, size: int | None = None) -> float | np.
     return np.sqrt(rng.generator.chisquare(k, size=size))
 
 
-def sample_betaprime(a: float, b: float, rng: RngStream,
-                     size: int | None = None) -> float | np.ndarray:
-    """Draw from BetaPrime(a, b), the odds distribution of Beta(a, b).
+def sample_betaprime(a: float, b: float, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` values from BetaPrime(a, b), the odds distribution of Beta(a, b).
 
     Implemented through the two-Gamma representation: with Ga ~ Gamma(a) and
     Gb ~ Gamma(b), Z = Ga/(Ga+Gb) is Beta(a, b) and Z/(1-Z) = Ga/Gb. Taking
@@ -85,9 +84,8 @@ def sample_betaprime(a: float, b: float, rng: RngStream,
     return g.gamma(a, size=size) / g.gamma(b, size=size)
 
 
-def sample_gbp(params: GbpParams, rng: RngStream,
-               size: int | None = None) -> float | np.ndarray:
-    """Draw q * u**(1/p) with u ~ BetaPrime(alpha, beta)."""
+def sample_gbp(params: GbpParams, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` values q * u**(1/p) with u ~ BetaPrime(alpha, beta)."""
     u = sample_betaprime(params.alpha, params.beta, rng, size=size)
     return params.q * u ** (1.0 / params.p)
 
@@ -109,17 +107,15 @@ def _cms_transform(params: StableParams, v: np.ndarray, w: np.ndarray) -> np.nda
             * (np.cos(v - s) / w) ** ((1.0 - alpha) / alpha))
 
 
-def sample_stable_cms(params: StableParams, rng: RngStream,
-                      size: int | None = None) -> float | np.ndarray:
-    """Draw from S(alpha, beta, sigma) via the Chambers-Mallows-Stuck transform.
+def sample_stable_cms(params: StableParams, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` draws from S(alpha, beta, sigma) via the Chambers-Mallows-Stuck transform.
 
     Non-finite draws (possible deep in the tail for very small alpha) are
     resampled once; a second failure raises.
     """
     g = rng.generator
-    n = 1 if size is None else int(size)
-    v = g.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
-    w = g.exponential(1.0, size=n)
+    v = g.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
+    w = g.exponential(1.0, size=size)
     x = _cms_transform(params, v, w)
     bad = ~np.isfinite(x)
     if bad.any():
@@ -128,7 +124,7 @@ def sample_stable_cms(params: StableParams, rng: RngStream,
         x[bad] = _cms_transform(params, v, w)
         if not np.isfinite(x).all():
             raise FloatingPointError("stable sampler produced non-finite draws twice")
-    return x[0] if size is None else x
+    return x
 
 
 def stable_charfn(params: StableParams, t: float | np.ndarray) -> complex | np.ndarray:

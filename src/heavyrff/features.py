@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GbpParams, StableParams, sample_chi, sample_gbp, sample_stable_cms
+from .distributions import GbpParams, sample_chi, sample_gbp
 from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, KernelSpec
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
-                           sample_mvn, stable_scale_sigma)
+                           sample_mvn, sample_stable_mixing)
 from .rng import RngStream
 
 __all__ = [
@@ -90,8 +90,8 @@ def psi(u: np.ndarray) -> np.ndarray:
 class FeatureOperator:
     """A sampled feature operator, reconstructible bit-for-bit from its seeds.
 
-    RFF holds the p x d weight matrix W; ORF holds the positive diagonal S,
-    the stacked Haar blocks Q and the symmetric root of the shape matrix.
+    RFF holds the p x d weight matrix W; ORF holds the positive diagonal S
+    and the stacked Haar blocks Q, and reads sqrt(M) from its kernel's shape.
     """
 
     scheme: str                 # "rff" | "orf"
@@ -102,11 +102,14 @@ class FeatureOperator:
     W: np.ndarray | None = None
     S: np.ndarray | None = None
     Q: HaarBlockMatrix | None = None
-    sqrtM: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.kernel.dim
+
+    @property
+    def sqrtM(self) -> np.ndarray:
+        return self.kernel.shape.sqrtM
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Linear part of the map: W x for RFF, S Q sqrt(M) x for ORF."""
@@ -139,12 +142,7 @@ def _rff_rows(spec: KernelSpec, p: int, rng: RngStream) -> np.ndarray:
         return sample_mv_cauchy(shape, rng, size=p)
     if spec.family == MATERN:
         return sample_mv_t(spec.nu, shape, rng, size=p)
-    # exp_power
-    if spec.alpha == 2.0:
-        # the stable scale constant degenerates at alpha=2; e^{-r^2} is a
-        # Gaussian kernel with doubled M, i.e. rows sqrt(2) * N(0, M)
-        return np.sqrt(2.0) * sample_mvn(shape, rng, size=p)
-    return sample_ec_stable(spec.alpha, shape, rng, size=p)
+    return sample_ec_stable(spec.alpha, shape, rng, size=p)  # exp_power
 
 
 def _finite_draws(scheme: str, kernel: KernelSpec, draw, *args) -> np.ndarray:
@@ -181,12 +179,8 @@ def _orf_diag(spec: KernelSpec, p: int, d: int, rng: RngStream) -> np.ndarray:
         return sample_gbp(GbpParams(d / 2.0, spec.nu, 2.0, np.sqrt(2.0 * spec.nu)),
                           rng, size=p)
     # exp_power: norm of sqrt(A) G is sqrt(A) * chi(d)
-    if spec.alpha == 2.0:
-        return np.sqrt(2.0) * sample_chi(d, rng, size=p)
-    params = StableParams(spec.alpha / 2.0, 1.0, stable_scale_sigma(spec.alpha))
     q = sample_chi(d, rng, size=p)
-    omega = sample_stable_cms(params, rng, size=p)
-    return q * np.sqrt(omega)
+    return q * sample_stable_mixing(spec.alpha, rng, size=p)
 
 
 def build_orf(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
@@ -194,13 +188,10 @@ def build_orf(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
     if kernel.family == L1_LAPLACIAN:
         raise ValueError("l1_laplacian is not rotationally invariant; ORF does not apply")
     d = kernel.dim
-    if p < 1 or p % d != 0:
-        raise ValueError(f"feature count {p} must be a positive multiple of d={d}")
     rng = rng.fresh()
     Q = sample_haar_blocks(p, d, rng)
     S = _finite_draws("orf", kernel, _orf_diag, kernel, p, d, rng)
-    return FeatureOperator("orf", kernel, p, rng.seed, rng.stream_id,
-                           S=S, Q=Q, sqrtM=kernel.shape.sqrtM)
+    return FeatureOperator("orf", kernel, p, rng.seed, rng.stream_id, S=S, Q=Q)
 
 
 def build_operator(scheme: str, kernel: KernelSpec, p: int,

@@ -24,7 +24,7 @@ __all__ = [
     "sample_mv_cauchy",
     "sample_mv_t",
     "sample_ec_stable",
-    "stable_scale_sigma",
+    "sample_stable_mixing",
 ]
 
 _EIG_RTOL = 1e-12  # eigenvalues below this fraction of the largest are rejected
@@ -62,6 +62,8 @@ class ShapeMatrix:
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        if not np.isfinite(M).all():
+            raise ValueError("shape matrix has non-finite entries")
         scale = np.abs(M).max()
         if scale == 0.0 or np.abs(M - M.T).max() > 1e-12 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
@@ -135,13 +137,9 @@ def sample_haar_blocks(p: int, d: int, rng: RngStream) -> HaarBlockMatrix:
     return HaarBlockMatrix(Q.reshape(p, d))
 
 
-def sample_mvn(shape: ShapeMatrix, rng: RngStream,
-               size: int | None = None) -> np.ndarray:
-    """Draw from N(0, M) as cholM @ g for standard normal g."""
-    n = 1 if size is None else int(size)
-    g = rng.generator.standard_normal((n, shape.dim))
-    out = g @ shape.cholM.T
-    return out[0] if size is None else out
+def sample_mvn(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` rows from N(0, M) as cholM @ g for standard normal g."""
+    return rng.generator.standard_normal((size, shape.dim)) @ shape.cholM.T
 
 
 def _draw_nonzero(draw, n: int) -> np.ndarray:
@@ -155,48 +153,46 @@ def _draw_nonzero(draw, n: int) -> np.ndarray:
     return v
 
 
-def sample_mv_cauchy(shape: ShapeMatrix, rng: RngStream,
-                     size: int | None = None) -> np.ndarray:
-    """Draw from Cauchy(0, M) as u / v with u ~ N(0, M), v ~ N(0, 1)."""
-    n = 1 if size is None else int(size)
-    u = sample_mvn(shape, rng, size=n)
-    v = _draw_nonzero(rng.generator.standard_normal, n)
-    out = u / v[:, None]
-    return out[0] if size is None else out
+def sample_mv_cauchy(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` rows from Cauchy(0, M) as u / v with u ~ N(0, M), v ~ N(0, 1)."""
+    u = sample_mvn(shape, rng, size)
+    v = _draw_nonzero(rng.generator.standard_normal, size)
+    return u / v[:, None]
 
 
-def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream,
-                size: int | None = None) -> np.ndarray:
-    """Draw from the multivariate t with 2*nu degrees of freedom, shape M.
+def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` rows from the multivariate t with 2*nu degrees of freedom, shape M.
 
     u * sqrt(2 nu / v) for u ~ N(0, M) and v ~ chi-squared(2 nu).
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    n = 1 if size is None else int(size)
-    u = sample_mvn(shape, rng, size=n)
-    v = _draw_nonzero(lambda k: rng.generator.chisquare(2.0 * nu, size=k), n)
-    out = u * np.sqrt(2.0 * nu / v)[:, None]
-    return out[0] if size is None else out
+    u = sample_mvn(shape, rng, size)
+    v = _draw_nonzero(lambda k: rng.generator.chisquare(2.0 * nu, size=k), size)
+    return u * np.sqrt(2.0 * nu / v)[:, None]
 
 
-def stable_scale_sigma(alpha: float) -> float:
-    """Scale making sqrt(A) * N(0, M) have characteristic function e^{-||u||_M^alpha}."""
-    return 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)
+def sample_stable_mixing(alpha: float, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` draws of sqrt(A) for A one-sided stable, alpha in (0, 2].
+
+    A ~ S(alpha/2, 1, 2 cos^{2/alpha}(pi alpha / 4)), the scale that gives
+    sqrt(A) * N(0, M) the characteristic function e^{-||u||_M^alpha}. At
+    alpha = 2 the law of A is the point mass at 2, and nothing is drawn.
+    """
+    if not (0.0 < alpha <= 2.0):
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    if alpha == 2.0:
+        return np.full(size, np.sqrt(2.0))
+    sigma = 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)
+    return np.sqrt(sample_stable_cms(StableParams(alpha / 2.0, 1.0, sigma), rng, size))
 
 
 def sample_ec_stable(alpha: float, shape: ShapeMatrix, rng: RngStream,
-                     size: int | None = None) -> np.ndarray:
-    """Draw from the elliptically contoured alpha-stable law, alpha in (0, 2).
+                     size: int) -> np.ndarray:
+    """Draw ``size`` rows from the elliptically contoured alpha-stable law, alpha in (0, 2].
 
-    sqrt(A) * G with A one-sided stable S(alpha/2, 1, 2 cos^{2/alpha}(pi alpha / 4))
-    and G ~ N(0, M); every projection u^T X is S(alpha, 0, ||u||_M).
+    sqrt(A) * G with sqrt(A) from :func:`sample_stable_mixing` and G ~ N(0, M);
+    every projection u^T X is S(alpha, 0, ||u||_M).
     """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    n = 1 if size is None else int(size)
-    params = StableParams(alpha / 2.0, 1.0, stable_scale_sigma(alpha))
-    a = np.atleast_1d(sample_stable_cms(params, rng, size=n))
-    g = sample_mvn(shape, rng, size=n)
-    out = np.sqrt(a)[:, None] * g
-    return out[0] if size is None else out
+    a = sample_stable_mixing(alpha, rng, size)
+    return a[:, None] * sample_mvn(shape, rng, size)

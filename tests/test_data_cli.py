@@ -14,7 +14,7 @@ import pytest
 
 import heavyrff
 from heavyrff import kernels
-from heavyrff.cli import main, run_experiment
+from heavyrff.cli import _atomic_write, main, run_experiment
 from heavyrff.data import (DataError, load_csv, make_classification,
                            make_regression, preprocess, subsample,
                            train_test_split)
@@ -56,6 +56,12 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "nan.csv", ["a,b", "nan,0"])
         with pytest.raises(DataError, match=r"line 2, column 0"):
             load_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            load_csv(str(path))
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write_csv(tmp_path / "ragged.csv", ["a,b", "1,2", "1,2,3"])
@@ -428,6 +434,19 @@ class TestCliRuns:
         assert read_report(out)["status"] == "failed"
         assert not list(tmp_path.glob("feat-operator-*"))
 
+    @pytest.mark.parametrize("kernel, rows", [
+        ("l1_laplacian", ["nan,1,1"]), ("laplacian", ["nan,1,1"]),
+        ("laplacian", ["inf,0,0", "0,1,0", "0,0,1"])])
+    def test_nonfinite_m_file_is_refused(self, tmp_path, capsys, kernel, rows):
+        m_file = write_csv(tmp_path / "m.csv", rows)
+        out = tmp_path / "feat"
+        assert main(["features", "--kernel", kernel, "--d", "3", "--p", "6",
+                     "--m-file", m_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: shape matrix has non-finite entries"]
+        assert read_report(out)["status"] == "failed"
+        assert not list(tmp_path.glob("feat-operator-*"))
+
     @pytest.mark.parametrize("nu, message", [
         ("inf", "matern needs finite nu > 0, got inf"),
         ("1e300", "Matern profile needs nu in (0, 10000], got nu=1e+300"),
@@ -674,6 +693,17 @@ class TestCliRuns:
         cfg = read_report(out)["config"]
         assert cfg["seed"] == 42 and cfg["kind"] == "approx"
         assert cfg["p_grid"] == [64]
+
+    def test_atomic_write_leaves_no_temporary_when_replace_fails(self, tmp_path,
+                                                                 monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "r.json"
+        with pytest.raises(OSError, match="replace refused"):
+            _atomic_write(str(target), "{}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_experiment_unknown_kind(self, tmp_path):
         cfg = argparse.Namespace(kind="mystery", seed=0, out=str(tmp_path / "r"))

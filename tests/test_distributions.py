@@ -18,9 +18,9 @@ def chi_pdf(x, k):
 class TestSampleChi:
     def test_rejects_nonpositive_dof(self):
         with pytest.raises(ValueError):
-            sample_chi(0.0, RngStream(0))
+            sample_chi(0.0, RngStream(0), size=1)
         with pytest.raises(ValueError):
-            sample_chi(-1.5, RngStream(0))
+            sample_chi(-1.5, RngStream(0), size=1)
 
     def test_k1_is_folded_normal(self):
         draws = sample_chi(1.0, RngStream(11), size=N_KS)
@@ -49,9 +49,9 @@ class TestSampleChi:
 class TestSampleBetaprime:
     def test_rejects_nonpositive_shapes(self):
         with pytest.raises(ValueError):
-            sample_betaprime(0.0, 1.0, RngStream(0))
+            sample_betaprime(0.0, 1.0, RngStream(0), size=1)
         with pytest.raises(ValueError):
-            sample_betaprime(1.0, -2.0, RngStream(0))
+            sample_betaprime(1.0, -2.0, RngStream(0), size=1)
 
     def test_mean_matches_quadrature(self):
         # oracle: quadrature of x * density; for a=2, b=3 this is a/(b-1) = 1

@@ -310,3 +310,12 @@ class TestSerialization:
     def test_rejects_foreign_record(self):
         with pytest.raises(ValueError):
             operator_from_record({"format": "something-else"})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("version", 2, "unsupported record version 2"),
+        ("layout", "cos-then-sin", "unsupported feature layout cos-then-sin")])
+    def test_rejects_other_version_or_layout(self, key, value, message):
+        record = operator_record(build_rff(spec_for("laplacian"), 4, RngStream(120)))
+        record[key] = value
+        with pytest.raises(ValueError, match=message):
+            operator_from_record(record)

@@ -65,6 +65,11 @@ class TestRelError:
         with pytest.raises(ValueError):
             rel_error(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("norm", ["operator", "nuclear"])
+    def test_spectral_norms_reject_zero_k(self, norm):
+        with pytest.raises(ZeroDivisionError, match="is zero"):
+            rel_error(np.zeros((2, 2)), np.eye(2), norm)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["K", "G"])
     def test_rejects_nonfinite(self, side, bad):
@@ -163,7 +168,10 @@ class TestCfCheck:
         # cases above so that their ids stay
         ("orf", "matern", {"nu": 4.0}), ("orf", "exp_power", {"alpha": 1.3}),
         # the chi norm law under an anisotropic M
-        ("orf", "gaussian", {})])
+        ("orf", "gaussian", {}),
+        # ORF's exp_power norm law at the point-mass mixture alpha = 2 and
+        # deep in the stable mixture
+        ("orf", "exp_power", {"alpha": 2.0}), ("orf", "exp_power", {"alpha": 0.7})])
     def test_anisotropic_shape(self, scheme, family, kw):
         # M with condition number 100 in a random basis: the samplers' cholM
         # and ORF's sqrtM must carry M into the weight law, which an

@@ -49,6 +49,18 @@ class TestKrrExact:
         model = fit_krr_exact(spec, X, K @ a_true, 0.0)
         np.testing.assert_allclose(model.alphas[:, 0], a_true, atol=1e-6)
 
+    def test_rejects_negative_lambda(self):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            fit_krr_exact(spec, np.eye(2), np.zeros(2), -1e-3)
+
+    def test_duplicate_rows_at_zero_lambda_name_the_singular_system(self):
+        # two equal rows make two equal rows of K, so K is singular
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
+        X = np.array([[0.6, 0.8], [0.6, 0.8], [1.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="use lambda > 0"):
+            fit_krr_exact(spec, X, np.zeros(3), 0.0)
+
     def test_desk_scale_cap(self):
         spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
         with pytest.raises(ValueError):
@@ -298,6 +310,12 @@ class TestMetrics:
         ece = expected_calibration_error(probs, labels, n_bins=4)
         expected = (2 / 4) * abs(1.0 - 0.85) + (2 / 4) * abs(0.5 - 0.575)
         assert ece == pytest.approx(expected, abs=1e-12)
+
+    def test_one_hot_rejects_float_and_negative_labels(self):
+        with pytest.raises(ValueError, match="integers"):
+            one_hot(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            one_hot(np.array([0, -1]))
 
     def test_r2_undefined_for_constant(self):
         with pytest.raises(ValueError):

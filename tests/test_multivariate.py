@@ -6,7 +6,7 @@ from scipy import stats
 
 from heavyrff import (GbpParams, NotPositiveDefiniteError, RngStream,
                       StableParams, sample_gbp, sample_stable_cms)
-from heavyrff.multivariate import (ShapeMatrix, sample_ec_stable,
+from heavyrff.multivariate import (ShapeMatrix, _draw_nonzero, sample_ec_stable,
                                    sample_haar_blocks, sample_mv_cauchy,
                                    sample_mv_t, sample_mvn, sqrt_psd)
 
@@ -50,6 +50,15 @@ class TestShapeMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             ShapeMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # refused by name before the symmetry check, which would warn on
+        # inf - inf and let a nan through
+        M = np.eye(3)
+        M[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ShapeMatrix(M)
 
     def test_norm_euclidean(self):
         sm = ShapeMatrix.identity(2)
@@ -148,8 +157,24 @@ class TestMvn:
         np.testing.assert_allclose(np.cov(draws.T), M, atol=0.02)
 
     def test_single_draw_shape(self):
-        x = sample_mvn(ShapeMatrix.identity(3), RngStream(63))
-        assert x.shape == (3,)
+        x = sample_mvn(ShapeMatrix.identity(3), RngStream(63), size=1)
+        assert x.shape == (1, 3)
+
+
+class TestDrawNonzero:
+    def test_redraws_only_the_tiny_entries(self):
+        # entries below 1e-300 in magnitude are redrawn in place, in index
+        # order, until none is left; the others keep their first draw
+        script = [np.array([0.0, 1.0, 1e-301, 2.0]), np.array([0.0, 3.0]),
+                  np.array([4.0])]
+        calls = []
+
+        def draw(k):
+            calls.append(k)
+            return script[len(calls) - 1]
+
+        np.testing.assert_array_equal(_draw_nonzero(draw, 4), [4.0, 1.0, 3.0, 2.0])
+        assert calls == [4, 2, 1]
 
 
 class TestMvCauchy:
@@ -210,7 +235,7 @@ class TestMvT:
 
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
-            sample_mv_t(0.0, ShapeMatrix.identity(2), RngStream(0))
+            sample_mv_t(0.0, ShapeMatrix.identity(2), RngStream(0), size=1)
 
 
 class TestEcStable:
@@ -239,9 +264,17 @@ class TestEcStable:
         assert abs(np.sign(draws[:, 0]).mean()) < 0.02
 
     def test_rejects_alpha_out_of_range(self):
-        for alpha in (0.0, 2.0, 2.5):
+        for alpha in (0.0, 2.5):
             with pytest.raises(ValueError):
-                sample_ec_stable(alpha, ShapeMatrix.identity(2), RngStream(0))
+                sample_ec_stable(alpha, ShapeMatrix.identity(2), RngStream(0), size=1)
+
+    def test_alpha2_is_sqrt2_gaussian(self):
+        # at alpha = 2 the mixing variable is the constant 2: no draw is
+        # spent on it, and the rows are sqrt(2) N(0, M) from the same stream
+        sm = ShapeMatrix(random_spd(3, 7))
+        s = sample_ec_stable(2.0, sm, RngStream(80), size=1000)
+        g = np.sqrt(2.0) * sample_mvn(sm, RngStream(80), size=1000)
+        assert s.tobytes() == g.tobytes()
 
 
 class TestEmpiricalCfAllSamplers:
