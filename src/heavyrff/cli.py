@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .data import (DataSet, load_csv, make_classification, make_regression,
                    preprocess, subsample, train_test_split)
-from .distributions import (GbpParams, StableParams, gbp_cdf, sample_betaprime,
-                            sample_chi, sample_gbp, sample_stable_cms,
-                            stable_charfn)
+from .distributions import (GbpParams, StableParams, finite_draws, gbp_cdf,
+                            sample_betaprime, sample_chi, sample_gbp,
+                            sample_stable_cms, stable_charfn)
 from .features import build_operator, featurize, operator_record, save_operator
 from .harness import NORMS, measure_approximation
 from .kernels import FAMILIES, KernelSpec
@@ -133,7 +133,7 @@ def _emit(cfg: argparse.Namespace, results: list[dict], notes: list[str],
         "notes": notes,
         "results": results,
     }
-    _atomic_write(cfg.out + ".json", json.dumps(report, indent=2))
+    _atomic_write(cfg.out + ".json", json.dumps(report, indent=2, allow_nan=False))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
@@ -222,24 +222,25 @@ def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
     # and only this subcommand reads it
     from scipy import stats
     dist, params, n_draws = cfg.dist, cfg.params, cfg.draws
+    what = f"{dist} draws at --params {','.join(map(str, params))}"
     if dist == "chi":
         (k,) = params
-        draws = sample_chi(k, rng, size=n_draws)
+        draws = finite_draws(what, sample_chi, k, rng, n_draws)
         stat, pvalue = stats.kstest(draws ** 2, "chi2", args=(k,))
         check = {"test": "ks_vs_chi2", "stat": stat, "pvalue": pvalue}
     elif dist == "betaprime":
         a, b = params
-        draws = sample_betaprime(a, b, rng, size=n_draws)
+        draws = finite_draws(what, sample_betaprime, a, b, rng, n_draws)
         stat, pvalue = stats.kstest(draws, "betaprime", args=(a, b))
         check = {"test": "ks_vs_betaprime", "stat": stat, "pvalue": pvalue}
     elif dist == "gbp":
         gp = GbpParams(*params)
-        draws = sample_gbp(gp, rng, size=n_draws)
+        draws = finite_draws(what, sample_gbp, gp, rng, n_draws)
         stat, pvalue = stats.kstest(draws, lambda x: gbp_cdf(gp, x))
         check = {"test": "ks_vs_gbp_cdf", "stat": stat, "pvalue": pvalue}
     elif dist == "stable":
         sp = StableParams(*params)
-        draws = sample_stable_cms(sp, rng, size=n_draws)
+        draws = finite_draws(what, sample_stable_cms, sp, rng, n_draws)
         # no closed-form CDF: compare the empirical CF on a small grid
         ts = np.linspace(-2.0, 2.0, 9)
         emp = np.array([np.mean(np.exp(1j * t * draws)) for t in ts])
@@ -314,6 +315,8 @@ def _law_params(dist: str, text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"--params must be comma-separated numbers, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"--params must be finite, got {text!r}")
     least = 1 if dist == "stable" else len(names)  # StableParams defaults beta, sigma
     if not least <= len(values) <= len(names):
         count = len(names) if least == len(names) else f"{least} to {len(names)}"
@@ -331,6 +334,10 @@ def _check_flags(cfg: argparse.Namespace) -> None:
                        ("cap", "--cap"), ("repeats", "--repeats"), ("draws", "--draws")):
         if name in flags:
             flags[name] = _positive_int(flag, flags[name])
+    for name, flag in (("alpha", "--alpha"), ("nu", "--nu"), ("lam", "--lambda"),
+                       ("test_fraction", "--test-fraction")):
+        if flags.get(name) is not None and not np.isfinite(flags[name]):
+            raise ValueError(f"{flag} must be finite, got {flags[name]}")
     if "norms" in flags:
         cfg.norms = tuple(cfg.norms.split(","))
     if "label_col" in flags:
@@ -370,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(cfg)
         run_experiment(cfg)
-    except (ValueError, FileNotFoundError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {cfg.out}.json and {cfg.out}.csv")

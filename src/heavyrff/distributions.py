@@ -41,8 +41,8 @@ class StableParams:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ class GbpParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "p", "q"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 def sample_chi(k: float, rng: RngStream, size: int) -> np.ndarray:
@@ -66,8 +67,8 @@ def sample_chi(k: float, rng: RngStream, size: int) -> np.ndarray:
     Squaring a draw yields a chi-squared(k) draw; for integer k this is the
     norm of a standard Gaussian vector in k dimensions.
     """
-    if not k > 0:
-        raise ValueError(f"degrees of freedom must be positive, got {k}")
+    if not 0 < k < np.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {k}")
     return np.sqrt(rng.generator.chisquare(k, size=size))
 
 
@@ -78,8 +79,8 @@ def sample_betaprime(a: float, b: float, rng: RngStream, size: int) -> np.ndarra
     Gb ~ Gamma(b), Z = Ga/(Ga+Gb) is Beta(a, b) and Z/(1-Z) = Ga/Gb. Taking
     the ratio directly avoids the 1-Z cancellation for Z near 1.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     g = rng.generator
     return g.gamma(a, size=size) / g.gamma(b, size=size)
 
@@ -107,24 +108,40 @@ def _cms_transform(params: StableParams, v: np.ndarray, w: np.ndarray) -> np.nda
             * (np.cos(v - s) / w) ** ((1.0 - alpha) / alpha))
 
 
+def redraw_once(draw, bad, size: int) -> np.ndarray:
+    """``draw(size)``, the entries where ``bad`` holds redrawn by one ``draw(k)``
+    call in index order; an entry still bad is set to NaN."""
+    x = draw(size)
+    redo = bad(x)
+    if redo.any():
+        x[redo] = draw(int(redo.sum()))
+        x[bad(x)] = np.nan
+    return x
+
+
+def finite_draws(what: str, draw, *args) -> np.ndarray:
+    """``draw(*args)``, or a ValueError saying that ``what`` are not finite, in
+    place of the overflow and invalid-value warnings that tiny alpha or nu raise."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = draw(*args)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} are not finite")
+    return values
+
+
 def sample_stable_cms(params: StableParams, rng: RngStream, size: int) -> np.ndarray:
     """``size`` draws from S(alpha, beta, sigma) via the Chambers-Mallows-Stuck transform.
 
     Non-finite draws (possible deep in the tail for very small alpha) are
-    resampled once; a second failure raises.
+    redrawn once by :func:`redraw_once`; those still non-finite are NaN.
     """
     g = rng.generator
-    v = g.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
-    w = g.exponential(1.0, size=size)
-    x = _cms_transform(params, v, w)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        v = g.uniform(-np.pi / 2.0, np.pi / 2.0, size=int(bad.sum()))
-        w = g.exponential(1.0, size=int(bad.sum()))
-        x[bad] = _cms_transform(params, v, w)
-        if not np.isfinite(x).all():
-            raise FloatingPointError("stable sampler produced non-finite draws twice")
-    return x
+
+    def draw(k: int) -> np.ndarray:
+        return _cms_transform(params, g.uniform(-np.pi / 2.0, np.pi / 2.0, size=k),
+                              g.exponential(1.0, size=k))
+
+    return redraw_once(draw, lambda x: ~np.isfinite(x), size)
 
 
 def stable_charfn(params: StableParams, t: float | np.ndarray) -> complex | np.ndarray:
@@ -135,7 +152,7 @@ def stable_charfn(params: StableParams, t: float | np.ndarray) -> complex | np.n
     """
     alpha, beta, sigma = params.alpha, params.beta, params.sigma
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if alpha == 1.0:
             phi = np.where(t != 0.0, -(2.0 / np.pi) * np.log(np.abs(t)), 0.0)
         else:
@@ -162,7 +179,10 @@ def gbp_cdf(params: GbpParams, x: float | np.ndarray) -> float | np.ndarray:
     """CDF of GBP(alpha, beta, p, q); returns 0 for negative x by convention."""
     a, b, p, q = params.alpha, params.beta, params.p, params.q
     x = np.asarray(x, dtype=float)
-    y = np.maximum(x, 0.0) ** p / (q ** p + np.maximum(x, 0.0) ** p)
+    # x^p / (q^p + x^p) as 1 / (1 + (q/x)^p): 0 at x = 0, and never 0/0 or
+    # inf/inf where q^p or x^p leaves float range
+    with np.errstate(divide="ignore", over="ignore"):
+        y = 1.0 / (1.0 + (q / np.maximum(x, 0.0)) ** p)
     out = special.betainc(a, b, y)
     out = np.where(x < 0.0, 0.0, out)
     return float(out) if out.ndim == 0 else out

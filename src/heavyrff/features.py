@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GbpParams, sample_chi, sample_gbp
+from .distributions import GbpParams, finite_draws, sample_chi, sample_gbp
 from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, KernelSpec
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
@@ -145,20 +145,10 @@ def _rff_rows(spec: KernelSpec, p: int, rng: RngStream) -> np.ndarray:
     return sample_ec_stable(spec.alpha, shape, rng, size=p)  # exp_power
 
 
-def _finite_draws(scheme: str, kernel: KernelSpec, draw, *args) -> np.ndarray:
-    """``draw(*args)``, refused by name if a value is not finite: tiny alpha or
-    nu put the weight laws' tails beyond float range, and a redraw would change
-    the values a record reproduces."""
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            values = draw(*args)  # the check below names what these would warn of
-        if np.isfinite(values).all():
-            return values
-    except FloatingPointError:  # the stable sampler failed twice
-        pass
+def _weights(scheme: str, kernel: KernelSpec) -> str:
+    """What a build draws, as a refusal names it."""
     param = {EXP_POWER: f" alpha={kernel.alpha}", MATERN: f" nu={kernel.nu}"}
-    raise ValueError(f"{scheme} weights for {kernel.family}"
-                     f"{param.get(kernel.family, '')} are not finite")
+    return f"{scheme} weights for {kernel.family}{param.get(kernel.family, '')}"
 
 
 def build_rff(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
@@ -166,7 +156,7 @@ def build_rff(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
     if p < 1:
         raise ValueError(f"feature count must be >= 1, got {p}")
     rng = rng.fresh()
-    W = _finite_draws("rff", kernel, _rff_rows, kernel, p, rng)
+    W = finite_draws(_weights("rff", kernel), _rff_rows, kernel, p, rng)
     return FeatureOperator("rff", kernel, p, rng.seed, rng.stream_id, W=W)
 
 
@@ -190,7 +180,7 @@ def build_orf(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
     d = kernel.dim
     rng = rng.fresh()
     Q = sample_haar_blocks(p, d, rng)
-    S = _finite_draws("orf", kernel, _orf_diag, kernel, p, d, rng)
+    S = finite_draws(_weights("orf", kernel), _orf_diag, kernel, p, d, rng)
     return FeatureOperator("orf", kernel, p, rng.seed, rng.stream_id, S=S, Q=Q)
 
 

@@ -102,6 +102,11 @@ def _as_targets(Y: np.ndarray) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
+
+
 def _solve_shifted(A: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     """Solve (A + lam I) X = B for an exactly symmetric A, overwriting A with
     its Cholesky factor: A.T is A as an F-ordered view, which LAPACK factors
@@ -121,8 +126,7 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
     X = np.asarray(X, dtype=float)
     if X.shape[0] > DESK_SCALE_CAP:
         raise ValueError(f"n={X.shape[0]} exceeds the desk-scale cap {DESK_SCALE_CAP}")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    _check_lambda(lam)
     Y = _as_targets(Y)
     try:
         alphas = _solve_shifted(kernel_matrix(spec, X), lam, Y)
@@ -140,6 +144,7 @@ def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float) -> LinearM
     both cheaper and avoids materializing the 2p x 2p normal matrix. Either
     Gram matrix is factored in place.
     """
+    _check_lambda(lam)
     P = phi.phi
     Y = _as_targets(Y)
     n, m = P.shape
@@ -202,6 +207,7 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import minimize
 
+    _check_lambda(lam)
     P = phi.phi
     Yoh = one_hot(np.asarray(labels))
     shape = (P.shape[1], Yoh.shape[1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import StableParams, sample_stable_cms
+from .distributions import StableParams, redraw_once, sample_stable_cms
 from .rng import RngStream
 
 __all__ = [
@@ -142,33 +142,23 @@ def sample_mvn(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
     return rng.generator.standard_normal((size, shape.dim)) @ shape.cholM.T
 
 
-def _draw_nonzero(draw, n: int) -> np.ndarray:
-    """``draw(n)``, each entry below 1e-300 in magnitude redrawn by ``draw(k)``
-    until none is left, so that dividing by it stays finite."""
-    v = draw(n)
-    tiny = np.abs(v) < 1e-300
-    while tiny.any():
-        v[tiny] = draw(int(tiny.sum()))
-        tiny = np.abs(v) < 1e-300
-    return v
-
-
 def sample_mv_cauchy(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
     """Draw ``size`` rows from Cauchy(0, M) as u / v with u ~ N(0, M), v ~ N(0, 1)."""
-    u = sample_mvn(shape, rng, size)
-    v = _draw_nonzero(rng.generator.standard_normal, size)
-    return u / v[:, None]
+    u = sample_mvn(shape, rng, size)  # v is not redrawn: P(|v| < 1e-300) < 1e-299
+    return u / rng.generator.standard_normal(size)[:, None]
 
 
 def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
     """Draw ``size`` rows from the multivariate t with 2*nu degrees of freedom, shape M.
 
-    u * sqrt(2 nu / v) for u ~ N(0, M) and v ~ chi-squared(2 nu).
+    u * sqrt(2 nu / v) for u ~ N(0, M) and v ~ chi-squared(2 nu); a v below
+    1e-300 is redrawn once by :func:`redraw_once`, and NaN after that.
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
     u = sample_mvn(shape, rng, size)
-    v = _draw_nonzero(lambda k: rng.generator.chisquare(2.0 * nu, size=k), size)
+    v = redraw_once(lambda k: rng.generator.chisquare(2.0 * nu, size=k),
+                    lambda v: v < 1e-300, size)
     return u * np.sqrt(2.0 * nu / v)[:, None]
 
 

@@ -1,16 +1,22 @@
 import argparse
+import contextlib
 import csv
 import importlib
 import inspect
+import io
 import json
 import math
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heavyrff
 from heavyrff import kernels
@@ -448,7 +454,7 @@ class TestCliRuns:
         assert not list(tmp_path.glob("feat-operator-*"))
 
     @pytest.mark.parametrize("nu, message", [
-        ("inf", "matern needs finite nu > 0, got inf"),
+        ("inf", "--nu must be finite, got inf"),
         ("1e300", "Matern profile needs nu in (0, 10000], got nu=1e+300"),
         ("1e5", "Matern profile needs nu in (0, 10000], got nu=100000.0"),
     ])
@@ -464,7 +470,10 @@ class TestCliRuns:
         assert main(["approx", "--kernel", "matern", "--nu", nu, "--n", "20", "--d", "2",
                      "--p", "16", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert read_report(out)["status"] == "failed"
+        if nu == "inf":  # refused with the flags, before any report is written
+            assert not (tmp_path / "m.json").exists()
+        else:
+            assert read_report(out)["status"] == "failed"
 
     def test_bench_rejects_unknown_norm(self, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -710,6 +719,136 @@ class TestCliRuns:
         with pytest.raises(ValueError):
             run_experiment(cfg)
         assert read_report(tmp_path / "r")["status"] == "failed"
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def assert_strict_reports(directory):
+    """Every JSON file under ``directory`` is strict JSON."""
+    for name in os.listdir(directory):
+        if name.endswith(".json"):
+            with open(os.path.join(directory, name)) as fh:
+                json.loads(fh.read(), parse_constant=reject_constant)
+
+
+def run_cli(argv, out_dir, seconds=10):
+    """``main(argv)`` under an alarm: exit code, stderr lines."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + ["--out", os.path.join(out_dir, "r")])
+            except SystemExit as exc:  # argparse's exit 2
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue().splitlines()
+
+
+def assert_ends_cleanly(argv):
+    """Exit 0 with strict JSON, or exit 1 or 2 with one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, err = run_cli(argv, out_dir)
+        assert code in (0, 1, 2), (argv, code)
+        assert not any("Traceback" in line for line in err), (argv, err)
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        elif code == 2:  # argparse: usage lines, then one error line
+            assert sum("error:" in line for line in err) == 1, (argv, err)
+        assert_strict_reports(out_dir)
+
+
+class TestCliEdges:
+    """Edge inputs end by name or with strict JSON, never in a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--dist", "stable", "--params", "0.001,1,1"],
+         "stable draws at --params 0.001,1.0,1.0 are not finite"),
+        (["sample", "--dist", "stable", "--params", "1.5,0,inf"],
+         "--params must be finite, got '1.5,0,inf'"),
+        (["sample", "--dist", "gbp", "--params", "1,1,1,inf"],
+         "--params must be finite, got '1,1,1,inf'"),
+        (["sample", "--dist", "betaprime", "--params", "1e-300,1e-300"],
+         "betaprime draws at --params 1e-300,1e-300 are not finite"),
+        (["sample", "--dist", "chi", "--params", "inf"], "--params must be finite, got 'inf'"),
+        (["krr", "--lambda", "nan"], "--lambda must be finite, got nan"),
+        (["krr", "--lambda", "inf"], "--lambda must be finite, got inf"),
+        (["klr", "--lambda", "nan"], "--lambda must be finite, got nan"),
+        (["klr", "--lambda", "inf"], "--lambda must be finite, got inf"),
+        (["features", "--kernel", "exp_power", "--alpha", "nan"],
+         "--alpha must be finite, got nan"),
+        (["krr", "--test-fraction", "inf"], "--test-fraction must be finite, got inf"),
+    ])
+    def test_fails_by_name(self, tmp_path, argv, message):
+        small = ["--n", "30", "--d", "2", "--p", "8"] if argv[0] in ("krr", "klr") else []
+        code, err = run_cli(argv + small, str(tmp_path))
+        assert (code, err) == (1, [f"error: {message}"])
+        assert_strict_reports(tmp_path)
+
+    def test_directory_as_data_or_m_file(self, tmp_path):
+        for argv in (["approx", "--data", str(tmp_path), "--p", "8"],
+                     ["features", "--m-file", str(tmp_path), "--d", "2", "--p", "4"]):
+            code, err = run_cli(argv, str(tmp_path))
+            assert code == 1 and len(err) == 1
+            assert err[0].startswith("error: [Errno") and "Is a directory" in err[0]
+            assert read_report(tmp_path / "r")["status"] == "failed"
+
+    def test_out_under_a_regular_file(self, tmp_path):
+        (tmp_path / "file").write_text("x")
+        code, err = run_cli(["features", "--d", "2", "--p", "4"], str(tmp_path / "file"))
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith("error: [Errno")
+
+    def test_tiny_nu_ends_by_name(self):
+        # the t law's redraws once ran without bound here; one round is left
+        src = os.path.dirname(os.path.dirname(os.path.abspath(heavyrff.__file__)))
+        with tempfile.TemporaryDirectory() as out_dir:
+            proc = subprocess.run(
+                [sys.executable, "-m", "heavyrff.cli", "features", "--kernel", "matern",
+                 "--nu", "1e-300", "--d", "3", "--p", "8",
+                 "--out", os.path.join(out_dir, "r")],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                timeout=60)
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines() == [
+                "error: rff weights for matern nu=1e-300 are not finite"]
+            assert_strict_reports(out_dir)
+
+    # examples are drawn deterministically, with no example database on disk;
+    # half the values are edges, half lie inside the laws' ranges
+    VALUES = st.one_of(st.sampled_from(["0", "5e-324", "1e-300", "1e300", "inf", "nan",
+                                        "-1", "-inf"]),
+                       st.sampled_from(["0.001", "0.5", "1", "1.3", "2", "4"]))
+    # each law with as many parameters as it takes (stable: 1 to 3)
+    LAWS = st.sampled_from([("chi", 1), ("betaprime", 2), ("gbp", 4), ("stable", 1),
+                            ("stable", 2), ("stable", 3)]).flatmap(
+        lambda law: st.tuples(st.just(law[0]),
+                              st.lists(TestCliEdges.VALUES, min_size=law[1], max_size=law[1])))
+
+    # "--flag=value", so that argparse reads a leading "-" as part of the value
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(law=LAWS, draws=st.sampled_from(["1", "7", "50"]), seed=st.sampled_from(["0", "1"]))
+    def test_sample_flag_space(self, law, draws, seed):
+        dist, params = law
+        assert_ends_cleanly(["sample", "--dist", dist, f"--params={','.join(params)}",
+                             "--draws", draws, "--seed", seed])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(flag=st.sampled_from(["--nu", "--alpha"]), value=VALUES,
+           scheme=st.sampled_from(["rff", "orf"]), p=st.sampled_from(["1", "6", "12,5"]),
+           d=st.sampled_from(["1", "3"]), seed=st.sampled_from(["0", "2"]))
+    def test_features_flag_space(self, flag, value, scheme, p, d, seed):
+        kernel = "matern" if flag == "--nu" else "exp_power"
+        assert_ends_cleanly(["features", "--kernel", kernel, f"{flag}={value}",
+                             "--scheme", scheme, "--p", p, "--d", d, "--seed", seed])
 
 
 def test_cli_import_leaves_stats_and_optimize_unloaded():

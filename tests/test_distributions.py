@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -5,6 +7,7 @@ from scipy import integrate, special, stats
 from heavyrff import (GbpParams, RngStream, StableParams, gbp_cdf, gbp_pdf,
                       sample_betaprime, sample_chi, sample_gbp,
                       sample_stable_cms, stable_charfn)
+from heavyrff.distributions import finite_draws, redraw_once
 from heavyrff.multivariate import ShapeMatrix, sample_mv_t
 
 KS_LEVEL = 0.01
@@ -168,6 +171,12 @@ class TestStableCharfn:
         assert vals[1] == 1.0 + 0.0j
         assert vals[0] == np.conj(vals[2])
 
+    def test_overflowing_scale_gives_zero(self):
+        # |sigma t|^alpha overflows to inf, and e^{-inf} is 0; pyproject turns
+        # the overflow warning, if one escapes, into a failure
+        vals = stable_charfn(StableParams(2.0, 1.0, 1e300), np.array([-1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(vals, [0.0, 1.0, 0.0])
+
 
 class TestGbpCdf:
     def test_bounds(self):
@@ -180,6 +189,71 @@ class TestGbpCdf:
         params = GbpParams(2.0, 3.0, 1.0, 1.0)
         quad_val, _ = integrate.quad(lambda x: gbp_pdf(params, x), 0, 1.0)
         assert gbp_cdf(params, 1.0) == pytest.approx(quad_val, abs=1e-8)
+
+    def test_scale_below_float_range(self):
+        # q^p underflows to 0, so x^p / (q^p + x^p) would be 0/0 at x = 0
+        params = GbpParams(1.0, 1.0, 4.0, 5e-324)
+        np.testing.assert_array_equal(gbp_cdf(params, np.array([-1.0, 0.0, 1e-100, 1.0])),
+                                      [0.0, 0.0, 1.0, 1.0])
+
+
+class TestRedrawOnce:
+    def test_one_round_in_index_order_then_nan(self):
+        # the bad entries of the first draw are redrawn by one call, in index
+        # order; one still bad becomes NaN, and nothing is drawn a third time
+        script = [np.array([0.0, 1.0, -1.0, 2.0]), np.array([0.0, 3.0])]
+        calls = []
+
+        def draw(k):
+            calls.append(k)
+            return script[len(calls) - 1].copy()
+
+        out = redraw_once(draw, lambda x: x <= 0.0, 4)
+        np.testing.assert_array_equal(out, [np.nan, 1.0, 3.0, 2.0])
+        assert calls == [4, 2]
+
+    def test_no_bad_entry_draws_once(self):
+        calls = []
+
+        def draw(k):
+            calls.append(k)
+            return np.arange(1.0, k + 1.0)
+
+        np.testing.assert_array_equal(redraw_once(draw, lambda x: x <= 0.0, 3),
+                                      [1.0, 2.0, 3.0])
+        assert calls == [3]
+
+
+class TestFiniteDraws:
+    def test_returns_finite_draws(self):
+        np.testing.assert_array_equal(finite_draws("x", np.arange, 3), [0, 1, 2])
+
+    def test_names_what_is_not_finite_without_a_warning(self):
+        # the draw overflows; the check refuses it by name, and no
+        # RuntimeWarning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^huge draws are not finite$"):
+                finite_draws("huge draws", lambda: np.array([1e300]) * 1e300)
+
+    def test_stable_draws_still_bad_after_one_round_are_refused(self):
+        # alpha = 0.001: most CMS draws overflow, and so do most redraws
+        sp = StableParams(0.001, 1.0, 1.0)
+        with pytest.raises(ValueError, match="stable draws are not finite"):
+            finite_draws("stable draws", sample_stable_cms, sp, RngStream(0), 100)
+
+
+class TestFiniteParameters:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_law_parameters_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GbpParams(1.0, 1.0, 1.0, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            StableParams(1.5, 0.0, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_chi(bad, RngStream(0), size=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_betaprime(1.0, bad, RngStream(0), size=1)
 
 
 class TestReproducibility:

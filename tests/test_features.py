@@ -47,6 +47,12 @@ PINNED_DRAWS = [
                                           "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
     ("orf", "exp_power", {"alpha": 2.0}, ("0x1.108b28c0e3b25p+0", "0x1.9b485399a5d6ap+1",
                                           "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
+    # one t redraw round, which redraws rows 2 and 5
+    ("rff", "matern", {"nu": 0.003}, ("-0x1.82961742437f0p+45", "0x1.db5776aaafaedp+74",
+                                      "0x1.2f0e6a8dc4e55p+17")),
+    # one CMS resample, which redraws S[0], S[1], S[2] and S[4]
+    ("orf", "exp_power", {"alpha": 0.002}, ("0x1.87dc6d8749c8ep-7", "0x1.0df07d2ba6d83p-131",
+                                            "-0x1.a4f5b6bb03519p-3", "0x1.52f0c0b78f36fp-1")),
 ]
 
 
@@ -279,6 +285,15 @@ class TestSerialization:
         else:
             drawn = (op.S[0], op.S[-1], op.Q.Q[0, 1], op.Q.Q[-1, -1])
         assert tuple(float(v).hex() for v in drawn) == pinned
+
+    def test_second_t_redraw_round_is_refused_by_name(self):
+        # at nu = 0.003 one chi-squared(0.006) draw in eight is below 1e-300;
+        # seed 2 draws four such among 12, and one of their redraws is again
+        # below it, so the build is refused, never drawn a third time
+        spec = KernelSpec("matern", ShapeMatrix.identity(3), nu=0.003)
+        assert np.isfinite(build_rff(spec, 12, RngStream(1)).W).all()  # one round
+        with pytest.raises(ValueError, match="^rff weights for matern nu=0.003 are not finite$"):
+            build_rff(spec, 12, RngStream(2))
 
     @PROPERTY
     @given(family=st.sampled_from(["gaussian", "l1_laplacian", "laplacian",

@@ -54,6 +54,16 @@ class TestKrrExact:
         with pytest.raises(ValueError, match="lambda must be >= 0"):
             fit_krr_exact(spec, np.eye(2), np.zeros(2), -1e-3)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_every_fit_rejects_a_nonfinite_or_negative_lambda(self, lam):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
+        phi = FeatureMatrix(np.eye(2))
+        for fit, args in ((fit_krr_exact, (spec, np.eye(2), np.zeros(2))),
+                          (fit_ridge_features, (phi, np.zeros(2))),
+                          (fit_logistic_features, (phi, np.array([0, 1])))):
+            with pytest.raises(ValueError, match="lambda must be >= 0 and finite"):
+                fit(*args, lam)
+
     def test_duplicate_rows_at_zero_lambda_name_the_singular_system(self):
         # two equal rows make two equal rows of K, so K is singular
         spec = KernelSpec("laplacian", ShapeMatrix.identity(2))

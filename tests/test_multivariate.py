@@ -6,7 +6,7 @@ from scipy import stats
 
 from heavyrff import (GbpParams, NotPositiveDefiniteError, RngStream,
                       StableParams, sample_gbp, sample_stable_cms)
-from heavyrff.multivariate import (ShapeMatrix, _draw_nonzero, sample_ec_stable,
+from heavyrff.multivariate import (ShapeMatrix, sample_ec_stable,
                                    sample_haar_blocks, sample_mv_cauchy,
                                    sample_mv_t, sample_mvn, sqrt_psd)
 
@@ -159,22 +159,6 @@ class TestMvn:
     def test_single_draw_shape(self):
         x = sample_mvn(ShapeMatrix.identity(3), RngStream(63), size=1)
         assert x.shape == (1, 3)
-
-
-class TestDrawNonzero:
-    def test_redraws_only_the_tiny_entries(self):
-        # entries below 1e-300 in magnitude are redrawn in place, in index
-        # order, until none is left; the others keep their first draw
-        script = [np.array([0.0, 1.0, 1e-301, 2.0]), np.array([0.0, 3.0]),
-                  np.array([4.0])]
-        calls = []
-
-        def draw(k):
-            calls.append(k)
-            return script[len(calls) - 1]
-
-        np.testing.assert_array_equal(_draw_nonzero(draw, 4), [4.0, 1.0, 3.0, 2.0])
-        assert calls == [4, 2, 1]
 
 
 class TestMvCauchy:
