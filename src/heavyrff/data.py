@@ -99,7 +99,7 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification") -> D
     y = data[:, label_idx]
     if task == "classification":
         yi = y.astype(int)
-        if not np.allclose(y, yi):
+        if not np.array_equal(y, yi):
             raise DataError(f"{path}: classification labels must be integers")
         y = yi
     return DataSet(X=X, y=y, task=task)

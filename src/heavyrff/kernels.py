@@ -40,7 +40,7 @@ FAMILIES = (GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, EXP_POWER, MATERN)
 # symmetry check compares; each holds a few tiles of temporaries, never n x n.
 TILE = 256
 
-# The largest nu matern_profile evaluates. The ladder takes one step per unit
+# The largest nu KernelSpec and matern_profile accept. The ladder takes one step per unit
 # of nu, and from nu ~ 1000 on the profile overflows in a widening band of r.
 _MATERN_NU_MAX = 1e4
 
@@ -52,7 +52,7 @@ class KernelSpec:
     family: str
     shape: ShapeMatrix
     alpha: float | None = None  # exp_power only, in (0, 2]
-    nu: float | None = None     # matern only, finite and > 0
+    nu: float | None = None     # matern only, in (0, _MATERN_NU_MAX]
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -63,8 +63,7 @@ class KernelSpec:
         elif self.alpha is not None:
             raise ValueError(f"alpha is only valid for exp_power, not {self.family}")
         if self.family == MATERN:
-            if self.nu is None or not 0.0 < self.nu < np.inf:
-                raise ValueError(f"matern needs finite nu > 0, got {self.nu}")
+            _check_matern_nu(self.nu)
         elif self.nu is not None:
             raise ValueError(f"nu is only valid for matern, not {self.family}")
 
@@ -73,14 +72,19 @@ class KernelSpec:
         return self.shape.dim
 
 
+def _check_matern_nu(nu: float | None) -> None:
+    """Refuse nu outside (0, ``_MATERN_NU_MAX``], the Matern family's one envelope."""
+    if nu is None or not 0.0 < nu <= _MATERN_NU_MAX:
+        raise ValueError(f"matern needs nu in (0, {_MATERN_NU_MAX:g}], got nu={nu}")
+
+
 def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
     """General-nu Matern profile (2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r.
 
     One ``kve`` call per entry. Where the product is inf or nan, an entry
     beyond t = max(nu^2, 2000) is 0 (``kve`` is nan from t ~ 1e9 on): there
     K_nu(t) < e^{1/2} sqrt(pi / 2t) e^{-t}, so the profile is below e^{-1800}.
-    The others, where ``kve`` overflows (tiny t, large nu), are recomputed by
-    ``_matern_ladder``.
+    The others, where ``kve`` overflows (tiny t, large nu), are NaN.
     """
     with np.errstate(over="ignore"):
         t = np.sqrt(2.0 * nu) * r
@@ -91,14 +95,12 @@ def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
     log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu) + nu * np.log(tp)
     with np.errstate(invalid="ignore"):
         out[pos] = np.exp(log_pref - tp) * special.kve(nu, tp)
-    out[~np.isfinite(out) & (t > max(nu * nu, 2000.0))] = 0.0
     bad = ~np.isfinite(out)
-    if bad.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[bad] = _matern_ladder(nu, r[bad])
+    out[bad] = np.where(t[bad] > max(nu * nu, 2000.0), 0.0, np.nan)
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _matern_ladder(nu: float, r: np.ndarray) -> np.ndarray:
     """Matern profile by the upward recurrence in the order.
 
@@ -111,7 +113,8 @@ def _matern_ladder(nu: float, r: np.ndarray) -> np.ndarray:
     v_{1/2} = 1 and v_{3/2} = 1 + t for half-integer nu, which makes every
     half-integer profile a finite closed form (DLMF 10.49.12); v_1 = t k1e(t)
     and v_2 = v_1 + t^2 k0e(t) / 2 for integer nu; ``kve`` at orders m and
-    1 - m otherwise. Each step updates the arrays in place.
+    1 - m otherwise. Each step updates the arrays in place. Entries where v_nu
+    overflows, or (nu > 1/2) beyond t = 708 where e^{-t} is subnormal, are NaN.
     """
     t = np.sqrt(2.0 * nu) * r.ravel()
     m = nu - np.floor(nu) or 1.0
@@ -162,47 +165,48 @@ def _matern_ladder(nu: float, r: np.ndarray) -> np.ndarray:
     del lo
     np.negative(t, out=t)
     hi *= np.exp(t, out=t)
+    bad = ~np.isfinite(hi)
+    if nu > 0.5:
+        bad |= r.ravel() > 708.0 / np.sqrt(2.0 * nu)
+    hi[bad] = np.nan
     return hi.reshape(r.shape)
 
 
 def matern_profile(nu: float, r: float | np.ndarray) -> float | np.ndarray:
     """Matern correlation as a function of the Mahalanobis distance r >= 0.
 
-    nu alone picks the route. Every nu with 2 nu an integer is evaluated by
-    the ladder (``_matern_ladder``), which is a finite closed form at
-    half-integer nu; any other nu takes one ``kve`` call per entry
-    (``_matern_bessel``, which also serves as an independent cross-check of
-    the ladder). Beyond t = 708, where the ladder's e^{-t} factor is
-    subnormal and v_nu may overflow, entries are taken from the ``kve`` path
-    (except at nu = 1/2, where the profile is e^{-r}).
+    This is the one place that picks the route. Each route is NaN where it
+    cannot give the value, and those entries are taken from the other one.
+    Every nu with 2 nu an integer starts on the ladder (``_matern_ladder``),
+    a finite closed form at half-integer nu, and takes from the ``kve``
+    route (``_matern_bessel``) what lies beyond t = 708 or where v_nu
+    overflows. Any other nu starts on ``kve`` and takes from the ladder the
+    tiny t where ``kve`` overflows.
 
     nu outside (0, ``_MATERN_NU_MAX``] is refused before any work. An entry
-    that neither path can represent raises ``ValueError`` naming nu and the
+    that neither route can represent raises ``ValueError`` naming nu and the
     smallest such r. That happens only at large nu, in a band of moderate t
-    where ``kve`` and the ladder's v_nu both overflow: the profile is finite
-    at every r up to nu ~ 1000, but at nu = 1500 it is not for r in about
-    [14.6, 27.4].
+    where ``kve`` overflows and the ladder's e^{-t} is subnormal or its v_nu
+    overflows: the profile is finite at every r up to nu ~ 1000, but at
+    nu = 1500 it is not for r in about [12.93, 27.38].
     """
-    if not 0.0 < nu <= _MATERN_NU_MAX:
-        raise ValueError(f"Matern profile needs nu in (0, {_MATERN_NU_MAX:g}], got nu={nu}")
+    _check_matern_nu(nu)
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0.0):
         raise ValueError("distance must be non-negative and not NaN")
-    if nu - np.floor(nu) in (0.0, 0.5):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _matern_ladder(nu, r)
-        bad = ~np.isfinite(out)
-        if nu > 0.5:
-            bad |= r > 708.0 / np.sqrt(2.0 * nu)  # e^{-t} is subnormal beyond
-        if bad.any():
-            out[bad] = _matern_bessel(nu, r[bad])
-    else:
-        out = _matern_bessel(nu, r)
-    if not np.isfinite(out).all():
-        raise ValueError(
-            f"Matern profile at nu={nu} overflows double precision at "
-            f"r={float(r[~np.isfinite(out)].min())!r}; "
-            f"it is finite at every r for nu up to about 1000")
+    first, second = _matern_ladder, _matern_bessel
+    if nu - np.floor(nu) not in (0.0, 0.5):
+        first, second = second, first
+    out = first(nu, r)
+    bad = np.isnan(out)
+    if bad.any():
+        rest = second(nu, r[bad])
+        out[bad] = rest
+        if np.isnan(rest).any():
+            raise ValueError(
+                f"Matern profile at nu={nu} overflows double precision at "
+                f"r={float(r[bad][np.isnan(rest)].min())!r}; "
+                f"it is finite at every r for nu up to about 1000")
     return float(out) if out.ndim == 0 else out
 
 
@@ -225,19 +229,12 @@ def kernel_profile(spec: KernelSpec, r: float | np.ndarray) -> float | np.ndarra
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
-    """Exact kernel value K(x, z)."""
+    """Exact kernel value K(x, z) of two points: one entry of ``kernel_matrix``."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if x.shape != z.shape or x.shape[-1] != spec.dim:
+    if x.shape != (spec.dim,) or z.shape != (spec.dim,):
         raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}, d={spec.dim}")
-    if not (np.isfinite(x).all() and np.isfinite(z).all()):
-        raise ValueError("inputs must be finite")
-    delta = x - z
-    if spec.family == L1_LAPLACIAN:
-        r = np.abs(delta).sum()
-    else:
-        r = spec.shape.norm(delta)
-    return float(kernel_profile(spec, r))
+    return float(kernel_matrix(spec, x[None], z[None])[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray,

@@ -165,10 +165,11 @@ def _logistic_objective(theta: np.ndarray, P: np.ndarray, Yoh: np.ndarray,
     n = P.shape[0]
     scores = P @ theta
     scores -= scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(scores).sum(axis=1))
-    ce = (log_z - (scores * Yoh).sum(axis=1)).mean()
+    e = np.exp(scores)
+    z = e.sum(axis=1, keepdims=True)
+    ce = (np.log(z[:, 0]) - (scores * Yoh).sum(axis=1)).mean()
     obj = ce + 0.5 * lam * float((theta * theta).sum())
-    probs = softmax(scores)
+    probs = e / z
     if keep is not None:
         keep["S"] = probs
     grad = P.T @ (probs - Yoh) / n + lam * theta

@@ -86,6 +86,13 @@ class TestLoadCsv:
         ds = load_csv(path, task="regression")
         assert ds.y[0] == 0.5
 
+    @pytest.mark.parametrize("label", ["1000000.5", "1.000001"])
+    def test_labels_within_allclose_tolerance_are_not_integers(self, tmp_path, label):
+        # np.allclose's rtol of 1e-5 loaded these as 1000000 and 1
+        path = write_csv(tmp_path / "t.csv", ["a,b", "1,0", f"2,{label}"])
+        with pytest.raises(DataError, match="integers"):
+            load_csv(path, task="classification")
+
     def test_row_count_matches_file(self, tmp_path):
         # line-count oracle on a large generated file
         n = 100_000
@@ -455,8 +462,8 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("nu, message", [
         ("inf", "--nu must be finite, got inf"),
-        ("1e300", "Matern profile needs nu in (0, 10000], got nu=1e+300"),
-        ("1e5", "Matern profile needs nu in (0, 10000], got nu=100000.0"),
+        ("1e300", "matern needs nu in (0, 10000], got nu=1e+300"),
+        ("1e5", "matern needs nu in (0, 10000], got nu=100000.0"),
     ])
     def test_matern_nu_outside_the_envelope_fails_by_name(self, tmp_path, capsys,
                                                           monkeypatch, nu, message):
@@ -474,6 +481,17 @@ class TestCliRuns:
             assert not (tmp_path / "m.json").exists()
         else:
             assert read_report(out)["status"] == "failed"
+
+    @pytest.mark.parametrize("nu", ["1e300", "2e4"])
+    def test_features_refuses_nu_outside_the_envelope(self, tmp_path, capsys, nu):
+        # both wrote an operator record that approx then refused
+        out = tmp_path / "f"
+        assert main(["features", "--kernel", "matern", "--nu", nu, "--d", "2",
+                     "--p", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: matern needs nu in (0, 10000], got nu={float(nu)}"]
+        assert read_report(out)["status"] == "failed"
+        assert not [name for name in os.listdir(tmp_path) if "operator" in name]
 
     def test_bench_rejects_unknown_norm(self, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -849,6 +867,42 @@ class TestCliEdges:
         kernel = "matern" if flag == "--nu" else "exp_power"
         assert_ends_cleanly(["features", "--kernel", kernel, f"{flag}={value}",
                              "--scheme", scheme, "--p", p, "--d", d, "--seed", seed])
+
+    # 12 rows, 2 feature columns and a positive integer label column "y"
+    DATA = "a,b,y\n" + "".join(f"{np.sin(i):.3f},{np.cos(3 * i):.3f},{1 + i % 3}\n"
+                                for i in range(12))
+    # each data subcommand with a float flag it takes; the kernel follows the flag
+    FLOAT_FLAGS = {"approx": ("--alpha", "--nu"), "bench": ("--alpha", "--nu"),
+                   "krr": ("--alpha", "--nu", "--lambda", "--test-fraction"),
+                   "klr": ("--alpha", "--nu", "--lambda", "--test-fraction")}
+    KERNEL = {"--alpha": "exp_power", "--nu": "matern"}
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(sorted(FLOAT_FLAGS)).flatmap(
+               lambda c: st.tuples(st.just(c), st.sampled_from(TestCliEdges.FLOAT_FLAGS[c]))),
+           value=VALUES, scheme=st.sampled_from(["rff", "orf"]),
+           p=st.sampled_from(["1", "8", "6,3"]), data=st.booleans(),
+           # half the examples take the default recipe and label column
+           recipe=st.one_of(st.just("none"), st.sampled_from(
+               ["center", "standard-scale+unit-norm", "log-target", "bogus"])),
+           label_col=st.one_of(st.just("-1"), st.sampled_from(["0", "y", "q", "7"])),
+           task=st.sampled_from(["classification", "regression"]),
+           seed=st.sampled_from(["0", "3"]))
+    def test_data_flag_space(self, command, value, scheme, p, data, recipe, label_col,
+                             task, seed):
+        command, flag = command
+        argv = [command, "--kernel", self.KERNEL.get(flag, "laplacian"), f"{flag}={value}",
+                "--scheme", scheme, "--p", p, "--d", "2", "--n", "16", "--recipe", recipe,
+                "--label-col", label_col, "--task", task, "--seed", seed]
+        if command in ("approx", "bench"):
+            argv += ["--repeats", "1"]
+        with tempfile.TemporaryDirectory() as data_dir:
+            if data:
+                path = os.path.join(data_dir, "tiny.csv")
+                with open(path, "w") as fh:
+                    fh.write(self.DATA)
+                argv += ["--data", path]
+            assert_ends_cleanly(argv)
 
 
 def test_cli_import_leaves_stats_and_optimize_unloaded():

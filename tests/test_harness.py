@@ -171,7 +171,9 @@ class TestCfCheck:
         ("orf", "gaussian", {}),
         # ORF's exp_power norm law at the point-mass mixture alpha = 2 and
         # deep in the stable mixture
-        ("orf", "exp_power", {"alpha": 2.0}), ("orf", "exp_power", {"alpha": 0.7})])
+        ("orf", "exp_power", {"alpha": 2.0}), ("orf", "exp_power", {"alpha": 0.7}),
+        # ORF's generalized beta-prime norm law for Matern at nu = 3/2
+        ("orf", "matern", {"nu": 1.5})])
     def test_anisotropic_shape(self, scheme, family, kw):
         # M with condition number 100 in a random basis: the samplers' cholM
         # and ORF's sqrtM must carry M into the weight law, which an

@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -36,7 +37,8 @@ def bessel_quadrature(nu, x):
 
 def bessel_route(nu, r):
     """The Matern profile by the kve route alone, whatever nu: the independent
-    cross-check of the ladder that matern_profile takes when 2 nu is an integer."""
+    cross-check of the ladder that matern_profile takes when 2 nu is an integer.
+    It is NaN where kve overflows."""
     return kernels._matern_bessel(nu, np.asarray(r, dtype=float))
 
 
@@ -46,12 +48,33 @@ def bessel_k(nu, x):
     return profile * special.gamma(nu) * 2 ** (nu - 1) / x ** nu
 
 
+@functools.cache
 def matern_mpmath(nu, r):
-    """(2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r, at 50 digits."""
+    """(2^{1-nu}/Gamma(nu)) t^nu K_nu(t), t = sqrt(2 nu) r, at 50 digits; 1 at r = 0."""
+    if r == 0:
+        return 1.0
     with mpmath.workdps(50):
         nu = mpmath.mpf(nu)
         t = mpmath.sqrt(2 * nu) * mpmath.mpf(r)
         return float(2 ** (1 - nu) / mpmath.gamma(nu) * t ** nu * mpmath.besselk(nu, t))
+
+
+def kve_overflows(nu, r):
+    """Where kve(nu, t) is inf at t = sqrt(2 nu) r > 0."""
+    t = np.sqrt(2 * nu) * r
+    return (t > 0) & np.isinf(special.kve(nu, t))
+
+
+def assert_kve_route(nu, r):
+    """bessel_route is NaN exactly where kve overflows, and equals the mpmath
+    profile (at 1e-12) at every other entry."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    overflow = kve_overflows(nu, r)
+    out = bessel_route(nu, r)
+    np.testing.assert_array_equal(np.isnan(out), overflow, err_msg=f"nu={nu}")
+    ref = [matern_mpmath(nu, x) for x in r[~overflow]]
+    np.testing.assert_allclose(out[~overflow], ref, rtol=1e-12, atol=0, err_msg=f"nu={nu}")
+    return overflow
 
 
 # deterministic examples, no example database on disk
@@ -80,10 +103,14 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec("gaussian", sm, nu=1.0)
 
-    @pytest.mark.parametrize("nu", [np.inf, -np.inf, np.nan, 0.0, -1.5])
+    @pytest.mark.parametrize("nu", [np.inf, -np.inf, np.nan, 0.0, -1.5, 1e4 + 1])
     def test_matern_needs_finite_positive_nu(self, nu):
-        with pytest.raises(ValueError, match=re.escape(f"matern needs finite nu > 0, got {nu}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"matern needs nu in (0, 10000], got nu={nu}")):
             KernelSpec("matern", ShapeMatrix.identity(2), nu=nu)
+
+    def test_matern_takes_the_largest_nu_of_the_envelope(self):
+        assert KernelSpec("matern", ShapeMatrix.identity(2), nu=1e4).nu == 1e4
 
 
 class TestBesselK:
@@ -202,17 +229,19 @@ class TestMaternProfile:
 
     @pytest.mark.filterwarnings("error")
     def test_against_mpmath(self):
-        # covers the kve path's overflow at tiny r: it read nan at (4, 1e-100),
+        # covers the kve route's overflow at tiny r: it read nan at (4, 1e-100),
         # (60, 1e-5) and (3.7, 1e-120), and inf at (20, 1e-15); where e^{-t}
-        # does not underflow, as at nu = 50 and t <= 1e-5, the ladder serves
-        # these entries, not the far-tail zero
+        # does not underflow, as at nu = 50 and t <= 1e-5, the profile takes
+        # these entries from the ladder, not the far-tail zero
         r = np.concatenate([[1e-120, 1e-100, 1e-15, 1e-5],
                             np.geomspace(1e-3, 30.0, 12)])
+        overflows = 0
         for nu in (1, 3.5, 4, 20, 3.7, 50, 60, 60.3, 200):
             ref = np.array([matern_mpmath(nu, x) for x in r])
-            for route in (matern_profile, bessel_route):
-                np.testing.assert_allclose(route(nu, r), ref, rtol=1e-12, atol=0,
-                                           err_msg=f"nu={nu} {route.__name__}")
+            np.testing.assert_allclose(matern_profile(nu, r), ref, rtol=1e-12, atol=0,
+                                       err_msg=f"nu={nu} matern_profile")
+            overflows += assert_kve_route(nu, r).sum()
+        assert overflows > 0
 
     def test_beyond_the_ladder_range(self):
         # at t = sqrt(400) * 40 = 800 the ladder's e^{-t} underflows to 0
@@ -230,17 +259,19 @@ class TestMaternProfile:
             np.testing.assert_array_equal(route(nu, r), 0.0)
 
     @pytest.mark.parametrize("nu, r", [(1500, 20.0), (1e4, 7.07), (1e4, 20.0),
-                                       (1e4, np.array([0.0, 1.0, 20.0, 7.07, 1e6]))])
+                                       (1e4, np.array([0.0, 1.0, 20.0, 7.07, 1e6])),
+                                       (1500, np.array([13.5, 13.9, 14.3]))])
     @pytest.mark.parametrize("route", ["auto", "bessel"])
     def test_large_nu_overflow_is_named(self, nu, r, route):
-        # between t ~ 709 and about nu^2 / 1418 both kve and the ladder's
-        # v_nu overflow; the profile read nan there, not its value (9.5e-87
-        # at nu = 1e4, r = 20)
+        # between t ~ 708, where the ladder's e^{-t} is subnormal, and about
+        # nu^2 / 1418 kve overflows; the profile read nan there, not its value
+        # (9.5e-87 at nu = 1e4, r = 20), and at nu = 1500 it read 0.0 at
+        # r = 13.9 and 14.3, and 3.288e-39 for 3.279e-39 at r = 13.5
         smallest = float(np.min(r[r > 1.0])) if np.ndim(r) else r
         if route == "bessel":
-            # the kve route alone fails from the same smallest r
-            out = bessel_route(nu, r)
-            assert float(np.min(np.asarray(r)[~np.isfinite(out)])) == smallest
+            r = np.atleast_1d(r)
+            overflow = assert_kve_route(nu, r)
+            assert float(np.min(r[overflow & (r > 1.0)])) == smallest
             return
         with pytest.raises(ValueError, match=re.escape(f"nu={nu} ") + ".* "
                            + re.escape(f"r={smallest!r};")):
@@ -257,16 +288,35 @@ class TestMaternProfile:
         monkeypatch.setattr(kernels, "_matern_ladder", reached)
         monkeypatch.setattr(kernels, "_matern_bessel", reached)
         with pytest.raises(ValueError, match=re.escape(
-                f"Matern profile needs nu in (0, 10000], got nu={nu}")):
+                f"matern needs nu in (0, 10000], got nu={nu}")):
             matern_profile(nu, np.array([0.0, 1.0]))
+
+    def test_each_route_leaves_what_it_cannot_give_nan(self, monkeypatch):
+        # neither route calls the other; matern_profile alone hands over
+        def reached(*args):
+            raise AssertionError("one Matern route called the other")
+
+        monkeypatch.setattr(kernels, "_matern_ladder", reached)
+        assert np.isnan(bessel_route(60.3, 1e-120))
+        monkeypatch.undo()
+        monkeypatch.setattr(kernels, "_matern_bessel", reached)
+        # at nu = 1500, t = 708 falls at r = 12.93: e^{-t} is subnormal beyond
+        out = kernels._matern_ladder(1500, np.array([12.9, 13.0, 20.0]))
+        np.testing.assert_array_equal(np.isnan(out), [False, True, True])
 
     @pytest.mark.filterwarnings("error")
     def test_finite_up_to_nu_1000(self):
         r = np.concatenate([np.linspace(0.0, 60.0, 200_001), np.geomspace(1e-300, 1e12, 2000)])
-        for route in (matern_profile, bessel_route):
-            v = route(1000, r)
-            # 1 + 1 ulp at tiny t, as in the half-integer property below
-            assert np.all((v >= 0.0) & (v <= 1.0 + 4 * np.finfo(float).eps))
+        v = matern_profile(1000, r)
+        # 1 + 1 ulp at tiny t, as in the half-integer property below
+        assert np.all((v >= 0.0) & (v <= 1.0 + 4 * np.finfo(float).eps))
+        # the kve route alone: NaN where kve overflows, in [0, 1] elsewhere;
+        # mpmath takes seconds per entry from t ~ nu on, so it checks r <= 10
+        v = bessel_route(1000, r)
+        np.testing.assert_array_equal(np.isnan(v), kve_overflows(1000, r))
+        v = v[~np.isnan(v)]
+        assert np.all((v >= 0.0) & (v <= 1.0 + 4 * np.finfo(float).eps))
+        assert_kve_route(1000, [1e-300, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 1e12])
 
     def test_rejects_negative_or_nan_distance(self):
         for r in (-1.0, np.nan, np.array([0.5, np.nan])):
