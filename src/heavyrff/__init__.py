@@ -5,8 +5,8 @@ samplers, and a benchmark/regression harness."""
 __version__ = "0.1.0"
 
 from .distributions import (GbpParams, StableParams, gbp_cdf, gbp_pdf,
-                            sample_betaprime, sample_chi, sample_gbp,
-                            sample_stable_cms, stable_charfn)
+                            sample_chi, sample_gbp, sample_stable_cms,
+                            stable_charfn)
 from .features import (FeatureMatrix, FeatureOperator, build_orf, build_rff,
                        featurize, gram_approx, load_operator, psi,
                        save_operator)

@@ -20,19 +20,18 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import __version__
-from .data import (DataSet, load_csv, make_classification, make_regression,
+from .data import (RECIPES, DataSet, load_csv, make_classification, make_regression,
                    preprocess, subsample, train_test_split)
 from .distributions import (GbpParams, StableParams, finite_draws, gbp_cdf,
-                            sample_betaprime, sample_chi, sample_gbp,
-                            sample_stable_cms, stable_charfn)
-from .features import build_operator, featurize, operator_record, save_operator
-from .harness import NORMS, measure_approximation
+                            sample_chi, sample_gbp, sample_stable_cms, stable_charfn)
+from .features import (_atomic_write, build_operator, featurize, operator_record,
+                       save_operator)
+from .harness import NORMS, _check_norms, measure_approximation
 from .kernels import FAMILIES, KernelSpec
 from .learners import (evaluate, fit_krr_exact, fit_logistic_features,
                        fit_ridge_features, one_hot)
@@ -61,16 +60,19 @@ def _kernel_spec(cfg: argparse.Namespace, d: int) -> KernelSpec:
 
 def _load_dataset(cfg: argparse.Namespace, rng: RngStream) -> tuple[DataSet, list[str]]:
     notes = []
+    task = getattr(cfg, "task", "classification")  # klr takes no --task
     if cfg.data_path:
-        ds = load_csv(cfg.data_path, label_col=cfg.label_col, task=cfg.task)
+        ds = load_csv(cfg.data_path, label_col=cfg.label_col, task=task)
         labels = f", {np.unique(ds.y).size} labels" if ds.task == "classification" else ""
+        unread = "--n, --d and --classes" if "n_classes" in vars(cfg) else "--n and --d"
         notes.append(f"data has {ds.n} rows, {ds.d} feature columns{labels}; "
-                     "--n, --d and --classes are not read")
-    elif cfg.task == "regression":
+                     f"{unread} are not read")
+    elif task == "regression":
         ds = make_regression(cfg.n, cfg.d, rng.substream(900))
         notes.append("synthetic regression data")
     else:
-        ds = make_classification(cfg.n, cfg.d, cfg.n_classes, rng.substream(900))
+        # the sweeps take no --classes: they read only X, drawn apart from the classes
+        ds = make_classification(cfg.n, cfg.d, getattr(cfg, "n_classes", 2), rng.substream(900))
         notes.append("synthetic classification data")
     if cfg.recipe != "none":
         ds = preprocess(ds, cfg.recipe)
@@ -90,20 +92,6 @@ def _rounded_p(cfg: argparse.Namespace, d: int, notes: list[str]) -> tuple[int, 
     return rounded
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _csv_rows(cfg: argparse.Namespace, results: list[dict]) -> list[dict]:
     """The long-format CSV rows of a report's results: one per sweep norm and
     p, or one per fitted model; ``features`` and ``sample`` write none."""
@@ -116,7 +104,7 @@ def _csv_rows(cfg: argparse.Namespace, results: list[dict]) -> list[dict]:
                      value=res[f"rel_{norm}"],
                      time_ms=res["featurize_ms"] + res["gram_ms"])
                 for res in results for norm in cfg.norms]
-    metric = "accuracy" if cfg.task == "classification" else "r2"
+    metric = "accuracy" if getattr(cfg, "task", "classification") == "classification" else "r2"
     return [dict(base, scheme="exact" if res["p"] is None else cfg.scheme,
                  p="" if res["p"] is None else res["p"], norm=metric,
                  value=res["metrics"][metric], time_ms=res["time_ms"])
@@ -211,8 +199,7 @@ def _run_features(cfg: argparse.Namespace, rng: RngStream) -> dict:
 
 
 # each law's parameters, in the order --params gives them
-_SAMPLE_PARAMS = {"chi": ("k",), "betaprime": ("a", "b"),
-                  "gbp": ("alpha", "beta", "p", "q"),
+_SAMPLE_PARAMS = {"chi": ("k",), "gbp": ("alpha", "beta", "p", "q"),
                   "stable": ("alpha", "beta", "sigma")}
 
 
@@ -223,34 +210,34 @@ def _run_sample(cfg: argparse.Namespace, rng: RngStream) -> dict:
     from scipy import stats
     dist, params, n_draws = cfg.dist, cfg.params, cfg.draws
     what = f"{dist} draws at --params {','.join(map(str, params))}"
-    if dist == "chi":
-        (k,) = params
-        draws = finite_draws(what, sample_chi, k, rng, n_draws)
-        stat, pvalue = stats.kstest(draws ** 2, "chi2", args=(k,))
-        check = {"test": "ks_vs_chi2", "stat": stat, "pvalue": pvalue}
-    elif dist == "betaprime":
-        a, b = params
-        draws = finite_draws(what, sample_betaprime, a, b, rng, n_draws)
-        stat, pvalue = stats.kstest(draws, "betaprime", args=(a, b))
-        check = {"test": "ks_vs_betaprime", "stat": stat, "pvalue": pvalue}
-    elif dist == "gbp":
-        gp = GbpParams(*params)
-        draws = finite_draws(what, sample_gbp, gp, rng, n_draws)
-        stat, pvalue = stats.kstest(draws, lambda x: gbp_cdf(gp, x))
-        check = {"test": "ks_vs_gbp_cdf", "stat": stat, "pvalue": pvalue}
-    elif dist == "stable":
-        sp = StableParams(*params)
-        draws = finite_draws(what, sample_stable_cms, sp, rng, n_draws)
-        # no closed-form CDF: compare the empirical CF on a small grid
-        ts = np.linspace(-2.0, 2.0, 9)
-        emp = np.array([np.mean(np.exp(1j * t * draws)) for t in ts])
-        dev = float(np.abs(emp - stable_charfn(sp, ts)).max())
-        check = {"test": "charfn_deviation", "max_deviation": dev,
-                 "mc_tolerance": 3.0 / np.sqrt(n_draws)}
-    else:
-        raise ValueError(f"unknown distribution {dist!r}")
-    results = [{"distribution": dist, "params": params, "n": n_draws,
-                "mean": float(draws.mean()), "median": float(np.median(draws)),
+    # finite draws can still overflow their mean or the check; refused below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dist == "chi":
+            (k,) = params
+            draws = finite_draws(what, sample_chi, k, rng, n_draws)
+            stat, pvalue = stats.kstest(draws ** 2, "chi2", args=(k,))
+            check = {"test": "ks_vs_chi2", "stat": stat, "pvalue": pvalue}
+        elif dist == "gbp":
+            gp = GbpParams(*params)
+            draws = finite_draws(what, sample_gbp, gp, rng, n_draws)
+            stat, pvalue = stats.kstest(draws, lambda x: gbp_cdf(gp, x))
+            check = {"test": "ks_vs_gbp_cdf", "stat": stat, "pvalue": pvalue}
+        elif dist == "stable":
+            sp = StableParams(*params)
+            draws = finite_draws(what, sample_stable_cms, sp, rng, n_draws)
+            # no closed-form CDF: compare the empirical CF on a small grid
+            ts = np.linspace(-2.0, 2.0, 9)
+            emp = np.array([np.mean(np.exp(1j * t * draws)) for t in ts])
+            dev = float(np.abs(emp - stable_charfn(sp, ts)).max())
+            check = {"test": "charfn_deviation", "max_deviation": dev,
+                     "mc_tolerance": 3.0 / np.sqrt(n_draws)}
+        else:
+            raise ValueError(f"unknown distribution {dist!r}")
+        summary = {"mean": float(draws.mean()), "median": float(np.median(draws))}
+    for name, value in {**summary, **check}.items():
+        if name != "test" and not np.isfinite(value):
+            raise ValueError(f"{what}: {name} is not finite")
+    results = [{"distribution": dist, "params": params, "n": n_draws, **summary,
                 "check": check}]
     return _emit(cfg, results, [])
 
@@ -280,11 +267,11 @@ def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
     sub.add_argument("--data", dest="data_path", type=str, default=None,
                      help="CSV dataset path")
     sub.add_argument("--label-col", type=str, default="-1")
-    sub.add_argument("--task", choices=("classification", "regression"),
-                     default="classification")
-    sub.add_argument("--recipe", type=str, default="none")
+    if kind != "klr":  # klr fits classification labels only
+        sub.add_argument("--task", choices=("classification", "regression"),
+                         default="classification")
+    sub.add_argument("--recipe", choices=RECIPES, default="none")
     sub.add_argument("--n", type=int, default=1000, help="synthetic sample count")
-    sub.add_argument("--classes", dest="n_classes", type=int, default=2)
     sub.add_argument("--cap", type=int, default=10_000)
     if kind in ("approx", "bench"):
         sub.add_argument("--norms", type=str,
@@ -293,6 +280,7 @@ def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
         sub.add_argument("--repeats", type=int, default=1 if kind == "approx" else 3,
                          help="timed repeats per p")
     else:
+        sub.add_argument("--classes", dest="n_classes", type=int, default=2)
         sub.add_argument("--lambda", dest="lam", type=float, default=1e-6)
         sub.add_argument("--test-fraction", type=float, default=0.2)
 
@@ -340,6 +328,7 @@ def _check_flags(cfg: argparse.Namespace) -> None:
             raise ValueError(f"{flag} must be finite, got {flags[name]}")
     if "norms" in flags:
         cfg.norms = tuple(cfg.norms.split(","))
+        _check_norms(cfg.norms)
     if "label_col" in flags:
         with contextlib.suppress(ValueError):  # a column name stays a string
             cfg.label_col = int(cfg.label_col)

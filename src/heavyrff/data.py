@@ -98,7 +98,8 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification") -> D
     X = np.delete(data, label_idx, axis=1)
     y = data[:, label_idx]
     if task == "classification":
-        yi = y.astype(int)
+        with np.errstate(invalid="ignore"):  # a label beyond int64 casts to garbage
+            yi = y.astype(int)
         if not np.array_equal(y, yi):
             raise DataError(f"{path}: classification labels must be integers")
         y = yi

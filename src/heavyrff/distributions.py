@@ -1,6 +1,6 @@
 """Univariate samplers and analytic laws used by the feature constructions.
 
-Covers the Chi, BetaPrime and generalized Beta-prime (GBP) positive laws, and
+Covers the Chi and generalized Beta-prime (GBP) positive laws, and
 the univariate alpha-stable family sampled with the Chambers-Mallows-Stuck
 (CMS) transform. Analytic CDF / characteristic-function evaluators are
 provided where they exist so samplers can be validated statistically.
@@ -19,7 +19,6 @@ __all__ = [
     "StableParams",
     "GbpParams",
     "sample_chi",
-    "sample_betaprime",
     "sample_gbp",
     "sample_stable_cms",
     "stable_charfn",
@@ -72,22 +71,17 @@ def sample_chi(k: float, rng: RngStream, size: int) -> np.ndarray:
     return np.sqrt(rng.generator.chisquare(k, size=size))
 
 
-def sample_betaprime(a: float, b: float, rng: RngStream, size: int) -> np.ndarray:
-    """Draw ``size`` values from BetaPrime(a, b), the odds distribution of Beta(a, b).
-
-    Implemented through the two-Gamma representation: with Ga ~ Gamma(a) and
-    Gb ~ Gamma(b), Z = Ga/(Ga+Gb) is Beta(a, b) and Z/(1-Z) = Ga/Gb. Taking
-    the ratio directly avoids the 1-Z cancellation for Z near 1.
-    """
-    if not (0 < a < np.inf and 0 < b < np.inf):
-        raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
-    g = rng.generator
-    return g.gamma(a, size=size) / g.gamma(b, size=size)
-
-
 def sample_gbp(params: GbpParams, rng: RngStream, size: int) -> np.ndarray:
-    """Draw ``size`` values q * u**(1/p) with u ~ BetaPrime(alpha, beta)."""
-    u = sample_betaprime(params.alpha, params.beta, rng, size=size)
+    """Draw ``size`` values q * u**(1/p) with u ~ BetaPrime(alpha, beta).
+
+    BetaPrime(alpha, beta) is GBP(alpha, beta, 1, 1), the odds distribution
+    of Beta(alpha, beta). It is drawn through the two-Gamma representation:
+    with Ga ~ Gamma(alpha) and Gb ~ Gamma(beta), Z = Ga/(Ga+Gb) is
+    Beta(alpha, beta) and Z/(1-Z) = Ga/Gb. Taking the ratio directly avoids
+    the 1-Z cancellation for Z near 1.
+    """
+    g = rng.generator
+    u = g.gamma(params.alpha, size=size) / g.gamma(params.beta, size=size)
     return params.q * u ** (1.0 / params.p)
 
 

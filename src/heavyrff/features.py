@@ -163,11 +163,9 @@ def build_rff(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
 def _orf_diag(spec: KernelSpec, p: int, d: int, rng: RngStream) -> np.ndarray:
     if spec.family == GAUSSIAN:
         return sample_chi(d, rng, size=p)
-    if spec.family == LAPLACIAN:
-        return sample_gbp(GbpParams(d / 2.0, 0.5, 2.0, 1.0), rng, size=p)
-    if spec.family == MATERN:
-        return sample_gbp(GbpParams(d / 2.0, spec.nu, 2.0, np.sqrt(2.0 * spec.nu)),
-                          rng, size=p)
+    if spec.family in (LAPLACIAN, MATERN):
+        nu = spec.nu if spec.family == MATERN else 0.5  # Laplacian = Matern at nu = 1/2
+        return sample_gbp(GbpParams(d / 2.0, nu, 2.0, np.sqrt(2.0 * nu)), rng, size=p)
     # exp_power: norm of sqrt(A) G is sqrt(A) * chi(d)
     q = sample_chi(d, rng, size=p)
     return q * sample_stable_mixing(spec.alpha, rng, size=p)
@@ -239,9 +237,23 @@ def operator_from_record(record: dict) -> FeatureOperator:
     return build_operator(record["scheme"], spec, record["p"], rng)
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file renamed over it,
+    creating missing directories; the file gets the mode ``open(path, "w")`` gives."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:  # under the umask, as "w"; mkstemp's mode is 0600
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_operator(op: FeatureOperator, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(operator_record(op), fh, indent=2)
+    _atomic_write(path, json.dumps(operator_record(op), indent=2, allow_nan=False))
 
 
 def load_operator(path) -> FeatureOperator:

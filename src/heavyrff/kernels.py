@@ -40,8 +40,10 @@ FAMILIES = (GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, EXP_POWER, MATERN)
 # symmetry check compares; each holds a few tiles of temporaries, never n x n.
 TILE = 256
 
-# The largest nu KernelSpec and matern_profile accept. The ladder takes one step per unit
-# of nu, and from nu ~ 1000 on the profile overflows in a widening band of r.
+# The nu envelope KernelSpec and matern_profile accept. A subnormal nu overflows the profile
+# at every r > 0; the ladder takes one step per unit of nu, and from nu ~ 1000 on the
+# profile overflows in a widening band of r.
+_MATERN_NU_MIN = float(np.finfo(float).tiny)
 _MATERN_NU_MAX = 1e4
 
 
@@ -52,7 +54,7 @@ class KernelSpec:
     family: str
     shape: ShapeMatrix
     alpha: float | None = None  # exp_power only, in (0, 2]
-    nu: float | None = None     # matern only, in (0, _MATERN_NU_MAX]
+    nu: float | None = None     # matern only, in [_MATERN_NU_MIN, _MATERN_NU_MAX]
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -73,9 +75,9 @@ class KernelSpec:
 
 
 def _check_matern_nu(nu: float | None) -> None:
-    """Refuse nu outside (0, ``_MATERN_NU_MAX``], the Matern family's one envelope."""
-    if nu is None or not 0.0 < nu <= _MATERN_NU_MAX:
-        raise ValueError(f"matern needs nu in (0, {_MATERN_NU_MAX:g}], got nu={nu}")
+    """Refuse nu outside [_MATERN_NU_MIN, _MATERN_NU_MAX], the Matern family's one envelope."""
+    if nu is None or not _MATERN_NU_MIN <= nu <= _MATERN_NU_MAX:
+        raise ValueError(f"matern needs nu in [{_MATERN_NU_MIN}, {_MATERN_NU_MAX:g}], got nu={nu}")
 
 
 def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
@@ -183,7 +185,7 @@ def matern_profile(nu: float, r: float | np.ndarray) -> float | np.ndarray:
     overflows. Any other nu starts on ``kve`` and takes from the ladder the
     tiny t where ``kve`` overflows.
 
-    nu outside (0, ``_MATERN_NU_MAX``] is refused before any work. An entry
+    nu outside [``_MATERN_NU_MIN``, ``_MATERN_NU_MAX``] is refused before any work. An entry
     that neither route can represent raises ``ValueError`` naming nu and the
     smallest such r. That happens only at large nu, in a band of moderate t
     where ``kve`` overflows and the ladder's e^{-t} is subnormal or its v_nu

@@ -202,8 +202,9 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     products, from theta = 0. It stops when the gradient's 2-norm drops below
     ``tol`` (converged) or after ``max_iter`` Newton iterations; a
     fit that stops unconverged emits a RuntimeWarning and is marked as not
-    converged. The model carries the solver's iteration, evaluation and
-    Hessian-vector product counts.
+    converged. A gradient norm below lam times machine epsilon also counts as
+    converged: theta is then within ||grad||/lam of the optimum. The model
+    carries the solver's iteration, evaluation and Hessian-vector product counts.
     """
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import minimize
@@ -231,7 +232,7 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
                    jac=True, hessp=hessp,
                    options={"gtol": tol, "maxiter": max_iter})
     gnorm = float(np.linalg.norm(res.jac))
-    converged = gnorm < tol
+    converged = gnorm < max(tol, lam * 2.0 ** -52)  # 2^-52: machine epsilon
     if not converged:
         warnings.warn(
             f"logistic fit stopped after {res.nit} iterations "

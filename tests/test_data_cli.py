@@ -9,9 +9,11 @@ import math
 import os
 import pkgutil
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +94,14 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "t.csv", ["a,b", "1,0", f"2,{label}"])
         with pytest.raises(DataError, match="integers"):
             load_csv(path, task="classification")
+
+    def test_label_beyond_int64_is_refused_without_a_warning(self, tmp_path):
+        # the cast to int warned "invalid value encountered in cast" first
+        path = write_csv(tmp_path / "t.csv", ["a,b", "1,0", "2,1e20"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="classification labels must be integers"):
+                load_csv(path, task="classification")
 
     def test_row_count_matches_file(self, tmp_path):
         # line-count oracle on a large generated file
@@ -298,7 +308,7 @@ def expected_csv_rows(report):
                   str(res[f"rel_{norm}"]), str(cfg["seed"])],
                  res["featurize_ms"] + res["gram_ms"])
                 for res in results for norm in cfg["norms"]]
-    metric = "accuracy" if cfg["task"] == "classification" else "r2"
+    metric = "r2" if cfg.get("task") == "regression" else "accuracy"  # klr takes no --task
     return [([dataset, cfg["kernel"], "exact" if res["p"] is None else cfg["scheme"],
               "" if res["p"] is None else str(res["p"]), metric,
               str(res["metrics"][metric]), str(cfg["seed"])], res["time_ms"])
@@ -354,7 +364,8 @@ class TestCliRuns:
     ])
     def test_malformed_integer_flags(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"
-        args = ["approx", "--p", "64", "--n", "60", "--d", "3",
+        command = "krr" if flag == "--classes" else "approx"  # the sweeps take no --classes
+        args = [command, "--p", "64", "--n", "60", "--d", "3",
                 "--out", str(out), flag, value]
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
@@ -389,13 +400,13 @@ class TestCliRuns:
          {"seed", "out", "dist", "params", "draws"}),
         (["features", "--p", "8", "--d", "2"], FEATURE_FLAGS),
         (["approx", "--p", "8", "--n", "20", "--d", "2"],
-         FEATURE_FLAGS | DATA_FLAGS | {"norms", "repeats"}),
+         FEATURE_FLAGS | DATA_FLAGS - {"n_classes"} | {"norms", "repeats"}),
         (["bench", "--p", "8", "--n", "20", "--d", "2", "--repeats", "1"],
-         FEATURE_FLAGS | DATA_FLAGS | {"norms", "repeats"}),
+         FEATURE_FLAGS | DATA_FLAGS - {"n_classes"} | {"norms", "repeats"}),
         (["krr", "--p", "8", "--n", "20", "--d", "2"],
          FEATURE_FLAGS | DATA_FLAGS | {"lam", "test_fraction"}),
         (["klr", "--p", "8", "--n", "20", "--d", "2"],
-         FEATURE_FLAGS | DATA_FLAGS | {"lam", "test_fraction"}),
+         FEATURE_FLAGS | DATA_FLAGS - {"task"} | {"lam", "test_fraction"}),
     ])
     def test_config_records_exactly_the_flags_taken(self, tmp_path, argv, keys):
         out = tmp_path / argv[0]
@@ -406,6 +417,11 @@ class TestCliRuns:
         ["features", "--lambda", "1"],
         ["approx", "--lambda", "1", "--n", "20", "--d", "2", "--p", "8"],
         ["sample", "--dist", "chi", "--params", "3", "--n", "0"],
+        # flags that could not change a result: the sweeps read only X, and
+        # klr fits classification labels only
+        ["approx", "--classes", "7", "--n", "20", "--d", "2", "--p", "8"],
+        ["bench", "--classes", "7", "--n", "20", "--d", "2", "--p", "8"],
+        ["klr", "--task", "regression", "--n", "20", "--d", "2", "--p", "8"],
     ])
     def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -462,8 +478,8 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("nu, message", [
         ("inf", "--nu must be finite, got inf"),
-        ("1e300", "matern needs nu in (0, 10000], got nu=1e+300"),
-        ("1e5", "matern needs nu in (0, 10000], got nu=100000.0"),
+        ("1e300", "matern needs nu in [2.2250738585072014e-308, 10000], got nu=1e+300"),
+        ("1e5", "matern needs nu in [2.2250738585072014e-308, 10000], got nu=100000.0"),
     ])
     def test_matern_nu_outside_the_envelope_fails_by_name(self, tmp_path, capsys,
                                                           monkeypatch, nu, message):
@@ -489,7 +505,7 @@ class TestCliRuns:
         assert main(["features", "--kernel", "matern", "--nu", nu, "--d", "2",
                      "--p", "4", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: matern needs nu in (0, 10000], got nu={float(nu)}"]
+            f"error: matern needs nu in [2.2250738585072014e-308, 10000], got nu={float(nu)}"]
         assert read_report(out)["status"] == "failed"
         assert not [name for name in os.listdir(tmp_path) if "operator" in name]
 
@@ -499,7 +515,18 @@ class TestCliRuns:
                 "--norms", "trace", "--out", str(out)]
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == ["error: unknown norm 'trace'"]
-        assert read_report(out)["status"] == "failed"
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("flag, code, message", [
+        ("--recipe", 2, "argument --recipe: invalid choice: 'bogus'"),
+        ("--norms", 1, "error: unknown norm 'bogus'"),
+    ])
+    def test_malformed_recipe_or_norms_writes_no_report(self, tmp_path, flag, code, message):
+        # both once built the data and left a failed report
+        code_seen, err = run_cli(["approx", "--n", "20", "--d", "2", "--p", "8", flag, "bogus"],
+                                 str(tmp_path))
+        assert code_seen == code and message in err[-1]
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command, norms, repeats", [
         ("approx", ["frobenius", "operator", "nuclear"], 1),
@@ -662,12 +689,11 @@ class TestCliRuns:
         data = write_csv(tmp_path / "d.csv", lines)
         out = tmp_path / "n"
         assert main(["approx", "--data", data, "--p", "32", "--norms", "frobenius",
-                     "--n", "5", "--d", "7", "--classes", "9", "--out", str(out)]) == 0
+                     "--n", "5", "--d", "7", "--out", str(out)]) == 0
         report = read_report(out)
-        assert (report["config"]["n"], report["config"]["d"],
-                report["config"]["n_classes"]) == (5, 7, 9)
+        assert (report["config"]["n"], report["config"]["d"]) == (5, 7)
         assert report["notes"][0] == ("data has 40 rows, 3 feature columns, 4 labels; "
-                                      "--n, --d and --classes are not read")
+                                      "--n and --d are not read")
 
     @pytest.mark.parametrize("argv, note", [
         (["approx", "--kernel", "matern", "--nu", "2.5", "--p", "16,32", "--n", "60",
@@ -686,7 +712,7 @@ class TestCliRuns:
           "--lambda", "1e-2", "--m-file", "{m}"], "synthetic classification data"),
         (["features", "--scheme", "orf", "--p", "5", "--d", "3", "--m-file", "{m}"],
          "p rounded 5 -> 6 for ORF"),
-        (["sample", "--dist", "betaprime", "--params", "2,3", "--draws", "2000"], None),
+        (["sample", "--dist", "gbp", "--params", "2,3,1,1", "--draws", "2000"], None),
     ])
     def test_csv_rows_match_the_json_results(self, tmp_path, argv, note):
         ds = make_classification(60, 3, 2, RngStream(211), margin=0.05)
@@ -711,7 +737,7 @@ class TestCliRuns:
                 assert res["operator"]["kernel"]["M"] == (
                     FULL_M if "--m-file" in argv else np.eye(3).tolist())
         if argv[0] == "sample":
-            assert report["results"][0]["check"]["test"] == "ks_vs_betaprime"
+            assert report["results"][0]["check"]["test"] == "ks_vs_gbp_cdf"
 
     def test_report_embeds_config(self, tmp_path):
         out = tmp_path / "cfg"
@@ -731,6 +757,28 @@ class TestCliRuns:
         with pytest.raises(OSError, match="replace refused"):
             _atomic_write(str(target), "{}")
         assert list(tmp_path.iterdir()) == []
+
+    def test_features_creates_a_missing_out_directory(self, tmp_path):
+        # operator records were written with a plain open(), which exited 1 here
+        out = tmp_path / "new" / "ops"
+        assert main(["features", "--p", "8", "--d", "2", "--out", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path / "new")) == [
+            "ops-operator-p8.json", "ops.csv", "ops.json"]
+
+    def test_every_file_a_run_writes_has_the_mode_open_gives(self, tmp_path):
+        # reports were written 0600 through mkstemp, operator records 0644
+        previous = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            assert main(["features", "--p", "8", "--d", "2",
+                         "--out", str(tmp_path / "f")]) == 0
+        finally:
+            os.umask(previous)
+        modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in os.listdir(tmp_path)}
+        assert modes == dict.fromkeys(["plain", "f-operator-p8.json", "f.json", "f.csv"],
+                                      0o640)
 
     def test_run_experiment_unknown_kind(self, tmp_path):
         cfg = argparse.Namespace(kind="mystery", seed=0, out=str(tmp_path / "r"))
@@ -794,8 +842,8 @@ class TestCliEdges:
          "--params must be finite, got '1.5,0,inf'"),
         (["sample", "--dist", "gbp", "--params", "1,1,1,inf"],
          "--params must be finite, got '1,1,1,inf'"),
-        (["sample", "--dist", "betaprime", "--params", "1e-300,1e-300"],
-         "betaprime draws at --params 1e-300,1e-300 are not finite"),
+        (["sample", "--dist", "gbp", "--params", "1e-300,1e-300,1,1"],
+         "gbp draws at --params 1e-300,1e-300,1.0,1.0 are not finite"),
         (["sample", "--dist", "chi", "--params", "inf"], "--params must be finite, got 'inf'"),
         (["krr", "--lambda", "nan"], "--lambda must be finite, got nan"),
         (["krr", "--lambda", "inf"], "--lambda must be finite, got inf"),
@@ -804,6 +852,9 @@ class TestCliEdges:
         (["features", "--kernel", "exp_power", "--alpha", "nan"],
          "--alpha must be finite, got nan"),
         (["krr", "--test-fraction", "inf"], "--test-fraction must be finite, got inf"),
+        # finite draws whose mean overflows
+        (["sample", "--dist", "stable", "--params", "2,0,2e307", "--draws", "1000"],
+         "stable draws at --params 2.0,0.0,2e+307: mean is not finite"),
     ])
     def test_fails_by_name(self, tmp_path, argv, message):
         small = ["--n", "30", "--d", "2", "--p", "8"] if argv[0] in ("krr", "klr") else []
@@ -846,10 +897,11 @@ class TestCliEdges:
                                         "-1", "-inf"]),
                        st.sampled_from(["0.001", "0.5", "1", "1.3", "2", "4"]))
     # each law with as many parameters as it takes (stable: 1 to 3)
-    LAWS = st.sampled_from([("chi", 1), ("betaprime", 2), ("gbp", 4), ("stable", 1),
-                            ("stable", 2), ("stable", 3)]).flatmap(
-        lambda law: st.tuples(st.just(law[0]),
-                              st.lists(TestCliEdges.VALUES, min_size=law[1], max_size=law[1])))
+    # and BetaPrime, which is gbp with p = q = 1
+    LAWS = st.sampled_from([("chi", 1, []), ("gbp", 2, ["1", "1"]), ("gbp", 4, []),
+                            ("stable", 1, []), ("stable", 2, []), ("stable", 3, [])]).flatmap(
+        lambda law: st.tuples(st.just(law[0]), st.lists(
+            TestCliEdges.VALUES, min_size=law[1], max_size=law[1]).map(lambda v: v + law[2])))
 
     # "--flag=value", so that argparse reads a leading "-" as part of the value
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -893,7 +945,9 @@ class TestCliEdges:
         command, flag = command
         argv = [command, "--kernel", self.KERNEL.get(flag, "laplacian"), f"{flag}={value}",
                 "--scheme", scheme, "--p", p, "--d", "2", "--n", "16", "--recipe", recipe,
-                "--label-col", label_col, "--task", task, "--seed", seed]
+                "--label-col", label_col, "--seed", seed]
+        if command != "klr":  # klr fits classification labels only
+            argv += ["--task", task]
         if command in ("approx", "bench"):
             argv += ["--repeats", "1"]
         with tempfile.TemporaryDirectory() as data_dir:

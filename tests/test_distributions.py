@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from heavyrff import (GbpParams, RngStream, StableParams, gbp_cdf, gbp_pdf,
-                      sample_betaprime, sample_chi, sample_gbp,
-                      sample_stable_cms, stable_charfn)
+                      sample_chi, sample_gbp, sample_stable_cms, stable_charfn)
 from heavyrff.distributions import finite_draws, redraw_once
 from heavyrff.multivariate import ShapeMatrix, sample_mv_t
 
@@ -50,40 +49,43 @@ class TestSampleChi:
 
 
 class TestSampleBetaprime:
+    """BetaPrime(a, b) drawn as GBP(a, b, 1, 1)."""
+
     def test_rejects_nonpositive_shapes(self):
         with pytest.raises(ValueError):
-            sample_betaprime(0.0, 1.0, RngStream(0), size=1)
+            sample_gbp(GbpParams(0.0, 1.0, 1.0, 1.0), RngStream(0), size=1)
         with pytest.raises(ValueError):
-            sample_betaprime(1.0, -2.0, RngStream(0), size=1)
+            sample_gbp(GbpParams(1.0, -2.0, 1.0, 1.0), RngStream(0), size=1)
 
     def test_mean_matches_quadrature(self):
         # oracle: quadrature of x * density; for a=2, b=3 this is a/(b-1) = 1
         dens = lambda x: x ** 1 * (1 + x) ** -5 / special.beta(2.0, 3.0)
         mean, _ = integrate.quad(lambda x: x * dens(x), 0, np.inf)
         assert mean == pytest.approx(1.0, abs=1e-9)
-        draws = sample_betaprime(2.0, 3.0, RngStream(21), size=1_000_000)
+        draws = sample_gbp(GbpParams(2.0, 3.0, 1.0, 1.0), RngStream(21), size=1_000_000)
         assert draws.mean() == pytest.approx(mean, abs=0.01)
 
     def test_uniform_odds_median(self):
-        draws = sample_betaprime(1.0, 1.0, RngStream(22), size=1_000_000)
+        draws = sample_gbp(GbpParams(1.0, 1.0, 1.0, 1.0), RngStream(22), size=1_000_000)
         assert np.median(draws) == pytest.approx(1.0, abs=0.01)
 
     def test_heavy_tail_positivity(self):
-        draws = sample_betaprime(392.0, 0.5, RngStream(23), size=N_KS)
+        draws = sample_gbp(GbpParams(392.0, 0.5, 1.0, 1.0), RngStream(23), size=N_KS)
         assert (draws > 0).all()
         assert np.isfinite(np.quantile(draws, 0.99))
 
     def test_matches_direct_density(self):
-        draws = sample_betaprime(2.0, 3.0, RngStream(24), size=N_KS)
+        draws = sample_gbp(GbpParams(2.0, 3.0, 1.0, 1.0), RngStream(24), size=N_KS)
         _, pvalue = stats.kstest(draws, "betaprime", args=(2.0, 3.0))
         assert pvalue > KS_LEVEL
 
 
 class TestSampleGbp:
     def test_p_q_one_is_betaprime(self):
+        # BetaPrime(2, 3) is the ratio of a Gamma(2) and a Gamma(3) draw
         a = sample_gbp(GbpParams(2.0, 3.0, 1.0, 1.0), RngStream(31), size=N_KS)
-        b = sample_betaprime(2.0, 3.0, RngStream(31), size=N_KS)
-        np.testing.assert_array_equal(a, b)
+        g = RngStream(31).generator
+        np.testing.assert_array_equal(a, g.gamma(2.0, size=N_KS) / g.gamma(3.0, size=N_KS))
 
     def test_ks_vs_quadrature_cdf(self):
         params = GbpParams(8.0, 0.5, 2.0, 1.0)  # d=16 norm-of-Cauchy law
@@ -110,7 +112,7 @@ class TestSampleGbp:
     def test_shares_stream_with_betaprime(self):
         params = GbpParams(3.0, 2.0, 2.0, 5.0)
         gbp = sample_gbp(params, RngStream(35), size=1000)
-        bp = sample_betaprime(3.0, 2.0, RngStream(35), size=1000)
+        bp = sample_gbp(GbpParams(3.0, 2.0, 1.0, 1.0), RngStream(35), size=1000)
         np.testing.assert_array_equal(gbp, 5.0 * bp ** 0.5)
 
 
@@ -253,13 +255,13 @@ class TestFiniteParameters:
         with pytest.raises(ValueError, match="positive and finite"):
             sample_chi(bad, RngStream(0), size=1)
         with pytest.raises(ValueError, match="positive and finite"):
-            sample_betaprime(1.0, bad, RngStream(0), size=1)
+            sample_gbp(GbpParams(1.0, bad, 1.0, 1.0), RngStream(0), size=1)
 
 
 class TestReproducibility:
     def test_bitwise_equal_sequences(self):
         for fn in (lambda r: sample_chi(2.5, r, size=100),
-                   lambda r: sample_betaprime(1.5, 2.5, r, size=100),
+                   lambda r: sample_gbp(GbpParams(1.5, 2.5, 1.0, 1.0), r, size=100),
                    lambda r: sample_gbp(GbpParams(2, 1, 2, 3), r, size=100),
                    lambda r: sample_stable_cms(StableParams(0.9, 1, 1), r, size=100)):
             a = fn(RngStream(7, 3))

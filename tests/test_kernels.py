@@ -103,14 +103,22 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec("gaussian", sm, nu=1.0)
 
-    @pytest.mark.parametrize("nu", [np.inf, -np.inf, np.nan, 0.0, -1.5, 1e4 + 1])
+    @pytest.mark.parametrize("nu", [np.inf, -np.inf, np.nan, 0.0, -1.5, 1e4 + 1,
+                                    5e-324, 1e-310])
     def test_matern_needs_finite_positive_nu(self, nu):
         with pytest.raises(ValueError, match=re.escape(
-                f"matern needs nu in (0, 10000], got nu={nu}")):
+                f"matern needs nu in [2.2250738585072014e-308, 10000], got nu={nu}")):
             KernelSpec("matern", ShapeMatrix.identity(2), nu=nu)
 
     def test_matern_takes_the_largest_nu_of_the_envelope(self):
         assert KernelSpec("matern", ShapeMatrix.identity(2), nu=1e4).nu == 1e4
+
+    def test_matern_takes_the_smallest_normal_nu(self):
+        # a subnormal nu overflowed the profile at every r > 0
+        nu = np.finfo(float).tiny
+        assert KernelSpec("matern", ShapeMatrix.identity(2), nu=nu).nu == nu
+        r = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-8, 1e3, 50)])
+        assert np.isfinite(matern_profile(nu, r)).all()
 
 
 class TestBesselK:
@@ -277,7 +285,7 @@ class TestMaternProfile:
                            + re.escape(f"r={smallest!r};")):
             matern_profile(nu, r)
 
-    @pytest.mark.parametrize("nu", [1e4 + 1, 1e5, 1e300, np.inf, np.nan, 0.0, -2.5])
+    @pytest.mark.parametrize("nu", [1e4 + 1, 1e5, 1e300, np.inf, np.nan, 0.0, -2.5, 5e-324])
     def test_nu_outside_the_envelope_is_refused_before_any_work(self, monkeypatch, nu):
         # nu = 1e300 looped forever (m + 1 == m), nu = inf raised an
         # UnboundLocalError, and nu = 1e5 spent seconds before overflowing;
@@ -288,7 +296,7 @@ class TestMaternProfile:
         monkeypatch.setattr(kernels, "_matern_ladder", reached)
         monkeypatch.setattr(kernels, "_matern_bessel", reached)
         with pytest.raises(ValueError, match=re.escape(
-                f"matern needs nu in (0, 10000], got nu={nu}")):
+                f"matern needs nu in [2.2250738585072014e-308, 10000], got nu={nu}")):
             matern_profile(nu, np.array([0.0, 1.0]))
 
     def test_each_route_leaves_what_it_cannot_give_nan(self, monkeypatch):

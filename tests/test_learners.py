@@ -289,6 +289,18 @@ class TestLogisticFeatures:
             objs.append(obj)
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
+    def test_regularizer_beyond_resolution_converges_at_zero(self):
+        # lam = 1e300 puts the optimum within 1e-300 of theta = 0, which
+        # trust-ncg cannot leave; the fit warned that it had not converged
+        g = np.random.default_rng(8)
+        P = g.standard_normal((40, 6))
+        labels = g.integers(0, 2, size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_logistic_features(FeatureMatrix(P), labels, 1e300)
+        assert model.converged and model.grad_norm > 1e-6
+        assert not model.theta.any()
+
     def test_nonconvergence_warns(self):
         g = np.random.default_rng(8)
         P = g.standard_normal((40, 6))
