@@ -25,13 +25,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import (RECIPES, DataSet, load_csv, make_classification, make_regression,
-                   preprocess, subsample, train_test_split)
+from .data import (RECIPES, X_RECIPES, DataSet, load_csv, make_classification,
+                   make_regression, preprocess, subsample, train_test_split)
 from .distributions import (GbpParams, StableParams, finite_draws, gbp_cdf,
                             sample_chi, sample_gbp, sample_stable_cms, stable_charfn)
 from .features import (_atomic_write, build_operator, featurize, operator_record,
                        save_operator)
-from .harness import NORMS, _check_norms, measure_approximation
+from .harness import NORMS, measure_approximation
 from .kernels import FAMILIES, KernelSpec
 from .learners import (evaluate, fit_krr_exact, fit_logistic_features,
                        fit_ridge_features, one_hot)
@@ -60,20 +60,19 @@ def _kernel_spec(cfg: argparse.Namespace, d: int) -> KernelSpec:
 
 def _load_dataset(cfg: argparse.Namespace, rng: RngStream) -> tuple[DataSet, list[str]]:
     notes = []
-    task = getattr(cfg, "task", "classification")  # klr takes no --task
+    # klr fits classes only. The sweeps read only X: they drop a label column unchecked,
+    # as krr drops regression targets, and make_regression draws make_classification's X.
+    task = getattr(cfg, "task", "classification" if cfg.kind == "klr" else "regression")
     if cfg.data_path:
         ds = load_csv(cfg.data_path, label_col=cfg.label_col, task=task)
         labels = f", {np.unique(ds.y).size} labels" if ds.task == "classification" else ""
         unread = "--n, --d and --classes" if "n_classes" in vars(cfg) else "--n and --d"
         notes.append(f"data has {ds.n} rows, {ds.d} feature columns{labels}; "
                      f"{unread} are not read")
-    elif task == "regression":
-        ds = make_regression(cfg.n, cfg.d, rng.substream(900))
-        notes.append("synthetic regression data")
     else:
-        # the sweeps take no --classes: they read only X, drawn apart from the classes
-        ds = make_classification(cfg.n, cfg.d, getattr(cfg, "n_classes", 2), rng.substream(900))
-        notes.append("synthetic classification data")
+        ds = (make_regression(cfg.n, cfg.d, rng.substream(900)) if task == "regression" else
+              make_classification(cfg.n, cfg.d, cfg.n_classes, rng.substream(900)))
+        notes.append(f"synthetic {task} data")
     if cfg.recipe != "none":
         ds = preprocess(ds, cfg.recipe)
     before = ds.n
@@ -163,10 +162,8 @@ def _run_learning(cfg: argparse.Namespace, rng: RngStream) -> dict:
         t0 = time.perf_counter()
         op = build_operator(cfg.scheme, spec, p, rng.substream(j))
         phi = featurize(op, train.X)
-        if logistic:
-            model = fit_logistic_features(phi, train.y, cfg.lam)
-        else:
-            model = fit_ridge_features(phi, Y_train, cfg.lam)
+        model = (fit_logistic_features(phi, train.y, cfg.lam) if logistic else
+                 fit_ridge_features(phi, Y_train, cfg.lam))
         fit_ms = 1e3 * (time.perf_counter() - t0)
         phi_test = featurize(op, test.X)
         metrics = evaluate(model, phi_test, test.y, ds.task)
@@ -267,10 +264,11 @@ def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
     sub.add_argument("--data", dest="data_path", type=str, default=None,
                      help="CSV dataset path")
     sub.add_argument("--label-col", type=str, default="-1")
-    if kind != "klr":  # klr fits classification labels only
+    if kind == "krr":  # klr fits classification labels only, the sweeps none
         sub.add_argument("--task", choices=("classification", "regression"),
                          default="classification")
-    sub.add_argument("--recipe", choices=RECIPES, default="none")
+    # log-target rewrites y, which only krr fits as a real target
+    sub.add_argument("--recipe", choices=RECIPES if kind == "krr" else X_RECIPES, default="none")
     sub.add_argument("--n", type=int, default=1000, help="synthetic sample count")
     sub.add_argument("--cap", type=int, default=10_000)
     if kind in ("approx", "bench"):
@@ -327,8 +325,9 @@ def _check_flags(cfg: argparse.Namespace) -> None:
         if flags.get(name) is not None and not np.isfinite(flags[name]):
             raise ValueError(f"{flag} must be finite, got {flags[name]}")
     if "norms" in flags:
+        if not set(cfg.norms.split(",")) <= set(NORMS):
+            raise ValueError(f"--norms must list norms out of {','.join(NORMS)}, got {cfg.norms!r}")
         cfg.norms = tuple(cfg.norms.split(","))
-        _check_norms(cfg.norms)
     if "label_col" in flags:
         with contextlib.suppress(ValueError):  # a column name stays a string
             cfg.label_col = int(cfg.label_col)

@@ -22,8 +22,8 @@ __all__ = [
     "RECIPES",
 ]
 
-RECIPES = ("none", "center", "unit-norm", "center+unit-norm",
-           "standard-scale+unit-norm", "log-target")
+X_RECIPES = ("none", "center", "unit-norm", "center+unit-norm", "standard-scale+unit-norm")
+RECIPES = X_RECIPES + ("log-target",)  # log-target rewrites y only
 
 
 class DataError(ValueError):

@@ -200,11 +200,12 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
 
     scipy's ``trust-ncg`` runs on the exact gradient and Hessian-vector
     products, from theta = 0. It stops when the gradient's 2-norm drops below
-    ``tol`` (converged) or after ``max_iter`` Newton iterations; a
-    fit that stops unconverged emits a RuntimeWarning and is marked as not
-    converged. A gradient norm below lam times machine epsilon also counts as
-    converged: theta is then within ||grad||/lam of the optimum. The model
-    carries the solver's iteration, evaluation and Hessian-vector product counts.
+    ``tol`` (converged) or after ``max_iter`` Newton iterations; a fit that
+    stops unconverged emits a RuntimeWarning and is marked as not converged.
+    On the lam-strongly convex objective f, a gradient below lam*eps (theta
+    within eps of the optimum) or below sqrt(2 lam eps |f|) (less than eps*|f|
+    left to gain) also counts as converged, eps = 2^-52. The model carries the
+    solver's iteration, evaluation and Hessian-vector product counts.
     """
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import minimize
@@ -232,7 +233,7 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
                    jac=True, hessp=hessp,
                    options={"gtol": tol, "maxiter": max_iter})
     gnorm = float(np.linalg.norm(res.jac))
-    converged = gnorm < max(tol, lam * 2.0 ** -52)  # 2^-52: machine epsilon
+    converged = gnorm < max(tol, lam * 2.0 ** -52, np.sqrt(2 * lam * 2.0 ** -52 * abs(res.fun)))
     if not converged:
         warnings.warn(
             f"logistic fit stopped after {res.nit} iterations "

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heavyrff
-from heavyrff import kernels
+from heavyrff import cli, kernels
 from heavyrff.cli import _atomic_write, main, run_experiment
 from heavyrff.data import (DataError, load_csv, make_classification,
                            make_regression, preprocess, subsample,
@@ -308,7 +308,7 @@ def expected_csv_rows(report):
                   str(res[f"rel_{norm}"]), str(cfg["seed"])],
                  res["featurize_ms"] + res["gram_ms"])
                 for res in results for norm in cfg["norms"]]
-    metric = "r2" if cfg.get("task") == "regression" else "accuracy"  # klr takes no --task
+    metric = "r2" if cfg.get("task") == "regression" else "accuracy"  # only krr takes --task
     return [([dataset, cfg["kernel"], "exact" if res["p"] is None else cfg["scheme"],
               "" if res["p"] is None else str(res["p"]), metric,
               str(res["metrics"][metric]), str(cfg["seed"])], res["time_ms"])
@@ -350,7 +350,7 @@ class TestCliRuns:
         report = read_report(out)
         assert [row["p"] for row in report["results"]] == [112, 32]
         assert report["config"]["p_grid"] == [100, 32]
-        assert report["notes"] == ["synthetic classification data",
+        assert report["notes"] == ["synthetic regression data",
                                    "p rounded 100 -> 112 for ORF"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--round-p"])
@@ -400,9 +400,9 @@ class TestCliRuns:
          {"seed", "out", "dist", "params", "draws"}),
         (["features", "--p", "8", "--d", "2"], FEATURE_FLAGS),
         (["approx", "--p", "8", "--n", "20", "--d", "2"],
-         FEATURE_FLAGS | DATA_FLAGS - {"n_classes"} | {"norms", "repeats"}),
+         FEATURE_FLAGS | DATA_FLAGS - {"n_classes", "task"} | {"norms", "repeats"}),
         (["bench", "--p", "8", "--n", "20", "--d", "2", "--repeats", "1"],
-         FEATURE_FLAGS | DATA_FLAGS - {"n_classes"} | {"norms", "repeats"}),
+         FEATURE_FLAGS | DATA_FLAGS - {"n_classes", "task"} | {"norms", "repeats"}),
         (["krr", "--p", "8", "--n", "20", "--d", "2"],
          FEATURE_FLAGS | DATA_FLAGS | {"lam", "test_fraction"}),
         (["klr", "--p", "8", "--n", "20", "--d", "2"],
@@ -421,6 +421,8 @@ class TestCliRuns:
         # klr fits classification labels only
         ["approx", "--classes", "7", "--n", "20", "--d", "2", "--p", "8"],
         ["bench", "--classes", "7", "--n", "20", "--d", "2", "--p", "8"],
+        ["approx", "--task", "regression", "--n", "20", "--d", "2", "--p", "8"],
+        ["bench", "--task", "classification", "--n", "20", "--d", "2", "--p", "8"],
         ["klr", "--task", "regression", "--n", "20", "--d", "2", "--p", "8"],
     ])
     def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, argv):
@@ -514,12 +516,14 @@ class TestCliRuns:
         args = ["bench", "--p", "64", "--n", "60", "--d", "3", "--repeats", "1",
                 "--norms", "trace", "--out", str(out)]
         assert main(args) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: unknown norm 'trace'"]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --norms must list norms out of frobenius,operator,nuclear, got 'trace'"]
         assert not (tmp_path / "bad.json").exists()
 
     @pytest.mark.parametrize("flag, code, message", [
         ("--recipe", 2, "argument --recipe: invalid choice: 'bogus'"),
-        ("--norms", 1, "error: unknown norm 'bogus'"),
+        ("--norms", 1,
+         "error: --norms must list norms out of frobenius,operator,nuclear, got 'bogus'"),
     ])
     def test_malformed_recipe_or_norms_writes_no_report(self, tmp_path, flag, code, message):
         # both once built the data and left a failed report
@@ -692,13 +696,13 @@ class TestCliRuns:
                      "--n", "5", "--d", "7", "--out", str(out)]) == 0
         report = read_report(out)
         assert (report["config"]["n"], report["config"]["d"]) == (5, 7)
-        assert report["notes"][0] == ("data has 40 rows, 3 feature columns, 4 labels; "
+        assert report["notes"][0] == ("data has 40 rows, 3 feature columns; "
                                       "--n and --d are not read")
 
     @pytest.mark.parametrize("argv, note", [
         (["approx", "--kernel", "matern", "--nu", "2.5", "--p", "16,32", "--n", "60",
           "--d", "3", "--norms", "frobenius,nuclear", "--m-file", "{m}"],
-         "synthetic classification data"),
+         "synthetic regression data"),
         (["bench", "--scheme", "orf", "--p", "6,12", "--repeats", "2", "--data", "{data}",
           "--label-col", "y", "--recipe", "center+unit-norm", "--cap", "40"],
          "subsampled 60 -> 40"),
@@ -797,6 +801,88 @@ def assert_strict_reports(directory):
         if name.endswith(".json"):
             with open(os.path.join(directory, name)) as fh:
                 json.loads(fh.read(), parse_constant=reject_constant)
+
+
+class TestSweepsReadOnlyX:
+    """approx and bench read only X: a label column is dropped unread."""
+
+    # the rows of `approx --n 50 --d 3` before the sweeps dropped --task
+    PINNED = {"rel_frobenius": 0.06365126184526489, "rel_operator": 0.04360894893298836,
+              "rel_nuclear": 0.10014801536298484}
+
+    @pytest.mark.parametrize("command", ["approx", "bench"])
+    def test_real_valued_labels_give_the_integer_labels_rows(self, tmp_path, command):
+        X = make_classification(40, 3, 2, RngStream(5)).X
+        rows = [",".join(repr(float(v)) for v in x) for x in X]
+        reals = write_csv(tmp_path / "reg.csv", ["a,b,c,y"] + [
+            f"{row},{3.7 * math.sin(i)!r}" for i, row in enumerate(rows)])
+        ints = write_csv(tmp_path / "cls.csv", ["a,b,c,y"] + [
+            f"{row},{i % 3}" for i, row in enumerate(rows)])
+        results = []
+        for data in (reals, ints):
+            out = tmp_path / "r"
+            assert main([command, "--data", data, "--p", "4,8", "--norms",
+                         "frobenius,operator,nuclear", "--repeats", "1",
+                         "--out", str(out)]) == 0
+            results.append([{k: v for k, v in row.items() if k.startswith("rel_")}
+                            for row in read_report(out)["results"]])
+        assert results[0] == results[1]
+
+    def test_synthetic_rows_are_unchanged(self, tmp_path):
+        out = tmp_path / "a"
+        assert main(["approx", "--n", "50", "--d", "3", "--out", str(out)]) == 0
+        (row,) = read_report(out)["results"]
+        assert {key: row[key] for key in self.PINNED} == self.PINNED
+
+    @pytest.mark.parametrize("n, d", [(1000, 16), (7, 3), (16, 2)])
+    def test_regression_data_draws_the_classification_x(self, n, d):
+        for classes in (1, 2, 10):
+            np.testing.assert_array_equal(make_regression(n, d, RngStream(3)).X,
+                                          make_classification(n, d, classes, RngStream(3)).X)
+
+    @pytest.mark.parametrize("command", ["approx", "bench", "klr"])
+    def test_log_target_is_refused_where_y_is_no_real_target(self, tmp_path, capsys,
+                                                              command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--recipe", "log-target", "--n", "20", "--d", "2", "--p", "8",
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "argument --recipe: invalid choice: 'log-target'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_log_target_fits_krr_regression(self, tmp_path):
+        ds = make_regression(60, 2, RngStream(8))
+        data = write_csv(tmp_path / "pos.csv", ["a,b,y"] + [
+            f"{float(x[0])!r},{float(x[1])!r},{math.exp(y)!r}" for x, y in zip(ds.X, ds.y)])
+        out = tmp_path / "k"
+        assert main(["krr", "--task", "regression", "--recipe", "log-target",
+                     "--data", data, "--p", "16", "--lambda", "1e-3",
+                     "--out", str(out)]) == 0
+        report = read_report(out)
+        assert [res["model"] for res in report["results"]] == ["exact_krr", "ridge_features"]
+        assert report["results"][0]["metrics"]["r2"] > 0.5
+
+
+def test_readme_cli_table_counts_the_flags_each_subcommand_takes():
+    subparsers = argparse.ArgumentParser().add_subparsers()
+    taken = {}
+    for kind in cli._RUNNERS:
+        sub = subparsers.add_parser(kind)
+        cli._add_flags(sub, kind)
+        taken[kind] = sum(1 for action in sub._actions
+                          if action.option_strings and action.dest != "help")
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text.split("| subcommand | flags | count |\n|---|---|---|\n")[1].split("\n\n")[0]
+    listed = {}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for name in cells[0].replace("`", "").split(", "):
+            listed[name] = int(cells[-1])
+    assert listed == taken
+    assert f"That makes {sum(taken.values())} settable flags." in text
 
 
 def run_cli(argv, out_dir, seconds=10):
@@ -946,7 +1032,7 @@ class TestCliEdges:
         argv = [command, "--kernel", self.KERNEL.get(flag, "laplacian"), f"{flag}={value}",
                 "--scheme", scheme, "--p", p, "--d", "2", "--n", "16", "--recipe", recipe,
                 "--label-col", label_col, "--seed", seed]
-        if command != "klr":  # klr fits classification labels only
+        if command == "krr":  # klr fits classification labels only, the sweeps none
             argv += ["--task", task]
         if command in ("approx", "bench"):
             argv += ["--repeats", "1"]

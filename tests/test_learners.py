@@ -301,6 +301,22 @@ class TestLogisticFeatures:
         assert model.converged and model.grad_norm > 1e-6
         assert not model.theta.any()
 
+    def test_decrease_beyond_the_objectives_resolution_converges(self):
+        # at lam = 1e14 trust-ncg stops at theta = 0 with gradient norm
+        # 0.059 > lam * eps, and the fit warned it had not converged: yet the
+        # decrease left, at most ||grad||^2 / (2 lam) ~ 2e-17, is below eps * f
+        d, lam = 16, 1e14
+        X = unit_rows(np.random.default_rng(0), 200, d)
+        labels = np.random.default_rng(1).integers(0, 3, size=200)
+        op = build_rff(KernelSpec("laplacian", ShapeMatrix.identity(d)), 64, RngStream(1))
+        phi = featurize(op, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_logistic_features(phi, labels, lam)
+        assert model.converged and model.grad_norm > lam * 2.0 ** -52
+        f = _logistic_objective(model.theta, phi.phi, one_hot(labels), lam)[0]
+        assert model.grad_norm ** 2 / (2 * lam) < 2.0 ** -52 * f
+
     def test_nonconvergence_warns(self):
         g = np.random.default_rng(8)
         P = g.standard_normal((40, 6))
