@@ -328,6 +328,8 @@ def _check_flags(cfg: argparse.Namespace) -> None:
         if not set(cfg.norms.split(",")) <= set(NORMS):
             raise ValueError(f"--norms must list norms out of {','.join(NORMS)}, got {cfg.norms!r}")
         cfg.norms = tuple(cfg.norms.split(","))
+    if flags.get("recipe") == "log-target" and flags.get("task") == "classification":
+        raise ValueError("--recipe log-target needs --task regression")
     if "label_col" in flags:
         with contextlib.suppress(ValueError):  # a column name stays a string
             cfg.label_col = int(cfg.label_col)

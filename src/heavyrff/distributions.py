@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .rng import RngStream
 
@@ -159,6 +158,9 @@ def stable_charfn(params: StableParams, t: float | np.ndarray) -> complex | np.n
 
 def gbp_pdf(params: GbpParams, x: float | np.ndarray) -> float | np.ndarray:
     """Density of GBP(alpha, beta, p, q); zero for x < 0."""
+    # imported here so that loading the package does not pay for scipy.special
+    from scipy import special
+
     a, b, p, q = params.alpha, params.beta, params.p, params.q
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,6 +173,8 @@ def gbp_pdf(params: GbpParams, x: float | np.ndarray) -> float | np.ndarray:
 
 def gbp_cdf(params: GbpParams, x: float | np.ndarray) -> float | np.ndarray:
     """CDF of GBP(alpha, beta, p, q); returns 0 for negative x by convention."""
+    from scipy import special
+
     a, b, p, q = params.alpha, params.beta, params.p, params.q
     x = np.asarray(x, dtype=float)
     # x^p / (q^p + x^p) as 1 / (1 + (q/x)^p): 0 at x = 0, and never 0/0 or

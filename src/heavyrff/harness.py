@@ -36,7 +36,8 @@ class _ExactSide:
     abs_max: float
     asym: float
     frobenius: float = float("nan")
-    spectrum: np.ndarray | None = None  # |eigvalsh(K)|
+    operator: float = float("nan")
+    nuclear: float = float("nan")
 
 
 def _abs_max(A: np.ndarray) -> float:
@@ -72,12 +73,31 @@ def _check_norms(norms: tuple[str, ...]) -> None:
             raise ValueError(f"unknown norm {name!r}")
 
 
+def _top_eigenvalue(K: np.ndarray) -> float:
+    """max |eigenvalue| of a nonzero symmetric K by Lanczos (ARPACK), from a
+    fixed-seed Gaussian start: all-ones is orthogonal to the top eigenvector
+    of some PSD matrices, such as [[1, -0.9], [-0.9, 1]]."""
+    if K.shape[0] == 1:  # ARPACK needs k < n
+        return abs(float(K[0, 0]))
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    try:
+        (top,) = eigsh(K, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence:
+        raise np.linalg.LinAlgError(
+            "Lanczos for the operator norm of K did not converge") from None
+    return abs(float(top))
+
+
 def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
     exact = _ExactSide(K=K, abs_max=_finite_abs_max(K), asym=_asym_max(K))
     if "frobenius" in norms:
         exact.frobenius = np.linalg.norm(K)
-    if "operator" in norms or "nuclear" in norms:
-        exact.spectrum = np.abs(np.linalg.eigvalsh(K))
+    if "operator" in norms:  # a zero K is refused by name, not by ARPACK
+        exact.operator = _top_eigenvalue(K) if exact.abs_max > 0.0 else 0.0
+    if "nuclear" in norms:
+        exact.nuclear = np.trace(K)  # sum |eigenvalue| for a PSD K, as a kernel matrix is
     return exact
 
 
@@ -91,38 +111,45 @@ def _gram_errors(exact: _ExactSide, G: np.ndarray,
     scale = max(exact.abs_max, _finite_abs_max(G), 1.0)
     if max(exact.asym, _asym_max(G)) > 1e-10 * scale:
         raise ValueError("matrices must be symmetric")
+    for name in norms:
+        if getattr(exact, name) == 0.0:
+            raise ZeroDivisionError("||K|| is zero")
     diff = np.subtract(G, exact.K, out=G)
     errs = dict.fromkeys(NORMS)  # None, not nan: JSON has no NaN token
     if "frobenius" in norms:
-        if exact.frobenius == 0.0:
-            raise ZeroDivisionError("||K|| is zero")
         errs["frobenius"] = float(np.linalg.norm(diff) / exact.frobenius)
-    if exact.spectrum is not None:
-        # one eigendecomposition of G - K serves both spectral norms
+    if "operator" in norms or "nuclear" in norms:
+        # one eigendecomposition of G - K serves both spectral norms; the
+        # nuclear norm needs every eigenvalue
         ev_diff = np.abs(np.linalg.eigvalsh(diff))
         for name, reduce in (("operator", np.max), ("nuclear", np.sum)):
-            if name not in norms:
-                continue
-            denom = reduce(exact.spectrum)
-            if denom == 0.0:
-                raise ZeroDivisionError("||K|| is zero")
-            errs[name] = float(reduce(ev_diff) / denom)
+            if name in norms:
+                errs[name] = float(reduce(ev_diff) / getattr(exact, name))
     return errs
 
 
 def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     """||G - K|| / ||K|| for symmetric matrices in the requested norm.
 
-    Operator and nuclear norms use the symmetric eigendecomposition, which is
-    exact for these matrices (spectral norm = max |eigenvalue|, nuclear norm =
-    sum of |eigenvalues|).
+    The spectral norms of G - K come from its symmetric eigendecomposition
+    (operator norm = max |eigenvalue|, nuclear norm = sum of |eigenvalues|).
+    ||K||_2 is K's largest |eigenvalue| by Lanczos, and ||K||_* is its trace,
+    so the nuclear norm needs a positive semidefinite K, as every kernel
+    matrix is: a K with an eigenvalue below -n * 2^-52 * ||K||_2 is refused.
     """
     _check_norms((norm,))
     K = np.asarray(K, dtype=float)
     G = np.array(G, dtype=float)  # _gram_errors consumes its G
     if K.shape != G.shape:
         raise ValueError(f"shape mismatch {K.shape} vs {G.shape}")
-    return _gram_errors(_exact_side(K, (norm,)), G, (norm,))[norm]
+    err = _gram_errors(_exact_side(K, (norm,)), G, (norm,))[norm]
+    if norm == "nuclear":  # after the finite, symmetric and nonzero checks
+        ev = np.linalg.eigvalsh(K)
+        floor = -K.shape[0] * np.finfo(float).eps * np.abs(ev).max()
+        if ev[0] < floor:
+            raise ValueError(f"the nuclear norm needs a positive semidefinite K: its "
+                             f"smallest eigenvalue {ev[0]:.3g} is below {floor:.3g}")
+    return err
 
 
 def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.spatial.distance import cdist
 
 from .multivariate import ShapeMatrix
 
@@ -88,6 +86,9 @@ def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
     K_nu(t) < e^{1/2} sqrt(pi / 2t) e^{-t}, so the profile is below e^{-1800}.
     The others, where ``kve`` overflows (tiny t, large nu), are NaN.
     """
+    # imported here so that loading the package does not pay for scipy.special
+    from scipy import special
+
     with np.errstate(over="ignore"):
         t = np.sqrt(2.0 * nu) * r
     out = np.ones_like(t)
@@ -118,6 +119,8 @@ def _matern_ladder(nu: float, r: np.ndarray) -> np.ndarray:
     1 - m otherwise. Each step updates the arrays in place. Entries where v_nu
     overflows, or (nu > 1/2) beyond t = 708 where e^{-t} is subnormal, are NaN.
     """
+    from scipy import special
+
     t = np.sqrt(2.0 * nu) * r.ravel()
     m = nu - np.floor(nu) or 1.0
     if m == 0.5:
@@ -251,6 +254,8 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
     profile of the whole distance matrix, and exactly symmetric when Z is X.
     Non-finite X or Z is refused before any tile is built.
     """
+    from scipy.spatial.distance import cdist
+
     X = np.asarray(X, dtype=float)
     Z = X if Z is None else np.asarray(Z, dtype=float)
     if X.shape[1] != spec.dim or Z.shape[1] != spec.dim:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .features import FeatureMatrix
 from .kernels import KernelSpec, kernel_matrix
@@ -111,6 +110,9 @@ def _solve_shifted(A: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     """Solve (A + lam I) X = B for an exactly symmetric A, overwriting A with
     its Cholesky factor: A.T is A as an F-ordered view, which LAPACK factors
     without the copy a C-ordered A needs."""
+    # imported here so that loading the package does not pay for scipy.linalg
+    from scipy.linalg import cho_factor, cho_solve
+
     A.flat[::A.shape[0] + 1] += lam
     return cho_solve(cho_factor(A.T, lower=True, overwrite_a=True), B)
 

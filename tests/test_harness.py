@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import heavyrff.harness as harness
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, cf_check, featurize,
@@ -90,6 +91,86 @@ class TestRelError:
         for norm in NORMS:
             rel_error(K, G, norm)
         assert G.tobytes() == before.tobytes()
+
+
+def anisotropic_shape(d, seed):
+    """M with condition number 100 in a random basis."""
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    return ShapeMatrix((basis * np.geomspace(0.1, 10.0, d)) @ basis.T)
+
+
+class TestExactSideDenominators:
+    """||K||_2 is one Lanczos eigenvalue and ||K||_* the trace, not the spectrum."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 300])
+    @pytest.mark.parametrize("shape", ["identity", "anisotropic"])
+    @pytest.mark.parametrize("family, kw", [
+        ("gaussian", {}), ("laplacian", {}), ("l1_laplacian", {}),
+        ("exp_power", {"alpha": 0.7}), ("matern", {"nu": 4.0})])
+    def test_equal_the_full_spectrum(self, family, kw, shape, n):
+        d = 5
+        M = ShapeMatrix.identity(d) if shape == "identity" else anisotropic_shape(d, 7)
+        X = np.random.default_rng(n).standard_normal((n, d))
+        K = kernel_matrix(KernelSpec(family, M, **kw), X)
+        exact = harness._exact_side(K, NORMS)
+        ev = np.abs(np.linalg.eigvalsh(K))
+        assert exact.operator == pytest.approx(ev.max(), rel=1e-13, abs=0)
+        assert exact.nuclear == pytest.approx(ev.sum(), rel=1e-13, abs=0)
+        assert exact.frobenius == np.linalg.norm(K)
+
+    def test_indefinite_k(self):
+        g = np.random.default_rng(8)
+        A = g.standard_normal((40, 40))
+        K = (A + A.T) / 2
+        K -= 3.0 * np.eye(40)  # the largest |eigenvalue| is a negative one
+        ev = np.linalg.eigvalsh(K)
+        assert -ev[0] > ev[-1] > 0
+        assert harness._exact_side(K, ("operator",)).operator == pytest.approx(
+            -ev[0], rel=1e-13, abs=0)
+        E = g.standard_normal((40, 40)) * 1e-2
+        G = K + (E + E.T)
+        assert rel_error(K, G, "operator") == pytest.approx(
+            np.abs(np.linalg.eigvalsh(G - K)).max() / -ev[0], rel=1e-12)
+        with pytest.raises(ValueError, match="nuclear norm needs a positive semidefinite K"):
+            rel_error(K, G, "nuclear")
+
+    def test_top_eigenvector_orthogonal_to_ones(self):
+        # an all-ones Lanczos start would never see the top eigenvalue
+        n = 300
+        v = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / np.sqrt(n)
+        K = np.eye(n) * 0.1 + 0.9 * np.ones((n, n)) / n + 1.9 * np.outer(v, v)
+        assert abs(v @ np.ones(n)) < 1e-12
+        ev = np.linalg.eigvalsh(K)
+        assert ev[0] >= 0
+        assert harness._exact_side(K, ("operator",)).operator == pytest.approx(
+            ev[-1], rel=1e-13, abs=0)
+        assert ev[-1] == pytest.approx(2.0)
+        K2 = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        assert harness._exact_side(K2, ("operator",)).operator == pytest.approx(1.9)
+
+    def test_two_calls_are_bit_equal(self):
+        X = np.random.default_rng(9).standard_normal((300, 4))
+        K = kernel_matrix(KernelSpec("matern", ShapeMatrix.identity(4), nu=4.0), X)
+        a, b = (harness._exact_side(K, NORMS) for _ in range(2))
+        assert (a.frobenius, a.operator, a.nuclear) == (b.frobenius, b.operator, b.nuclear)
+
+    def test_zero_k_and_n_one_do_not_reach_arpack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        with pytest.raises(ZeroDivisionError, match="is zero"):
+            rel_error(np.zeros((5, 5)), np.eye(5), "operator")
+        assert rel_error(np.array([[2.0]]), np.array([[3.0]]), "operator") == 0.5
+        assert rel_error(np.array([[-2.0]]), np.array([[-3.0]]), "operator") == 0.5
+
+    def test_lanczos_non_convergence_is_named(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
+        with pytest.raises(np.linalg.LinAlgError, match="operator norm of K did not converge"):
+            rel_error(np.eye(4), np.eye(4), "operator")
 
 
 class TestInPlaceChecks:
@@ -231,11 +312,14 @@ class TestMeasureApproximation:
                     assert value is None
         assert len({r["exact_ms"] for r in reports}) == 1   # one exact kernel per sweep
 
+    # one eigvalsh of G - K per p; K's nuclear norm is its trace and its
+    # operator norm one Lanczos eigenvalue
     @pytest.mark.parametrize("norms, eigh_calls", [
-        (NORMS, 1 + 3), (("nuclear",), 1 + 3), (("frobenius",), 0)])
+        (NORMS, 3), (("nuclear",), 3), (("frobenius",), 0), (("operator",), 3)])
     def test_exact_side_computed_once(self, monkeypatch, norms, eigh_calls):
         spec, X = sweep_inputs()
-        calls = {"kernel_matrix": 0, "eigvalsh": 0}
+        eigsh_calls = int("operator" in norms)
+        calls = {"kernel_matrix": 0, "eigvalsh": 0, "eigsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -247,9 +331,11 @@ class TestMeasureApproximation:
                             counted("kernel_matrix", harness.kernel_matrix))
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            counted("eigsh", scipy.sparse.linalg.eigsh))
         measure_approximation(spec, X, "rff", [32, 128, 512], RngStream(136),
                               norms=norms)
-        assert calls == {"kernel_matrix": 1, "eigvalsh": eigh_calls}
+        assert calls == {"kernel_matrix": 1, "eigvalsh": eigh_calls, "eigsh": eigsh_calls}
 
     def test_rejects_unknown_norm(self):
         spec, X = sweep_inputs()
