@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,44 +61,48 @@ def _reject_row(path, line: int, row: list[str]) -> None:
 def load_csv(path, label_col: int | str = -1, task: str = "classification") -> DataSet:
     """Parse a numeric CSV with a header line and a designated label column.
 
-    Row order is preserved and blank lines are skipped. Malformed or
-    non-finite cells raise :class:`DataError` naming the offending line and
-    column, as do a row whose field count differs from the header's, a file
-    with no data rows and a label column outside ``-n_cols .. n_cols - 1``.
+    The file is read as UTF-8 and a leading byte-order mark is dropped. Rows
+    stream into one float buffer, so the parse holds about two copies of the
+    numeric table, not a Python object per cell. Row order is preserved and
+    blank lines are skipped. Malformed or non-finite cells raise
+    :class:`DataError` naming the offending line and column, as do a row
+    whose field count differs from the header's, a file with no data rows
+    and a label column outside ``-n_cols .. n_cols - 1``.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = rows[0]
-    if isinstance(label_col, str):
-        if label_col not in header:
-            raise DataError(f"{path}: label column {label_col!r} not in header")
-        label_idx = header.index(label_col)
-    else:
-        label_idx = label_col
-    # csv.reader yields [] for a blank line; skip those, keeping file line numbers
-    numbered = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
-    if not numbered:
-        raise DataError(f"{path}: no data rows")
-    n_cols = len(header)
-    if not -n_cols <= label_idx < n_cols:
-        raise DataError(f"{path}: label column {label_idx} is out of range "
-                        f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
-    values = []
-    for line, row in numbered:
-        if len(row) != n_cols:
-            raise DataError(f"{path}: header has {n_cols} fields, line {line} has {len(row)}")
-        try:
-            vals = [float(cell) for cell in row]
-        except ValueError:
-            vals = None
-        if vals is None or not all(map(math.isfinite, vals)):
-            _reject_row(path, line, row)
-        values.append(vals)
-    data = np.array(values)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if isinstance(label_col, str):
+            if label_col not in header:
+                raise DataError(f"{path}: label column {label_col!r} not in header")
+            label_idx = header.index(label_col)
+        else:
+            label_idx = label_col
+        # csv.reader yields [] for a blank line; skip those, keeping file line numbers
+        numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
+        first = next(numbered, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        n_cols = len(header)
+        if not -n_cols <= label_idx < n_cols:
+            raise DataError(f"{path}: label column {label_idx} is out of range "
+                            f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
+        table = array("d")
+        for line, row in itertools.chain([first], numbered):
+            if len(row) != n_cols:
+                raise DataError(f"{path}: header has {n_cols} fields, line {line} has {len(row)}")
+            try:
+                vals = [float(cell) for cell in row]
+            except ValueError:
+                vals = None
+            if vals is None or not all(map(math.isfinite, vals)):
+                _reject_row(path, line, row)
+            table.extend(vals)
+    data = np.frombuffer(table).reshape(-1, n_cols)
     X = np.delete(data, label_idx, axis=1)
-    y = data[:, label_idx]
+    y = data[:, label_idx].copy()  # a view would keep the whole table alive
     if task == "classification":
         with np.errstate(invalid="ignore"):  # a label beyond int64 casts to garbage
             yi = y.astype(int)
@@ -177,7 +183,8 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
     """Synthetic classification data with labels from a smooth target.
 
     ``margin`` > 0 rejects points whose top-two class scores are closer than
-    the margin, which controls how hard the decision boundary is.
+    the margin, which controls how hard the decision boundary is. A round
+    whose ``2 * n`` candidates keep no point raises ``ValueError``.
     """
     g = rng.generator
     chunks_x, chunks_y, collected = [], [], 0
@@ -189,6 +196,9 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
         if margin > 0.0:
             top2 = np.partition(scores, -2, axis=1)[:, -2:]
             keep = top2[:, 1] - top2[:, 0] >= margin
+            if not keep.any():  # a margin no point reaches would redraw forever
+                raise ValueError(f"margin {margin} keeps none of {2 * n} candidate "
+                                 f"points; the top-two score gap stays below it")
             X, y = X[keep], y[keep]
         chunks_x.append(X)
         chunks_y.append(y)

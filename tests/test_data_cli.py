@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -167,6 +168,69 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path)
 
+    def test_utf8_bom_is_not_part_of_the_first_column_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffx0,x1,y\n1,2.5,3\n0,4.5,6\n", encoding="utf-8")
+        ds = load_csv(str(path), label_col="x0")
+        np.testing.assert_array_equal(ds.y, [1, 0])
+        np.testing.assert_array_equal(ds.X, [[2.5, 3.0], [4.5, 6.0]])
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_parse_holds_no_python_object_per_cell(self, tmp_path, task):
+        g = np.random.default_rng(3)
+        body = [",".join(map(repr, row.tolist())) + f",{label}"
+                for row, label in zip(g.standard_normal((5000, 40)),
+                                      g.integers(0, 10, size=5000))]
+        path = write_csv(tmp_path / "wide.csv", [",".join(f"x{j}" for j in range(41))] + body)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, task=task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.shape == (5000, 40)
+        # the table plus the X and y copied out of it; a list of floats per row is ~16x
+        assert peak < 3 * (ds.X.nbytes + ds.y.nbytes)
+        assert ds.y.base is None  # y does not keep the n x 41 table alive
+
+    # corrupt tokens: float() refuses the first two and reads the rest as non-finite
+    BAD_CELLS = ["x", "1.2.3", "nan", "inf", "-inf", "1e400"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(1, 4))
+    def test_line_numbers_survive_blank_lines_and_corrupt_cells(self, data, n_rows, n_cols):
+        values = data.draw(st.lists(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=n_cols,
+            max_size=n_cols), min_size=n_rows, max_size=n_rows))
+        rows = [[repr(v) for v in row] for row in values]
+        bad = data.draw(st.none() | st.tuples(st.integers(0, n_rows - 1),
+                                              st.integers(0, n_cols - 1),
+                                              st.sampled_from(self.BAD_CELLS)))
+        if bad is not None:
+            rows[bad[0]][bad[1]] = bad[2]
+        # blanks[i] blank lines go before data row i, blanks[n_rows] after the last
+        blanks = data.draw(st.lists(st.integers(0, 2), min_size=n_rows + 1,
+                                    max_size=n_rows + 1))
+        lines, file_line = [",".join(f"c{j}" for j in range(n_cols))], []
+        for i, row in enumerate(rows):
+            lines += [""] * blanks[i] + [",".join(row)]
+            file_line.append(len(lines))
+        lines += [""] * blanks[n_rows]
+        label_col = data.draw(st.integers(-n_cols, n_cols - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            if bad is None:
+                ds = load_csv(path, label_col=label_col, task="regression")
+                ref = np.array([[float(cell) for cell in row] for row in rows])
+                assert ds.X.tobytes() == np.delete(ref, label_col, axis=1).tobytes()
+                assert ds.y.tobytes() == ref[:, label_col].tobytes()
+            else:
+                with pytest.raises(DataError, match=rf": line {file_line[bad[0]]}, "
+                                                    rf"column {bad[1]}: "):
+                    load_csv(path, label_col=label_col, task="regression")
+
 
 class TestPreprocess:
     def test_unit_norm_hand_values(self):
@@ -271,6 +335,11 @@ class TestSynthetic:
         assert ds.n == 500
         top2 = np.partition(_smooth_scores(ds.X, 2, RngStream(207)), -2, axis=1)[:, -2:]
         assert (top2[:, 1] - top2[:, 0]).min() >= 0.05
+
+    def test_unreachable_margin_raises_instead_of_redrawing_forever(self):
+        # each class score is a sum of three bumps in (0, 1], so no gap reaches 3
+        with pytest.raises(ValueError, match=r"margin 5\.0 keeps none of 20 candidate points"):
+            make_classification(10, 2, 3, RngStream(0), margin=5.0)
 
     def test_regression_targets_smooth(self):
         ds = make_regression(300, 4, RngStream(209), noise=0.0)
