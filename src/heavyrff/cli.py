@@ -45,7 +45,10 @@ CSV_COLUMNS = ("dataset", "kernel", "scheme", "p", "norm", "value", "time_ms", "
 def _load_shape(d: int, m_file: str | None) -> ShapeMatrix:
     if m_file is None:
         return ShapeMatrix.identity(d)
-    M = np.loadtxt(m_file, delimiter=",", ndmin=2)
+    try:
+        M = np.loadtxt(m_file, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or bytes that are not UTF-8
+        raise ValueError(f"--m-file {m_file}: {exc}") from exc
     if M.shape == (1, d):  # a single row is read as a diagonal
         return ShapeMatrix.diagonal(M[0])
     if M.shape != (d, d):

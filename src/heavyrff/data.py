@@ -58,6 +58,23 @@ def _reject_row(path, line: int, row: list[str]) -> None:
             raise DataError(f"{path}: line {line}, column {j}: non-finite value")
 
 
+def _not_utf8(path) -> str:
+    """Name the file line that holds the first bytes which are not UTF-8.
+
+    The text layer decodes whole chunks, so its error cannot tell the line;
+    the file is read again as bytes and split at the line breaks csv counts.
+    """
+    with open(path, "rb") as fh:
+        lines = (piece for raw in fh for piece in raw.splitlines())
+        for line, piece in enumerate(lines, start=1):
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return (f"{path}: line {line} is not UTF-8 text (byte "
+                        f"0x{bad.object[bad.start]:02x} at offset {bad.start}: {bad.reason})")
+    return f"{path}: not UTF-8 text"
+
+
 def load_csv(path, label_col: int | str = -1, task: str = "classification") -> DataSet:
     """Parse a numeric CSV with a header line and a designated label column.
 
@@ -66,40 +83,45 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification") -> D
     numeric table, not a Python object per cell. Row order is preserved and
     blank lines are skipped. Malformed or non-finite cells raise
     :class:`DataError` naming the offending line and column, as do a row
-    whose field count differs from the header's, a file with no data rows
-    and a label column outside ``-n_cols .. n_cols - 1``.
+    whose field count differs from the header's, a file with no data rows,
+    a label column outside ``-n_cols .. n_cols - 1`` and bytes that are not
+    UTF-8, which name their file line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if isinstance(label_col, str):
-            if label_col not in header:
-                raise DataError(f"{path}: label column {label_col!r} not in header")
-            label_idx = header.index(label_col)
-        else:
-            label_idx = label_col
-        # csv.reader yields [] for a blank line; skip those, keeping file line numbers
-        numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
-        first = next(numbered, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows")
-        n_cols = len(header)
-        if not -n_cols <= label_idx < n_cols:
-            raise DataError(f"{path}: label column {label_idx} is out of range "
-                            f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
-        table = array("d")
-        for line, row in itertools.chain([first], numbered):
-            if len(row) != n_cols:
-                raise DataError(f"{path}: header has {n_cols} fields, line {line} has {len(row)}")
-            try:
-                vals = [float(cell) for cell in row]
-            except ValueError:
-                vals = None
-            if vals is None or not all(map(math.isfinite, vals)):
-                _reject_row(path, line, row)
-            table.extend(vals)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if isinstance(label_col, str):
+                if label_col not in header:
+                    raise DataError(f"{path}: label column {label_col!r} not in header")
+                label_idx = header.index(label_col)
+            else:
+                label_idx = label_col
+            # csv.reader yields [] for a blank line; skip those, keeping file line numbers
+            numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
+            first = next(numbered, None)
+            if first is None:
+                raise DataError(f"{path}: no data rows")
+            n_cols = len(header)
+            if not -n_cols <= label_idx < n_cols:
+                raise DataError(f"{path}: label column {label_idx} is out of range "
+                                f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
+            table = array("d")
+            for line, row in itertools.chain([first], numbered):
+                if len(row) != n_cols:
+                    raise DataError(f"{path}: header has {n_cols} fields, "
+                                    f"line {line} has {len(row)}")
+                try:
+                    vals = [float(cell) for cell in row]
+                except ValueError:
+                    vals = None
+                if vals is None or not all(map(math.isfinite, vals)):
+                    _reject_row(path, line, row)
+                table.extend(vals)
+    except UnicodeDecodeError as exc:
+        raise DataError(_not_utf8(path)) from exc
     data = np.frombuffer(table).reshape(-1, n_cols)
     X = np.delete(data, label_idx, axis=1)
     y = data[:, label_idx].copy()  # a view would keep the whole table alive

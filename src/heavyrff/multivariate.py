@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _EIG_RTOL = 1e-12  # eigenvalues below this fraction of the largest are rejected
+_HAAR_QR_CALLS = 64  # most qr calls per Haar stack: fewer grow the temporaries, more cost time
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -119,18 +120,24 @@ def sample_haar_blocks(p: int, d: int, rng: RngStream) -> HaarBlockMatrix:
 
     Each block is the QR of an i.i.d. standard Gaussian matrix with the signs
     of R's diagonal folded into Q, which corrects the raw QR map to Haar measure.
-    One call draws every block, in the order block-by-block draws would take;
-    each block's Q is written back over its draw (``qr`` copies its input),
+    One call draws every block, in the order block-by-block draws would take.
+    The stack is factored in at most ``_HAAR_QR_CALLS`` contiguous slices, one
+    ``qr`` each: numpy's stacked QR runs the same LAPACK calls per block, so Q
+    keeps every bit, and each slice's temporaries are a small fraction of Q.
+    Each slice's Q is written back over its draw (``qr`` copies its input),
     and one pass over the stack then applies all the signs.
     """
     if p < 1 or d < 1 or p % d != 0:
         raise ValueError(f"feature count p={p} must be a positive multiple "
                          f"of block size d={d} >= 1")
-    Q = rng.generator.standard_normal((p // d, d, d))
-    signs = np.empty((p // d, d))
-    for k in range(p // d):
-        Q[k], r = np.linalg.qr(Q[k])
-        signs[k] = r.diagonal()
+    blocks = p // d
+    Q = rng.generator.standard_normal((blocks, d, d))
+    signs = np.empty((blocks, d))
+    calls = min(blocks, _HAAR_QR_CALLS)
+    edges = [blocks * k // calls for k in range(calls + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        Q[lo:hi], r = np.linalg.qr(Q[lo:hi])
+        signs[lo:hi] = r.diagonal(axis1=1, axis2=2)
     np.sign(signs, out=signs)
     signs[signs == 0.0] = 1.0
     Q *= signs[:, None, :]

@@ -77,6 +77,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("lines, bad_line", [
+        ([b"caf\xe9,b", b"1,2"], 1),
+        ([b"a,b", b"1,2", b"", b"3,4", b"5,\xe96"], 5),
+        ([b"a,b"] + [b"1,2"] * 5000 + [b"\xe9,0"], 5002),
+    ], ids=["header", "row", "later-chunk"])
+    def test_latin1_byte_names_the_file_and_line(self, tmp_path, lines, bad_line):
+        # the bare codec error named neither; the text layer decodes whole
+        # chunks, so the line comes from the bytes, not from csv's count
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(DataError) as info:
+            load_csv(str(path))
+        assert str(info.value).startswith(
+            f"{path}: line {bad_line} is not UTF-8 text (byte 0xe9 at offset ")
+
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a,b", "1,2"])
         with pytest.raises(DataError, match="label column"):
@@ -531,6 +546,23 @@ class TestCliRuns:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: --m-file holds a {shape} matrix; d=16 needs 16x16, or 1x16 for a diagonal"]
+        assert read_report(out)["status"] == "failed"
+        assert not list(tmp_path.glob("feat-operator-*"))
+
+    @pytest.mark.parametrize("content, message", [
+        (b"1,0,a\n0,1,0\n0,0,1\n", "could not convert string 'a' to float64 at row 0, column 3."),
+        (b"1,0,0\n0,1,0\n0,0,\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["cell", "latin1"])
+    def test_unreadable_m_file_names_the_flag_and_path(self, tmp_path, capsys,
+                                                       content, message):
+        # np.loadtxt's message alone named neither
+        m_file = tmp_path / "bad.csv"
+        m_file.write_bytes(content)
+        out = tmp_path / "feat"
+        assert main(["features", "--d", "3", "--p", "6", "--m-file", str(m_file),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --m-file {m_file}: {message}")
         assert read_report(out)["status"] == "failed"
         assert not list(tmp_path.glob("feat-operator-*"))
 

@@ -134,6 +134,35 @@ class TestHaar:
             np.testing.assert_array_equal(sample_haar_blocks(p, d, RngStream(seed)).Q,
                                           expected)
 
+    @pytest.mark.parametrize("blocks", [1, 63, 64, 65, 1000, 4096])
+    def test_qr_calls_are_capped_at_64(self, monkeypatch, blocks):
+        # contiguous slices, one qr each, sizes within one block of each other
+        sizes = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            sizes.append(a.shape[0] if a.ndim == 3 else 1)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        sample_haar_blocks(2 * blocks, 2, RngStream(56))
+        assert len(sizes) == min(blocks, 64)
+        assert sum(sizes) == blocks and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("blocks, d", [(65, 4), (1000, 5), (4097, 2), (127, 3)])
+    def test_uneven_slices_equal_block_by_block_draws(self, blocks, d):
+        for seed in (0, 3):
+            rng = RngStream(seed)
+            expected = np.empty((blocks, d, d))
+            for k in range(blocks):
+                q, r = np.linalg.qr(rng.generator.standard_normal((d, d)))
+                signs = np.sign(np.diag(r))
+                signs[signs == 0.0] = 1.0
+                expected[k] = q * signs
+            np.testing.assert_array_equal(
+                sample_haar_blocks(blocks * d, d, RngStream(seed)).Q,
+                expected.reshape(blocks * d, d))
+
     def test_peak_memory_is_about_one_q(self):
         # the blocks are factored into the drawn stack; a second (p, d)
         # array beside it would double the peak
