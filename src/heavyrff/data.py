@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -26,6 +25,7 @@ __all__ = [
 
 X_RECIPES = ("none", "center", "unit-norm", "center+unit-norm", "standard-scale+unit-norm")
 RECIPES = X_RECIPES + ("log-target",)  # log-target rewrites y only
+_EMPTY_ROUNDS = 64  # make_classification's rounds in a row that keep no point
 
 
 class DataError(ValueError):
@@ -58,70 +58,65 @@ def _reject_row(path, line: int, row: list[str]) -> None:
             raise DataError(f"{path}: line {line}, column {j}: non-finite value")
 
 
-def _not_utf8(path) -> str:
-    """Name the file line that holds the first bytes which are not UTF-8.
-
-    The text layer decodes whole chunks, so its error cannot tell the line;
-    the file is read again as bytes and split at the line breaks csv counts.
-    """
-    with open(path, "rb") as fh:
-        lines = (piece for raw in fh for piece in raw.splitlines())
-        for line, piece in enumerate(lines, start=1):
-            try:
-                piece.decode("utf-8")
+def _text_lines(path, fh):
+    """Yield binary ``fh``'s lines as text, split at the breaks csv counts (``\\n``,
+    ``\\r``, ``\\r\\n``) and decoded one by one, so bad bytes name their line."""
+    pieces = (piece for raw in fh for piece in raw.splitlines(keepends=True))
+    for line, piece in enumerate(pieces, start=1):
+        try:  # utf-8-sig drops a byte-order mark before line 1
+            text = piece.decode("utf-8-sig" if line == 1 else "utf-8")
+        except UnicodeDecodeError:
+            try:  # name the byte as the bare line decodes: BOM kept, break cut
+                piece.rstrip(b"\r\n").decode("utf-8")
             except UnicodeDecodeError as bad:
-                return (f"{path}: line {line} is not UTF-8 text (byte "
-                        f"0x{bad.object[bad.start]:02x} at offset {bad.start}: {bad.reason})")
-    return f"{path}: not UTF-8 text"
+                raise DataError(f"{path}: line {line} is not UTF-8 text (byte 0x"
+                                f"{bad.object[bad.start]:02x} at offset {bad.start}: "
+                                f"{bad.reason})") from None
+        if text:  # a file of just a byte-order mark has no lines
+            yield text
 
 
 def load_csv(path, label_col: int | str = -1, task: str = "classification") -> DataSet:
     """Parse a numeric CSV with a header line and a designated label column.
 
-    The file is read as UTF-8 and a leading byte-order mark is dropped. Rows
-    stream into one float buffer, so the parse holds about two copies of the
-    numeric table, not a Python object per cell. Row order is preserved and
-    blank lines are skipped. Malformed or non-finite cells raise
-    :class:`DataError` naming the offending line and column, as do a row
-    whose field count differs from the header's, a file with no data rows,
-    a label column outside ``-n_cols .. n_cols - 1`` and bytes that are not
-    UTF-8, which name their file line.
+    The file is read once, line by line, each line decoded as UTF-8 on its
+    own (a leading byte-order mark is dropped); rows stream into one float
+    buffer, so the parse holds about two copies of the numeric table, not a
+    Python object per cell. Row order is kept and blank lines are skipped.
+    Malformed or non-finite cells raise :class:`DataError` naming the line
+    and column, as do a row whose field count differs from the header's, a
+    file with no data rows, a label column outside ``-n_cols .. n_cols - 1``
+    and bytes that are not UTF-8, which name their file line.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if isinstance(label_col, str):
-                if label_col not in header:
-                    raise DataError(f"{path}: label column {label_col!r} not in header")
-                label_idx = header.index(label_col)
-            else:
-                label_idx = label_col
-            # csv.reader yields [] for a blank line; skip those, keeping file line numbers
-            numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
-            first = next(numbered, None)
-            if first is None:
-                raise DataError(f"{path}: no data rows")
-            n_cols = len(header)
-            if not -n_cols <= label_idx < n_cols:
+    with open(path, "rb") as fh:
+        reader = csv.reader(_text_lines(path, fh))
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        label_idx = label_col
+        if isinstance(label_col, str):
+            if label_col not in header:
+                raise DataError(f"{path}: label column {label_col!r} not in header")
+            label_idx = header.index(label_col)
+        # csv.reader yields [] for a blank line; skip those, keeping file line numbers
+        numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
+        n_cols, table = len(header), array("d")
+        for line, row in numbered:
+            if not table and not -n_cols <= label_idx < n_cols:  # first row; 'no data rows' wins
                 raise DataError(f"{path}: label column {label_idx} is out of range "
                                 f"{-n_cols}..{n_cols - 1} for {n_cols} columns")
-            table = array("d")
-            for line, row in itertools.chain([first], numbered):
-                if len(row) != n_cols:
-                    raise DataError(f"{path}: header has {n_cols} fields, "
-                                    f"line {line} has {len(row)}")
-                try:
-                    vals = [float(cell) for cell in row]
-                except ValueError:
-                    vals = None
-                if vals is None or not all(map(math.isfinite, vals)):
-                    _reject_row(path, line, row)
-                table.extend(vals)
-    except UnicodeDecodeError as exc:
-        raise DataError(_not_utf8(path)) from exc
+            if len(row) != n_cols:
+                raise DataError(f"{path}: header has {n_cols} fields, "
+                                f"line {line} has {len(row)}")
+            try:
+                vals = [float(cell) for cell in row]
+            except ValueError:
+                vals = None
+            if vals is None or not all(map(math.isfinite, vals)):
+                _reject_row(path, line, row)
+            table.extend(vals)
+    if not table:
+        raise DataError(f"{path}: no data rows")
     data = np.frombuffer(table).reshape(-1, n_cols)
     X = np.delete(data, label_idx, axis=1)
     y = data[:, label_idx].copy()  # a view would keep the whole table alive
@@ -150,10 +145,9 @@ def preprocess(ds: DataSet, recipe: str) -> DataSet:
             bad = np.flatnonzero(y <= 0.0)[:5].tolist()
             raise DataError(f"log-target requires positive targets (rows {bad})")
         return replace(ds, X=X, y=np.log(y))
-    if recipe in ("center", "center+unit-norm"):
+    if recipe in ("center", "center+unit-norm", "standard-scale+unit-norm"):
         X = X - X.mean(axis=0)
     if recipe == "standard-scale+unit-norm":
-        X = X - X.mean(axis=0)
         std = X.std(axis=0)
         std[std == 0.0] = 1.0
         X = X / std
@@ -205,12 +199,15 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
     """Synthetic classification data with labels from a smooth target.
 
     ``margin`` > 0 rejects points whose top-two class scores are closer than
-    the margin, which controls how hard the decision boundary is. A round
-    whose ``2 * n`` candidates keep no point raises ``ValueError``.
+    the margin, which controls how hard the decision boundary is. ValueError
+    ends 64 rounds of ``2 * n`` candidates in a row that keep no point, and a
+    margin with one class, which has no second score.
     """
+    if margin > 0.0 and n_classes < 2:
+        raise ValueError(f"margin {margin} needs at least 2 classes, got {n_classes}")
     g = rng.generator
-    chunks_x, chunks_y, collected = [], [], 0
-    while collected < n:
+    chunks, empty = [], 0
+    while sum(len(y) for _, y in chunks) < n:
         X = g.standard_normal((2 * n, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         scores = _smooth_scores(X, n_classes, rng.fresh())
@@ -218,15 +215,13 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
         if margin > 0.0:
             top2 = np.partition(scores, -2, axis=1)[:, -2:]
             keep = top2[:, 1] - top2[:, 0] >= margin
-            if not keep.any():  # a margin no point reaches would redraw forever
-                raise ValueError(f"margin {margin} keeps none of {2 * n} candidate "
-                                 f"points; the top-two score gap stays below it")
+            empty = 0 if keep.any() else empty + 1
+            if empty == _EMPTY_ROUNDS:  # a margin no point reaches would redraw forever
+                raise ValueError(f"margin {margin} keeps none of {2 * n} candidate points in "
+                                 f"{_EMPTY_ROUNDS} rounds in a row; the top-two gap stays below it")
             X, y = X[keep], y[keep]
-        chunks_x.append(X)
-        chunks_y.append(y)
-        collected += X.shape[0]
-    X = np.concatenate(chunks_x)[:n]
-    y = np.concatenate(chunks_y)[:n]
+        chunks.append((X, y))
+    X, y = (np.concatenate(parts)[:n] for parts in zip(*chunks))
     return DataSet(X=X, y=y, task="classification")
 
 

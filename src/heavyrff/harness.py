@@ -152,6 +152,18 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     return err
 
 
+def _timed(call, repeats: int):
+    """``call()``'s last result and the median of its ``repeats`` wall times in
+    ms; each result is dropped before the next call is timed."""
+    times = []
+    for _ in range(repeats):
+        result = None
+        t0 = time.perf_counter()
+        result = call()
+        times.append(1e3 * (time.perf_counter() - t0))
+    return result, float(np.median(times))
+
+
 def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
                           p_grid: list[int], rng: RngStream,
                           norms: tuple[str, ...] = NORMS,
@@ -163,46 +175,28 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     rel_operator, rel_nuclear`` (None for a norm not asked for), the
     operator's ``seed, stream_id``, and ``exact_ms, featurize_ms, gram_ms,
     build_ms, speedup``, in that order. Grid point j draws its operator from
-    ``rng.substream(j)``. The operator build is timed once per p as
-    ``build_ms`` and excluded from ``speedup = exact_ms / (featurize_ms +
-    gram_ms)``; ``exact_ms``, ``featurize_ms`` and ``gram_ms`` are medians
-    over ``repeats``. The exact kernel's checks and norms are computed once
-    for the whole grid, so every row carries the same ``exact_ms``. At most
-    K, one G and one p's Phi are resident at a time.
+    ``rng.substream(j)``; the build is timed once as ``build_ms`` and left out
+    of ``speedup = exact_ms / (featurize_ms + gram_ms)``. The other times are
+    medians over ``repeats``: K's repeats run first, then at each p those of
+    featurize and then those of the Gram of the last Phi. K's checks and norms
+    are computed once for the grid, so every row carries the same
+    ``exact_ms``. At most K, one G and one p's Phi are resident at a time.
     """
     _check_norms(norms)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=float)
-    exact_times = []
-    for _ in range(repeats):
-        K = None  # free the last repeat's K before assembling the next
-        t0 = time.perf_counter()
-        K = kernel_matrix(spec, X)
-        exact_times.append(1e3 * (time.perf_counter() - t0))
-    exact_ms = float(np.median(exact_times))
+    K, exact_ms = _timed(lambda: kernel_matrix(spec, X), repeats)
     exact = _exact_side(K, norms)
     rows = []
     for j, p in enumerate(p_grid):
         op_rng = rng.substream(j)
-        t0 = time.perf_counter()
-        op = build_operator(scheme, spec, p, op_rng)
-        build_ms = 1e3 * (time.perf_counter() - t0)
-        feat_times, gram_times = [], []
-        for _ in range(repeats):
-            phi = G = None  # free the last repeat's arrays before timing the next
-            t1 = time.perf_counter()
-            phi = featurize(op, X)
-            t2 = time.perf_counter()
-            G = gram_approx(phi)
-            t3 = time.perf_counter()
-            feat_times.append(1e3 * (t2 - t1))
-            gram_times.append(1e3 * (t3 - t2))
+        op, build_ms = _timed(lambda: build_operator(scheme, spec, p, op_rng), 1)
+        phi, featurize_ms = _timed(lambda: featurize(op, X), repeats)
+        G, gram_ms = _timed(lambda: gram_approx(phi), repeats)
         del phi  # only G is scored
         errs = _gram_errors(exact, G, norms)
         del G  # free this point's Gram before the next, larger p is built
-        featurize_ms = float(np.median(feat_times))
-        gram_ms = float(np.median(gram_times))
         rows.append({
             "n": X.shape[0], "p": p, "kernel": spec.family, "scheme": scheme,
             **{f"rel_{norm}": errs[norm] for norm in NORMS},

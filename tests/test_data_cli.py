@@ -77,20 +77,57 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path)
 
-    @pytest.mark.parametrize("lines, bad_line", [
+    LATIN1_FILES = [
         ([b"caf\xe9,b", b"1,2"], 1),
         ([b"a,b", b"1,2", b"", b"3,4", b"5,\xe96"], 5),
         ([b"a,b"] + [b"1,2"] * 5000 + [b"\xe9,0"], 5002),
-    ], ids=["header", "row", "later-chunk"])
-    def test_latin1_byte_names_the_file_and_line(self, tmp_path, lines, bad_line):
-        # the bare codec error named neither; the text layer decodes whole
-        # chunks, so the line comes from the bytes, not from csv's count
+    ]
+
+    @pytest.mark.parametrize("lines, bad_line, sep", [
+        *[case + (b"\r\n",) for case in LATIN1_FILES],
+        *[case + (b"\r",) for case in LATIN1_FILES],
+    ], ids=["header", "row", "later-chunk", "header-cr", "row-cr", "later-chunk-cr"])
+    def test_latin1_byte_names_the_file_and_line(self, tmp_path, lines, bad_line, sep):
+        # the bare codec error named neither; the line is counted at the
+        # line breaks csv counts, bare \r included
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        path.write_bytes(sep.join(lines) + sep)
         with pytest.raises(DataError) as info:
             load_csv(str(path))
         assert str(info.value).startswith(
             f"{path}: line {bad_line} is not UTF-8 text (byte 0xe9 at offset ")
+
+    def test_non_utf8_file_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr("heavyrff.data.open", counting_open, raising=False)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xe9\n")
+        with pytest.raises(DataError, match="line 3 is not UTF-8 text"):
+            load_csv(str(path))
+        assert opened == [str(path)]
+
+    @pytest.mark.parametrize("raw, message", [
+        # a sequence cut off by the line break reads as the bare line decodes
+        (b"a,b\r\n1,\xe2\x82\r\n", "line 2 is not UTF-8 text (byte 0xe2 at offset 2: "
+                                    "unexpected end of data)"),
+        # the offset counts a byte-order mark on line 1
+        (b"\xef\xbb\xbfa\xe9,b\n1,2\n", "line 1 is not UTF-8 text (byte 0xe9 at offset 4: "
+                                       "invalid continuation byte)"),
+        (b"\xef\xbb\xbf", "empty file"),
+        # faults are named in file order: the row comes before the later bytes
+        (b"a,b\nx,1\n1,\xe9\n", "line 2, column 0: cannot parse 'x'"),
+    ], ids=["cut-sequence", "bom-offset", "bom-only", "row-first"])
+    def test_decode_error_texts(self, tmp_path, raw, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            load_csv(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a,b", "1,2"])
@@ -355,6 +392,18 @@ class TestSynthetic:
         # each class score is a sum of three bumps in (0, 1], so no gap reaches 3
         with pytest.raises(ValueError, match=r"margin 5\.0 keeps none of 20 candidate points"):
             make_classification(10, 2, 3, RngStream(0), margin=5.0)
+
+    def test_rare_margin_is_not_refused(self):
+        # a round of 62 candidates keeps a point about half the time here;
+        # refusing the first empty round ended 19 of these 20 seeds
+        for seed in range(20):
+            ds = make_classification(31, 8, 10, RngStream(seed), margin=0.5)
+            assert ds.X.shape == (31, 8) and ds.y.shape == (31,)
+
+    def test_margin_with_one_class_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="margin 0.1 needs at least 2 classes, got 1"):
+            make_classification(10, 2, 1, RngStream(0), margin=0.1)
+        assert make_classification(10, 2, 1, RngStream(0)).y.tolist() == [0] * 10
 
     def test_regression_targets_smooth(self):
         ds = make_regression(300, 4, RngStream(209), noise=0.0)

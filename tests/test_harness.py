@@ -370,6 +370,29 @@ class TestMeasureApproximation:
             measure_approximation(spec, X, "rff", [32], RngStream(139))
 
 
+class TestSweepMemory:
+    def test_repeats_hold_one_result_of_each_stage(self):
+        # K + Phi + G plus the n x p projection bound the sweep at any repeats:
+        # each timed repeat's result is dropped before the next one runs
+        n, d, p = 600, 8, 512
+        X = np.random.default_rng(8).standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
+        for scheme in ("rff", "orf"):  # first-use imports and caches stay out of the peak
+            measure_approximation(spec, X[:50], scheme, [16], RngStream(1), repeats=2)
+        K_bytes, phi_bytes, u_bytes = n * n * 8, n * 2 * p * 8, n * p * 8
+        for scheme in ("rff", "orf"):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                measure_approximation(spec, X, scheme, [p], RngStream(9),
+                                      norms=("frobenius",), repeats=3)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * K_bytes + phi_bytes + u_bytes, scheme
+
+
 class TestBenchSpeedup:
     """The sweep as ``bench`` runs it: Frobenius only, timed over repeats."""
 
