@@ -86,7 +86,8 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification") -> D
     Malformed or non-finite cells raise :class:`DataError` naming the line
     and column, as do a row whose field count differs from the header's, a
     file with no data rows, a label column outside ``-n_cols .. n_cols - 1``
-    and bytes that are not UTF-8, which name their file line.
+    and bytes that are not UTF-8. Every line named is a file line: a row's
+    is the one its record starts on, though a quoted cell may span breaks.
     """
     with open(path, "rb") as fh:
         reader = csv.reader(_text_lines(path, fh))
@@ -98,10 +99,12 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification") -> D
             if label_col not in header:
                 raise DataError(f"{path}: label column {label_col!r} not in header")
             label_idx = header.index(label_col)
-        # csv.reader yields [] for a blank line; skip those, keeping file line numbers
-        numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
         n_cols, table = len(header), array("d")
-        for line, row in numbered:
+        end = reader.line_num  # file line on which the last record ended
+        for row in reader:
+            line, end = end + 1, reader.line_num  # a record may span line breaks
+            if not row:  # csv.reader yields [] for a blank line
+                continue
             if not table and not -n_cols <= label_idx < n_cols:  # first row; 'no data rows' wins
                 raise DataError(f"{path}: label column {label_idx} is out of range "
                                 f"{-n_cols}..{n_cols - 1} for {n_cols} columns")

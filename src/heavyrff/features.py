@@ -44,6 +44,8 @@ RECORD_FORMAT = "heavyrff-operator"
 RECORD_VERSION = 1
 # a psi worker gets at least this many entries; smaller inputs run serially
 _MIN_ENTRIES_PER_WORKER = 2 ** 16
+# projections a psi worker copies out, checks and maps at a time
+_TILE_ENTRIES = 2 ** 14
 
 
 def _cpu_count() -> int:
@@ -54,35 +56,74 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def psi(u: np.ndarray) -> np.ndarray:
+def _check_out(u: np.ndarray, out, shape: tuple) -> None:
+    """Refuse an ``out`` that psi cannot map ``u`` into in place."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
+        got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
+        raise ValueError(f"psi out must be a float64 array of shape {shape}, got {got}")
+    if not out.flags.c_contiguous:
+        raise ValueError("psi out must be C-contiguous")
+    half = out[..., shape[-1] // 2:]
+    right_half = u.ctypes.data == half.ctypes.data and u.strides == half.strides
+    if not right_half and np.shares_memory(u, out):
+        raise ValueError("psi out overlaps u other than as its right half out[..., p:]")
+
+
+def psi(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """SinCos map: (..., p) -> (..., 2p) interleaved (cos u_i, sin u_i)/sqrt(p).
 
-    Large inputs are split by columns over the CPUs this process may run on.
-    Every column is computed by the same ufuncs in either case, so the result
-    is bit-identical to the serial map.
+    The rows are split into contiguous blocks, one per worker thread on the
+    CPUs this process may run on (a worker gets at least 2**16 entries, so
+    small inputs run serially). A worker walks its block in tiles of about
+    2**14 projections, each row's columns upward: it copies a tile out,
+    refuses it if it is not finite, and writes its (cos, sin)/sqrt(p) pairs.
+    A tile's pairs land at or left of the columns it was read from, so ``u``
+    may be the right half ``out[..., p:]`` of a C-contiguous float64 ``out``
+    and is then mapped in place; any other overlap is refused. The map holds
+    ``out`` plus one tile per worker. Every entry goes through the same
+    ufuncs as in the serial map, so the result is bit-identical to it. On a
+    non-finite projection ``out`` is left partly written.
     """
     u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise ValueError("projections must be finite")
     p = u.shape[-1]
-    out = np.empty(u.shape[:-1] + (2 * p,))
+    shape = u.shape[:-1] + (2 * p,)
+    if out is None:
+        out = np.empty(shape)
+    else:
+        _check_out(u, out, shape)
+    if u.size == 0:
+        return out
+    rows_u, rows_out = u.reshape(-1, p), out.reshape(-1, 2 * p)
+    n = rows_u.shape[0]
     scale = np.sqrt(p)
+    width = min(p, _TILE_ENTRIES)            # a tile is part of one row ...
+    height = max(1, _TILE_ENTRIES // p)      # ... or whole rows
 
-    def sincos(cols: tuple[int, int]) -> None:
-        a, b = cols
-        np.cos(u[..., a:b], out=out[..., 2 * a:2 * b:2])
-        np.sin(u[..., a:b], out=out[..., 2 * a + 1:2 * b:2])
-        out[..., 2 * a:2 * b] /= scale
+    def sincos(block: tuple[int, int]) -> None:
+        buf = np.empty(height * width)
+        for r in range(*block, height):
+            r_end = min(r + height, block[1])
+            for c in range(0, p, width):
+                c_end = min(c + width, p)
+                tile = buf[:(r_end - r) * (c_end - c)].reshape(r_end - r, c_end - c)
+                np.copyto(tile, rows_u[r:r_end, c:c_end])
+                if not np.isfinite(tile).all():
+                    raise ValueError("projections must be finite")
+                dest = rows_out[r:r_end, 2 * c:2 * c_end]
+                np.cos(tile, out=dest[:, 0::2])
+                np.sin(tile, out=dest[:, 1::2])
+                dest /= scale
 
-    # numpy's ufuncs release the GIL, so threads run the slices in parallel
-    workers = max(1, min(_cpu_count(), p, u.size // _MIN_ENTRIES_PER_WORKER))
-    bounds = [p * k // workers for k in range(workers + 1)]
-    slices = list(zip(bounds[:-1], bounds[1:]))
+    # numpy's ufuncs release the GIL, so threads map the row blocks in parallel
+    workers = max(1, min(_cpu_count(), p, n, u.size // _MIN_ENTRIES_PER_WORKER))
+    bounds = [n * k // workers for k in range(workers + 1)]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
     if workers == 1:
-        sincos(slices[0])
+        sincos(blocks[0])
     else:
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(sincos, slices))
+            list(pool.map(sincos, blocks))
     return out
 
 
@@ -111,14 +152,19 @@ class FeatureOperator:
     def sqrtM(self) -> np.ndarray:
         return self.kernel.shape.sqrtM
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        """Linear part of the map: W x for RFF, S Q sqrt(M) x for ORF."""
+    def project(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Linear part of the map: W x for RFF, S Q sqrt(M) x for ORF.
+
+        The product is written into ``out`` when given (any float64 array of
+        shape ``X.shape[:-1] + (p,)``, a strided view included) by the same
+        GEMM that would allocate it.
+        """
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: {X.shape[-1]} != {self.dim}")
         if self.scheme == "rff":
-            return X @ self.W.T
-        out = X @ self.sqrtM @ self.Q.Q.T
+            return np.matmul(X, self.W.T, out=out)
+        out = np.matmul(X @ self.sqrtM, self.Q.Q.T, out=out)
         out *= self.S
         return out
 
@@ -192,8 +238,16 @@ def build_operator(scheme: str, kernel: KernelSpec, p: int,
 
 
 def featurize(op: FeatureOperator, X: np.ndarray) -> FeatureMatrix:
-    """Apply the operator and the SinCos map to every row of X."""
-    phi = psi(op.project(np.asarray(X, dtype=float)))
+    """Apply the operator and the SinCos map to every row of X.
+
+    Phi is the only array of its size: the projection is written into its
+    right half and psi maps it in place, so no separate n x p array exists.
+    """
+    X = np.asarray(X, dtype=float)
+    phi = np.empty(X.shape[:-1] + (2 * op.p,))
+    u = phi[..., op.p:]
+    op.project(X, out=u)
+    psi(u, out=phi)
     return FeatureMatrix(phi)
 
 
@@ -230,11 +284,19 @@ def operator_from_record(record: dict) -> FeatureOperator:
         raise ValueError(f"unsupported record version {record.get('version')}")
     if record.get("layout") != LAYOUT:
         raise ValueError(f"unsupported feature layout {record.get('layout')}")
-    k = record["kernel"]
-    spec = KernelSpec(k["family"], ShapeMatrix(np.asarray(k["M"])),
-                      alpha=k["alpha"], nu=k["nu"])
-    rng = RngStream(record["seed"], record["stream_id"])
-    return build_operator(record["scheme"], spec, record["p"], rng)
+    scheme, kernel, p, seed, stream_id = _fields(
+        record, "scheme", "kernel", "p", "seed", "stream_id")
+    family, alpha, nu, M = _fields(kernel, "family", "alpha", "nu", "M")
+    spec = KernelSpec(family, ShapeMatrix(np.asarray(M)), alpha=alpha, nu=nu)
+    return build_operator(scheme, spec, p, RngStream(seed, stream_id))
+
+
+def _fields(record: dict, *keys: str) -> list:
+    """The values of ``keys`` in ``record``, refusing by name the first one missing."""
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"operator record lacks {key!r}")
+    return [record[key] for key in keys]
 
 
 def _atomic_write(path, text: str) -> None:

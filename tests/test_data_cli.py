@@ -129,6 +129,20 @@ class TestLoadCsv:
             load_csv(str(path))
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("raw, message", [
+        (b'a,b\n"1\n",3\nx,4\n', "line 4, column 0: cannot parse 'x'"),
+        (b'a,b\n"1\n",3\n\xe9,4\n', "line 4 is not UTF-8 text (byte 0xe9 at offset 0: "
+                                     "invalid continuation byte)"),
+        (b'a,b\n"1\n",3\n4\n', "header has 2 fields, line 4 has 1"),
+    ], ids=["cell", "bytes", "field-count"])
+    def test_rows_after_a_multiline_cell_name_their_file_line(self, tmp_path, raw, message):
+        # the quoted "1\n" spans lines 2-3, so the next record starts on line 4
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            load_csv(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a,b", "1,2"])
         with pytest.raises(DataError, match="label column"):

@@ -117,6 +117,57 @@ class TestPsi:
             tracemalloc.stop()
         assert peak - start <= out.nbytes + u.size + 2 ** 20
 
+    # a tile spans whole rows (p <= 2**13), part of one row (p > 2**14) or
+    # one row; the 3-CPU pool splits the larger inputs into row blocks
+    @pytest.mark.parametrize("shape", [(1,), (7,), (5, 3), (3000, 1), (2, 3, 1536),
+                                       (2, 65_536), (3, 40_000), (24, 16_384)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_maps_its_right_half_in_place(self, monkeypatch, shape):
+        monkeypatch.setattr(features, "_cpu_count", lambda: 3)
+        p = shape[-1]
+        out = np.empty(shape[:-1] + (2 * p,))
+        u = out[..., p:]
+        u[...] = np.random.default_rng(p).standard_cauchy(shape) * 10.0
+        ref = psi(u.copy())
+        assert psi(u, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+
+    def test_out_beside_u_equals_fresh_out(self):
+        u = np.random.default_rng(8).standard_normal((4, 5))
+        out = np.full((4, 10), np.nan)
+        psi(u, out=out)
+        assert out.tobytes() == psi(u).tobytes()
+
+    @pytest.mark.parametrize("make_out, message", [
+        (lambda u: np.empty((4, 9)), "psi out must be a float64 array of shape"),
+        (lambda u: np.empty((4, 10), dtype=np.float32), "psi out must be a float64 array"),
+        (lambda u: [[0.0] * 10] * 4, "psi out must be a float64 array"),
+        (lambda u: np.empty((10, 4)).T, "psi out must be C-contiguous"),
+        (lambda u: np.empty((4, 20))[:, ::2], "psi out must be C-contiguous"),
+    ], ids=["shape", "dtype", "list", "transposed", "strided"])
+    def test_refuses_out_it_cannot_fill(self, make_out, message):
+        u = np.zeros((4, 5))
+        with pytest.raises(ValueError, match=message):
+            psi(u, out=make_out(u))
+
+    @pytest.mark.parametrize("view", [
+        lambda out, p: out[..., :p],          # left half
+        lambda out, p: out[..., 1:p + 1],     # shifted right half
+        lambda out, p: out[..., 0::2],        # the cos slots
+        lambda out, p: out[::-1, p:],         # right half, rows reversed
+    ], ids=["left-half", "shifted", "interleaved", "reversed-rows"])
+    def test_refuses_other_overlap(self, view):
+        out = np.zeros((4, 10))
+        with pytest.raises(ValueError, match=r"psi out overlaps u other than as its "
+                                             r"right half out\[\.\.\., p:\]"):
+            psi(view(out, 5), out=out)
+
+    def test_nonfinite_right_half_is_refused(self):
+        out = np.zeros((3, 8))
+        out[2, 6] = np.nan
+        with pytest.raises(ValueError, match="projections must be finite"):
+            psi(out[:, 4:], out=out)
+
 
 class TestBuildRff:
     def test_gaussian_rows_standard_normal(self):
@@ -190,7 +241,69 @@ class TestBuildOrf:
             np.testing.assert_allclose(block.T @ block, np.eye(4), atol=1e-10)
 
 
+def project_then_psi(op, X):
+    """The map as a separate projection U, then (cos U, sin U)/sqrt(p) interleaved."""
+    if op.scheme == "rff":
+        U = X @ op.W.T
+    else:
+        U = X @ op.sqrtM @ op.Q.Q.T
+        U *= op.S
+    p = U.shape[-1]
+    ref = np.empty(U.shape[:-1] + (2 * p,))
+    ref[..., 0::2] = np.cos(U)
+    ref[..., 1::2] = np.sin(U)
+    return ref / np.sqrt(p)
+
+
+FAMILY_SCHEMES = [(family, kw, scheme)
+                  for family, kw in [("gaussian", {}), ("l1_laplacian", {}), ("laplacian", {}),
+                                     ("matern", {"nu": 1.5}), ("exp_power", {"alpha": 1.3})]
+                  for scheme in ("rff", "orf") if (family, scheme) != ("l1_laplacian", "orf")]
+
+
 class TestFeaturize:
+    # 24 x 6 runs on one thread, 24 x 6144 (above 2 * 2**16 entries) on two
+    @pytest.mark.parametrize("family, kw, scheme", FAMILY_SCHEMES,
+                             ids=[f"{family}-{scheme}" for family, _, scheme in FAMILY_SCHEMES])
+    @pytest.mark.parametrize("M", [np.eye(3), PIN_M], ids=["identity", "pin-M"])
+    @pytest.mark.parametrize("p", [6, 6144])
+    def test_equals_project_then_psi(self, monkeypatch, family, kw, scheme, M, p):
+        monkeypatch.setattr(features, "_cpu_count", lambda: 3)
+        spec = KernelSpec(family, ShapeMatrix(M), **kw)
+        op = build_operator(scheme, spec, p, RngStream(122))
+        X = np.random.default_rng(9).standard_normal((24, 3)) * 3.0
+        assert featurize(op, X).phi.tobytes() == project_then_psi(op, X).tobytes()
+
+    # every n x p up to 24 x 65536 entries; ORF in d = 1 takes every p
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (1, 2, 24, 1000)
+                                      for p in (1, 3, 4096, 65_536) if n * p <= 24 * 65_536])
+    @pytest.mark.parametrize("scheme, d", [("rff", 16), ("orf", 1)])
+    def test_sizes_equal_project_then_psi(self, monkeypatch, n, p, scheme, d):
+        monkeypatch.setattr(features, "_cpu_count", lambda: 3)
+        op = build_operator(scheme, spec_for("laplacian", d=d), p, RngStream(123))
+        X = np.random.default_rng(n).standard_normal((n, d))
+        assert featurize(op, X).phi.tobytes() == project_then_psi(op, X).tobytes()
+
+    def test_one_row_vector_maps_to_one_feature_row(self):
+        op = build_rff(spec_for("laplacian"), 5, RngStream(124))
+        x = np.random.default_rng(10).standard_normal(4)
+        phi = featurize(op, x).phi
+        assert phi.shape == (10,)
+        assert phi.tobytes() == featurize(op, x[None, :]).phi[0].tobytes()
+
+    def test_holds_phi_and_no_projection(self):
+        op = build_rff(spec_for("laplacian", d=12), 2000, RngStream(125))
+        X = np.random.default_rng(11).standard_normal((1000, 12))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            phi = featurize(op, X).phi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a separate 1000 x 2000 projection would add 16 MB
+        assert peak - start <= phi.nbytes + 2 ** 20
+
     def test_zero_weights_row(self):
         op = build_rff(spec_for("laplacian"), 3, RngStream(112))
         op.W = np.zeros_like(op.W)
@@ -333,4 +446,15 @@ class TestSerialization:
         record = operator_record(build_rff(spec_for("laplacian"), 4, RngStream(120)))
         record[key] = value
         with pytest.raises(ValueError, match=message):
+            operator_from_record(record)
+
+    @pytest.mark.parametrize("path", [
+        ("kernel",), ("p",), ("seed",), ("stream_id",), ("scheme",),
+        ("kernel", "family"), ("kernel", "alpha"), ("kernel", "nu"), ("kernel", "M"),
+    ], ids="/".join)
+    def test_missing_field_is_refused_by_name(self, path):
+        record = operator_record(build_rff(spec_for("laplacian"), 4, RngStream(121)))
+        owner = record["kernel"] if len(path) == 2 else record
+        del owner[path[-1]]
+        with pytest.raises(ValueError, match=rf"^operator record lacks '{path[-1]}'$"):
             operator_from_record(record)
