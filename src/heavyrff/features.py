@@ -11,6 +11,7 @@ unit Euclidean norm and Gram entries are averages of cos(w^T (x - z)).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, Kerne
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
                            sample_mvn, sample_stable_mixing)
-from .rng import RngStream
+from .rng import RngStream, is_integer
 
 __all__ = [
     "FeatureOperator",
@@ -291,11 +292,35 @@ def operator_from_record(record: dict) -> FeatureOperator:
     return build_operator(scheme, spec, p, RngStream(seed, stream_id))
 
 
+def _is_number_or_null(value) -> bool:
+    return value is None or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+# what each field of a record must hold
+_FIELD_TYPES = {
+    "scheme": ("a string", lambda v: isinstance(v, str)),
+    "kernel": ("an object", lambda v: isinstance(v, dict)),
+    "p": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    "seed": ("an integer", is_integer),
+    "stream_id": ("an integer", is_integer),
+    "family": ("a string", lambda v: isinstance(v, str)),
+    "alpha": ("a number or null", _is_number_or_null),
+    "nu": ("a number or null", _is_number_or_null),
+    "M": ("a list", lambda v: isinstance(v, list)),
+}
+
+
 def _fields(record: dict, *keys: str) -> list:
-    """The values of ``keys`` in ``record``, refusing by name the first one missing."""
+    """The values of ``keys`` in ``record``, refusing by name the first one
+    missing and then the first one of the wrong type."""
     for key in keys:
         if key not in record:
             raise ValueError(f"operator record lacks {key!r}")
+    for key in keys:
+        what, valid = _FIELD_TYPES[key]
+        if not valid(record[key]):
+            raise ValueError(f"operator record field {key!r} must be {what}, "
+                             f"got {record[key]!r}")
     return [record[key] for key in keys]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import build_operator, featurize, gram_approx
-from .kernels import TILE, KernelSpec, kernel_matrix
+from .kernels import TILE, KernelSpec, check_inputs, kernel_matrix
 from .rng import RngStream
 
 __all__ = [
@@ -169,7 +169,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
                           norms: tuple[str, ...] = NORMS,
                           repeats: int = 1) -> list[dict]:
     """Featurize X at each p of the grid and compare each Gram against the
-    exact kernel, one JSON-ready report row per p.
+    exact kernel, one JSON-ready report row per p, in grid order.
 
     A row holds ``n, p, kernel, scheme``, the errors ``rel_frobenius,
     rel_operator, rel_nuclear`` (None for a norm not asked for), the
@@ -177,33 +177,47 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     build_ms, speedup``, in that order. Grid point j draws its operator from
     ``rng.substream(j)``; the build is timed once as ``build_ms`` and left out
     of ``speedup = exact_ms / (featurize_ms + gram_ms)``. The other times are
-    medians over ``repeats``: K's repeats run first, then at each p those of
-    featurize and then those of the Gram of the last Phi. K's checks and norms
-    are computed once for the grid, so every row carries the same
-    ``exact_ms``. At most K, one G and one p's Phi are resident at a time.
+    medians over ``repeats``: at each p those of featurize run first, then
+    those of the Gram of the last Phi.
+
+    The points are visited from the largest p down, ties in grid order, and
+    K is assembled (its repeats timed as ``exact_ms``) only once the first
+    point's Gram has dropped its Phi. K's checks and norms are computed once
+    for the grid, so every row carries the same ``exact_ms``. The sweep holds
+    at most the largest of Phi_max + G, G + K + one ``kernel_matrix`` tile's
+    temporaries, and K + G + the second-largest Phi: never K beside the
+    largest Phi. That is below the K + Phi_max + G of assembling K first
+    unless the largest Phi is smaller than one kernel tile's temporaries.
+    X is checked as ``kernel_matrix`` checks it before any operator is
+    built; what is refused in K itself is refused after the largest point's
+    Gram.
     """
     _check_norms(norms)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=float)
-    K, exact_ms = _timed(lambda: kernel_matrix(spec, X), repeats)
-    exact = _exact_side(K, norms)
-    rows = []
-    for j, p in enumerate(p_grid):
+    check_inputs(spec, X, X)
+    exact = exact_ms = None
+    rows = [None] * len(p_grid)
+    for j in sorted(range(len(p_grid)), key=lambda j: -p_grid[j]):
+        p = p_grid[j]
         op_rng = rng.substream(j)
         op, build_ms = _timed(lambda: build_operator(scheme, spec, p, op_rng), 1)
         phi, featurize_ms = _timed(lambda: featurize(op, X), repeats)
         G, gram_ms = _timed(lambda: gram_approx(phi), repeats)
         del phi  # only G is scored
+        if exact is None:
+            K, exact_ms = _timed(lambda: kernel_matrix(spec, X), repeats)
+            exact = _exact_side(K, norms)
         errs = _gram_errors(exact, G, norms)
-        del G  # free this point's Gram before the next, larger p is built
-        rows.append({
+        del G  # free this point's Gram before the next p is built
+        rows[j] = {
             "n": X.shape[0], "p": p, "kernel": spec.family, "scheme": scheme,
             **{f"rel_{norm}": errs[norm] for norm in NORMS},
             "seed": op_rng.seed, "stream_id": op_rng.stream_id,
             "exact_ms": exact_ms, "featurize_ms": featurize_ms,
             "gram_ms": gram_ms, "build_ms": build_ms,
-            "speedup": exact_ms / (featurize_ms + gram_ms)})
+            "speedup": exact_ms / (featurize_ms + gram_ms)}
     return rows
 
 

@@ -242,6 +242,16 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
     return float(kernel_matrix(spec, x[None], z[None])[0, 0])
 
 
+def check_inputs(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> None:
+    """Refuse what ``kernel_matrix(spec, X, Z)`` cannot take: a column count
+    other than d, or an entry that is not finite."""
+    if X.shape[1] != spec.dim or Z.shape[1] != spec.dim:
+        raise ValueError(
+            f"column counts {X.shape[1]}, {Z.shape[1]} must equal d={spec.dim}")
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise ValueError("inputs must be finite")
+
+
 def kernel_matrix(spec: KernelSpec, X: np.ndarray,
                   Z: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix with entries K(X_i, Z_j); Z defaults to X.
@@ -258,11 +268,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
 
     X = np.asarray(X, dtype=float)
     Z = X if Z is None else np.asarray(Z, dtype=float)
-    if X.shape[1] != spec.dim or Z.shape[1] != spec.dim:
-        raise ValueError(
-            f"column counts {X.shape[1]}, {Z.shape[1]} must equal d={spec.dim}")
-    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
-        raise ValueError("inputs must be finite")
+    check_inputs(spec, X, Z)
     if spec.family == L1_LAPLACIAN:
         metric, Xs, Zs = "cityblock", X, Z
     else:

@@ -7,10 +7,17 @@ reproduce any draw sequence bit-for-bit.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _UINT64_MASK = (1 << 64) - 1
 _SPLIT_MULT = 0x9E3779B97F4A7C15  # golden-ratio multiplier, avoids collisions
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool and any other type."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class RngStream:
@@ -22,10 +29,12 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (0 <= seed <= _UINT64_MASK):
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        if not (0 <= stream_id <= _UINT64_MASK):
-            raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
+            # int() would read 5.7 as 5 and True as 1: another draw, no word said
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not 0 <= value <= _UINT64_MASK:
+                raise ValueError(f"{name} must fit in 64 bits, got {value}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = np.random.Generator(

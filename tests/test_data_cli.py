@@ -13,7 +13,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -242,18 +241,13 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.X, [[2.5, 3.0], [4.5, 6.0]])
 
     @pytest.mark.parametrize("task", ["classification", "regression"])
-    def test_parse_holds_no_python_object_per_cell(self, tmp_path, task):
+    def test_parse_holds_no_python_object_per_cell(self, tmp_path, task, traced_growth):
         g = np.random.default_rng(3)
         body = [",".join(map(repr, row.tolist())) + f",{label}"
                 for row, label in zip(g.standard_normal((5000, 40)),
                                       g.integers(0, 10, size=5000))]
         path = write_csv(tmp_path / "wide.csv", [",".join(f"x{j}" for j in range(41))] + body)
-        tracemalloc.start()
-        try:
-            ds = load_csv(path, task=task)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_growth(load_csv, path, task=task)
         assert ds.X.shape == (5000, 40)
         # the table plus the X and y copied out of it; a list of floats per row is ~16x
         assert peak < 3 * (ds.X.nbytes + ds.y.nbytes)

@@ -272,3 +272,22 @@ class TestReproducibility:
         a = sample_chi(2.0, RngStream(7, 0), size=10)
         b = sample_chi(2.0, RngStream(7, 1), size=10)
         assert not np.array_equal(a, b)
+
+    # int() would read each of these as another integer's draws
+    @pytest.mark.parametrize("seed, stream_id, field", [
+        pytest.param(5.7, 0, "seed", id="float-seed"),
+        pytest.param(True, 0, "seed", id="bool-seed"),
+        pytest.param(np.float64(5.0), 0, "seed", id="numpy-float-seed"),
+        pytest.param("5", 0, "seed", id="str-seed"),
+        pytest.param(5, 2.9, "stream_id", id="float-stream-id"),
+        pytest.param(5, False, "stream_id", id="bool-stream-id"),
+    ])
+    def test_non_integer_ids_are_refused_by_name(self, seed, stream_id, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            RngStream(seed, stream_id)
+
+    def test_numpy_integer_ids_are_python_ints(self):
+        stream = RngStream(np.uint64(7), np.int32(3))
+        assert (type(stream.seed), type(stream.stream_id)) == (int, int)
+        np.testing.assert_array_equal(stream.generator.random(4),
+                                      RngStream(7, 3).generator.random(4))

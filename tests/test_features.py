@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
@@ -106,16 +106,13 @@ class TestPsi:
         assert psi(u).tobytes() == ref.tobytes()
         assert pools == ([] if workers == 1 else [workers])
 
-    def test_memory_is_output_plus_finiteness_mask(self):
+    def test_memory_is_output_plus_one_tile_per_worker(self, monkeypatch, traced_growth):
+        # an n x p finiteness mask would add 2 MB, more than the allowance
+        workers = 2
+        monkeypatch.setattr(features, "_cpu_count", lambda: workers)
         u = np.random.default_rng(7).standard_normal((1000, 2000))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            out = psi(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start <= out.nbytes + u.size + 2 ** 20
+        out, growth = traced_growth(psi, u)
+        assert growth <= out.nbytes + workers * 8 * features._TILE_ENTRIES + 2 ** 20
 
     # a tile spans whole rows (p <= 2**13), part of one row (p > 2**14) or
     # one row; the 3-CPU pool splits the larger inputs into row blocks
@@ -291,18 +288,12 @@ class TestFeaturize:
         assert phi.shape == (10,)
         assert phi.tobytes() == featurize(op, x[None, :]).phi[0].tobytes()
 
-    def test_holds_phi_and_no_projection(self):
+    def test_holds_phi_and_no_projection(self, traced_growth):
         op = build_rff(spec_for("laplacian", d=12), 2000, RngStream(125))
         X = np.random.default_rng(11).standard_normal((1000, 12))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            phi = featurize(op, X).phi
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        phi, growth = traced_growth(lambda: featurize(op, X).phi)
         # a separate 1000 x 2000 projection would add 16 MB
-        assert peak - start <= phi.nbytes + 2 ** 20
+        assert growth <= phi.nbytes + 2 ** 20
 
     def test_zero_weights_row(self):
         op = build_rff(spec_for("laplacian"), 3, RngStream(112))
@@ -457,4 +448,28 @@ class TestSerialization:
         owner = record["kernel"] if len(path) == 2 else record
         del owner[path[-1]]
         with pytest.raises(ValueError, match=rf"^operator record lacks '{path[-1]}'$"):
+            operator_from_record(record)
+
+    @pytest.mark.parametrize("path, value, kind", [
+        pytest.param(("seed",), 5.7, "an integer", id="float-seed"),
+        pytest.param(("seed",), True, "an integer", id="bool-seed"),
+        pytest.param(("stream_id",), 2.9, "an integer", id="float-stream-id"),
+        pytest.param(("scheme",), 1, "a string", id="int-scheme"),
+        pytest.param(("kernel",), None, "an object", id="null-kernel"),
+        pytest.param(("p",), "6", "an integer >= 1", id="str-p"),
+        pytest.param(("p",), 6.0, "an integer >= 1", id="float-p"),
+        pytest.param(("p",), True, "an integer >= 1", id="bool-p"),
+        pytest.param(("p",), 0, "an integer >= 1", id="zero-p"),
+        pytest.param(("kernel", "family"), None, "a string", id="null-family"),
+        pytest.param(("kernel", "alpha"), "0.5", "a number or null", id="str-alpha"),
+        pytest.param(("kernel", "nu"), True, "a number or null", id="bool-nu"),
+        pytest.param(("kernel", "M"), "identity", "a list", id="str-M"),
+    ])
+    def test_wrong_typed_field_is_refused_by_name(self, path, value, kind):
+        record = json.loads(json.dumps(
+            operator_record(build_rff(spec_for("laplacian"), 4, RngStream(122)))))
+        owner = record["kernel"] if len(path) == 2 else record
+        owner[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"^operator record field '{path[-1]}' "
+                                             rf"must be {kind}, got {re.escape(repr(value))}$"):
             operator_from_record(record)

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +185,7 @@ class TestInPlaceChecks:
         assert harness._abs_max(A) == np.abs(A).max()
         assert harness._abs_max(-A) == np.abs(A).max()
 
-    def test_gram_errors_holds_no_n_by_n_temporary(self):
+    def test_gram_errors_holds_no_n_by_n_temporary(self, traced_growth):
         n = 1000
         g = np.random.default_rng(6)
         A = g.standard_normal((n, 40)) / np.sqrt(40)
@@ -195,14 +194,8 @@ class TestInPlaceChecks:
         G = K + (E + E.T)
         del E
         exact = harness._exact_side(K, ("frobenius",))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            harness._gram_errors(exact, G, ("frobenius",))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < G.nbytes / 4
+        _, growth = traced_growth(harness._gram_errors, exact, G, ("frobenius",))
+        assert growth < G.nbytes / 4
 
 
 class TestCfCheck:
@@ -369,28 +362,100 @@ class TestMeasureApproximation:
         with pytest.raises(ValueError, match="matrices must be finite"):
             measure_approximation(spec, X, "rff", [32], RngStream(139))
 
+    @pytest.mark.parametrize("scheme", ["rff", "orf"])
+    def test_unsorted_grid_with_duplicate_equals_independent_grams(self, scheme):
+        spec, X = sweep_inputs()
+        rng = RngStream(141)
+        p_grid = [128, 512, 32, 512]
+        rows = measure_approximation(spec, X, scheme, p_grid, rng)
+        K = kernel_matrix(spec, X)
+        assert [r["p"] for r in rows] == p_grid
+        assert len({r["exact_ms"] for r in rows}) == 1
+        for j, (p, row) in enumerate(zip(p_grid, rows)):
+            op_rng = rng.substream(j)
+            assert (row["seed"], row["stream_id"]) == (op_rng.seed, op_rng.stream_id)
+            G = gram_approx(featurize(build_operator(scheme, spec, p, op_rng), X))
+            for norm in NORMS:
+                assert row[f"rel_{norm}"] == rel_error(K, G, norm)   # bit for bit
+        assert rows[1]["rel_frobenius"] != rows[3]["rel_frobenius"]  # two draws at p = 512
+
+    def test_visits_largest_p_first_and_assembles_k_after_its_gram(self, monkeypatch):
+        spec, X = sweep_inputs()
+        events = []
+
+        def logged(describe, fn):
+            def wrapper(*args):
+                result = fn(*args)
+                events.append(describe(*args, result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(harness, "build_operator", logged(
+            lambda scheme, spec, p, rng, op: f"build {p}/{rng.stream_id}",
+            harness.build_operator))
+        monkeypatch.setattr(harness, "gram_approx", logged(
+            lambda phi, G: "gram", harness.gram_approx))
+        monkeypatch.setattr(harness, "kernel_matrix", logged(
+            lambda spec, X, K: "K", harness.kernel_matrix))
+        rng = RngStream(142)
+        ids = [rng.substream(j).stream_id for j in range(4)]
+        measure_approximation(spec, X, "rff", [128, 512, 32, 512], rng, repeats=2)
+        assert events == [f"build 512/{ids[1]}", "gram", "gram", "K", "K",
+                          f"build 512/{ids[3]}", "gram", "gram",
+                          f"build 128/{ids[0]}", "gram", "gram",
+                          f"build 32/{ids[2]}", "gram", "gram"]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "^inputs must be finite$"),
+        ("columns", "^column counts 5, 5 must equal d=4$")])
+    def test_bad_x_is_refused_before_any_operator_is_built(self, monkeypatch, bad, message):
+        spec, X = sweep_inputs()
+        if bad == "nan":
+            X[3, 1] = np.nan
+        else:
+            X = np.hstack([X, X[:, :1]])
+        builds = []
+        real = harness.build_operator
+        monkeypatch.setattr(harness, "build_operator",
+                            lambda *args: builds.append(1) or real(*args))
+        with pytest.raises(ValueError, match=message):
+            measure_approximation(spec, X, "rff", [32, 128], RngStream(143))
+        assert builds == []
+
 
 class TestSweepMemory:
-    def test_repeats_hold_one_result_of_each_stage(self):
-        # K + Phi + G plus the n x p projection bound the sweep at any repeats:
+    @pytest.fixture(autouse=True)
+    def warm(self):
+        # first-use imports and caches stay out of the traced peaks
+        spec, X = sweep_inputs()
+        for scheme in ("rff", "orf"):
+            measure_approximation(spec, X[:50], scheme, [16], RngStream(1), repeats=2)
+
+    def test_repeats_hold_one_result_of_each_stage(self, traced_growth):
         # each timed repeat's result is dropped before the next one runs
         n, d, p = 600, 8, 512
         X = np.random.default_rng(8).standard_normal((n, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
-        for scheme in ("rff", "orf"):  # first-use imports and caches stay out of the peak
-            measure_approximation(spec, X[:50], scheme, [16], RngStream(1), repeats=2)
-        K_bytes, phi_bytes, u_bytes = n * n * 8, n * 2 * p * 8, n * p * 8
+        K_bytes, phi_bytes, G_bytes = n * n * 8, n * 2 * p * 8, n * n * 8
         for scheme in ("rff", "orf"):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                measure_approximation(spec, X, scheme, [p], RngStream(9),
-                                      norms=("frobenius",), repeats=3)
-                peak = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * K_bytes + phi_bytes + u_bytes, scheme
+            _, peak = traced_growth(measure_approximation, spec, X, scheme, [p],
+                                    RngStream(9), norms=("frobenius",), repeats=3)
+            assert peak < K_bytes + phi_bytes + G_bytes + 2 ** 20, scheme
+
+    @pytest.mark.parametrize("norms", [("frobenius",), NORMS], ids=["frobenius", "all"])
+    @pytest.mark.parametrize("scheme", ["rff", "orf"])
+    def test_largest_phi_is_never_beside_k(self, scheme, norms, traced_growth):
+        # K is assembled after the largest point's Gram has dropped its Phi, so
+        # Phi_max + G bounds the sweep; K beside Phi_max would add 2.9 MB
+        n, d, p_grid = 600, 8, [64, 1024]
+        X = np.random.default_rng(8).standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
+        phi_bytes, G_bytes = n * 2 * max(p_grid) * 8, n * n * 8
+        _, peak = traced_growth(measure_approximation, spec, X, scheme, p_grid,
+                                RngStream(9), norms=norms)
+        assert peak <= phi_bytes + G_bytes + 2 ** 20
 
 
 class TestBenchSpeedup:

@@ -1,6 +1,5 @@
 import functools
 import re
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -445,7 +444,7 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("family, kw, bound", [
         ("laplacian", {}, 2.0), ("matern", {"nu": 4.0}, 2.0), ("matern", {"nu": 1.3}, 2.5)])
-    def test_holds_k_plus_one_tile(self, family, kw, bound):
+    def test_holds_k_plus_one_tile(self, family, kw, bound, traced_growth):
         # traced growth in units of n^2 doubles; one full distance matrix
         # and its profile temporaries would take 3 to 7
         n, d = 2048, 6
@@ -453,14 +452,8 @@ class TestKernelMatrix:
         X = g.standard_normal((n, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         spec = KernelSpec(family, ShapeMatrix.identity(d), **kw)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            kernel_matrix(spec, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < bound * 8 * n * n
+        _, growth = traced_growth(kernel_matrix, spec, X)
+        assert growth < bound * 8 * n * n
 
     @PROPERTY
     @given(family=st.sampled_from([("gaussian", {}), ("l1_laplacian", {}),

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,7 +85,7 @@ class TestKrrExact:
         expected = cho_solve(cho_factor(A, lower=True), Y)
         assert np.array_equal(fit_krr_exact(spec, X, Y, 1e-3).alphas, expected)
 
-    def test_holds_one_n_by_n_matrix(self):
+    def test_holds_one_n_by_n_matrix(self, traced_growth):
         # traced growth in units of n^2 doubles: K plus one kernel tile, with
         # no shifted copy of K and no copy made for LAPACK
         n, d = 2048, 6
@@ -94,14 +93,8 @@ class TestKrrExact:
         X = unit_rows(g, n, d)
         Y = g.standard_normal((n, 2))
         spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            fit_krr_exact(spec, X, Y, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 2.0 * 8 * n * n
+        _, growth = traced_growth(fit_krr_exact, spec, X, Y, 1e-3)
+        assert growth < 2.0 * 8 * n * n
 
 
 class TestRidgeFeatures:
@@ -148,21 +141,15 @@ class TestRidgeFeatures:
         assert np.array_equal(theta, expected)
 
     @pytest.mark.parametrize("n, m", [(4096, 2048), (2048, 4096)])   # primal, dual
-    def test_holds_one_k_by_k_matrix(self, n, m):
+    def test_holds_one_k_by_k_matrix(self, n, m, traced_growth):
         # traced growth in units of k^2 doubles, k = min(n, m): the Gram
         # matrix, factored in place, with no shifted copy and no LAPACK copy
         k = min(n, m)
         g = np.random.default_rng(9)
         P = g.standard_normal((n, m)) / np.sqrt(m)
         Y = g.standard_normal((n, 2))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            fit_ridge_features(FeatureMatrix(P), Y, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 1.5 * 8 * k * k
+        _, growth = traced_growth(fit_ridge_features, FeatureMatrix(P), Y, 1e-3)
+        assert growth < 1.5 * 8 * k * k
 
 
 class TestLogisticFeatures:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -163,15 +161,10 @@ class TestHaar:
                 sample_haar_blocks(blocks * d, d, RngStream(seed)).Q,
                 expected.reshape(blocks * d, d))
 
-    def test_peak_memory_is_about_one_q(self):
+    def test_peak_memory_is_about_one_q(self, traced_growth):
         # the blocks are factored into the drawn stack; a second (p, d)
         # array beside it would double the peak
-        tracemalloc.start()
-        try:
-            Q = sample_haar_blocks(65536, 16, RngStream(55)).Q
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        Q, peak = traced_growth(lambda: sample_haar_blocks(65536, 16, RngStream(55)).Q)
         assert peak <= 1.15 * Q.nbytes
 
 
