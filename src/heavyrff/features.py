@@ -279,7 +279,7 @@ def operator_record(op: FeatureOperator) -> dict:
 
 def operator_from_record(record: dict) -> FeatureOperator:
     """Rebuild an operator by re-sampling from the recorded seeds."""
-    if record.get("format") != RECORD_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != RECORD_FORMAT:
         raise ValueError("not an operator record")
     if record.get("version") != RECORD_VERSION:
         raise ValueError(f"unsupported record version {record.get('version')}")
@@ -288,12 +288,20 @@ def operator_from_record(record: dict) -> FeatureOperator:
     scheme, kernel, p, seed, stream_id = _fields(
         record, "scheme", "kernel", "p", "seed", "stream_id")
     family, alpha, nu, M = _fields(kernel, "family", "alpha", "nu", "M")
+    if not all(isinstance(row, list) and len(row) == len(M) and all(map(_is_number, row))
+               for row in M):
+        raise ValueError(f"operator record field 'M' must be a square matrix of numbers, "
+                         f"got {M!r}")
     spec = KernelSpec(family, ShapeMatrix(np.asarray(M)), alpha=alpha, nu=nu)
     return build_operator(scheme, spec, p, RngStream(seed, stream_id))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_number_or_null(value) -> bool:
-    return value is None or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    return value is None or _is_number(value)
 
 
 # what each field of a record must hold

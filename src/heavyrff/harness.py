@@ -10,7 +10,6 @@ either scheme's feature operator with its target kernel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +24,6 @@ __all__ = [
 ]
 
 NORMS = ("frobenius", "operator", "nuclear")
-
-
-@dataclass
-class _ExactSide:
-    """What the error of every Gram estimate against one exact K shares:
-    K itself, its symmetry figures and the denominators of the norms asked for."""
-
-    K: np.ndarray
-    abs_max: float
-    asym: float
-    frobenius: float = float("nan")
-    operator: float = float("nan")
-    nuclear: float = float("nan")
 
 
 def _abs_max(A: np.ndarray) -> float:
@@ -90,41 +76,35 @@ def _top_eigenvalue(K: np.ndarray) -> float:
     return abs(float(top))
 
 
-def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> _ExactSide:
-    exact = _ExactSide(K=K, abs_max=_finite_abs_max(K), asym=_asym_max(K))
-    if "frobenius" in norms:
-        exact.frobenius = np.linalg.norm(K)
-    if "operator" in norms:  # a zero K is refused by name, not by ARPACK
-        exact.operator = _top_eigenvalue(K) if exact.abs_max > 0.0 else 0.0
-    if "nuclear" in norms:
-        exact.nuclear = np.trace(K)  # sum |eigenvalue| for a PSD K, as a kernel matrix is
-    return exact
+def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> dict[str, float]:
+    """||K|| in each norm asked for, which every Gram's error against K shares:
+    ||K||_2 is one Lanczos eigenvalue and ||K||_* the trace, the sum of the
+    |eigenvalues| of a PSD K, as a kernel matrix is. K must be nonzero."""
+    k_norms = {"frobenius": np.linalg.norm, "operator": _top_eigenvalue, "nuclear": np.trace}
+    return {name: k_norms[name](K) for name in norms}
 
 
-def _gram_errors(exact: _ExactSide, G: np.ndarray,
-                 norms: tuple[str, ...]) -> dict[str, float | None]:
-    """Relative errors of G against the exact side; norms not asked for are None.
+def _gram_errors(K: np.ndarray, exact: dict[str, float],
+                 G: np.ndarray) -> dict[str, float | None]:
+    """Relative errors of G against K in the norms of ``exact``, the output of
+    ``_exact_side(K, ...)``; norms not asked for are None.
 
-    Consumes G: once it has passed the checks it is overwritten by G - K, so
-    no n x n temporary is formed. A caller that still needs G passes a copy.
+    Only scores: the sweep's K and G are finite and exactly symmetric by
+    construction, and ``rel_error`` checks a caller's matrices before this.
+    Consumes G: it is overwritten by G - K, so no n x n temporary is formed.
+    A caller that still needs G passes a copy.
     """
-    scale = max(exact.abs_max, _finite_abs_max(G), 1.0)
-    if max(exact.asym, _asym_max(G)) > 1e-10 * scale:
-        raise ValueError("matrices must be symmetric")
-    for name in norms:
-        if getattr(exact, name) == 0.0:
-            raise ZeroDivisionError("||K|| is zero")
-    diff = np.subtract(G, exact.K, out=G)
+    diff = np.subtract(G, K, out=G)
     errs = dict.fromkeys(NORMS)  # None, not nan: JSON has no NaN token
-    if "frobenius" in norms:
-        errs["frobenius"] = float(np.linalg.norm(diff) / exact.frobenius)
-    if "operator" in norms or "nuclear" in norms:
+    if "frobenius" in exact:
+        errs["frobenius"] = float(np.linalg.norm(diff) / exact["frobenius"])
+    if "operator" in exact or "nuclear" in exact:
         # one eigendecomposition of G - K serves both spectral norms; the
         # nuclear norm needs every eigenvalue
         ev_diff = np.abs(np.linalg.eigvalsh(diff))
         for name, reduce in (("operator", np.max), ("nuclear", np.sum)):
-            if name in norms:
-                errs[name] = float(reduce(ev_diff) / getattr(exact, name))
+            if name in exact:
+                errs[name] = float(reduce(ev_diff) / exact[name])
     return errs
 
 
@@ -136,20 +116,31 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     ||K||_2 is K's largest |eigenvalue| by Lanczos, and ||K||_* is its trace,
     so the nuclear norm needs a positive semidefinite K, as every kernel
     matrix is: a K with an eigenvalue below -n * 2^-52 * ||K||_2 is refused.
+
+    The caller's matrices are checked here, in this order, before any norm:
+    each a nonempty square matrix, both of one shape, finite, symmetric
+    within 1e-10 of their scale, ||K|| nonzero, and K PSD for the nuclear norm.
     """
     _check_norms((norm,))
     K = np.asarray(K, dtype=float)
     G = np.array(G, dtype=float)  # _gram_errors consumes its G
+    for name, A in (("K", K), ("G", G)):
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"{name} must be a nonempty square matrix, got shape {A.shape}")
     if K.shape != G.shape:
         raise ValueError(f"shape mismatch {K.shape} vs {G.shape}")
-    err = _gram_errors(_exact_side(K, (norm,)), G, (norm,))[norm]
-    if norm == "nuclear":  # after the finite, symmetric and nonzero checks
+    k_max, g_max = _finite_abs_max(K), _finite_abs_max(G)
+    if max(_asym_max(K), _asym_max(G)) > 1e-10 * max(k_max, g_max, 1.0):
+        raise ValueError("matrices must be symmetric")
+    if k_max == 0.0 or (norm == "nuclear" and np.trace(K) == 0.0):
+        raise ZeroDivisionError("||K|| is zero")
+    if norm == "nuclear":
         ev = np.linalg.eigvalsh(K)
         floor = -K.shape[0] * np.finfo(float).eps * np.abs(ev).max()
         if ev[0] < floor:
             raise ValueError(f"the nuclear norm needs a positive semidefinite K: its "
                              f"smallest eigenvalue {ev[0]:.3g} is below {floor:.3g}")
-    return err
+    return _gram_errors(K, _exact_side(K, (norm,)), G)[norm]
 
 
 def _timed(call, repeats: int):
@@ -182,21 +173,26 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
 
     The points are visited from the largest p down, ties in grid order, and
     K is assembled (its repeats timed as ``exact_ms``) only once the first
-    point's Gram has dropped its Phi. K's checks and norms are computed once
-    for the grid, so every row carries the same ``exact_ms``. The sweep holds
+    point's Gram has dropped its Phi. K's norms are computed once for the
+    grid, so every row carries the same ``exact_ms``. The sweep holds
     at most the largest of Phi_max + G, G + K + one ``kernel_matrix`` tile's
     temporaries, and K + G + the second-largest Phi: never K beside the
     largest Phi. That is below the K + Phi_max + G of assembling K first
     unless the largest Phi is smaller than one kernel tile's temporaries.
-    X is checked as ``kernel_matrix`` checks it before any operator is
-    built; what is refused in K itself is refused after the largest point's
-    Gram.
+    X is checked as ``kernel_matrix`` checks it, and refused if it has no
+    rows, before any operator is built; what ``kernel_matrix`` refuses in X
+    times sqrt(M) or in the profile comes after the largest point's Gram.
+    K and G are scored without checks: ``kernel_matrix`` returns a finite,
+    exactly symmetric K with a unit diagonal, and G = Phi Phi^T is finite,
+    exactly symmetric, and within rounding of [-1, 1].
     """
     _check_norms(norms)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=float)
     check_inputs(spec, X, X)
+    if X.shape[0] == 0:
+        raise ValueError("X has no rows")
     exact = exact_ms = None
     rows = [None] * len(p_grid)
     for j in sorted(range(len(p_grid)), key=lambda j: -p_grid[j]):
@@ -209,7 +205,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
         if exact is None:
             K, exact_ms = _timed(lambda: kernel_matrix(spec, X), repeats)
             exact = _exact_side(K, norms)
-        errs = _gram_errors(exact, G, norms)
+        errs = _gram_errors(K, exact, G)
         del G  # free this point's Gram before the next p is built
         rows[j] = {
             "n": X.shape[0], "p": p, "kernel": spec.family, "scheme": scheme,

@@ -243,8 +243,11 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
 
 
 def check_inputs(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> None:
-    """Refuse what ``kernel_matrix(spec, X, Z)`` cannot take: a column count
-    other than d, or an entry that is not finite."""
+    """Refuse what ``kernel_matrix(spec, X, Z)`` cannot take: an X or Z that
+    is not 2-D, a column count other than d, or an entry that is not finite."""
+    for name, A in (("X", X), ("Z", Z)):
+        if A.ndim != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
     if X.shape[1] != spec.dim or Z.shape[1] != spec.dim:
         raise ValueError(
             f"column counts {X.shape[1]}, {Z.shape[1]} must equal d={spec.dim}")
@@ -262,7 +265,8 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
     the rows below, so each entry is computed once. ``cdist`` computes each
     pair alone and the profile works entry by entry, so K is bit-equal to the
     profile of the whole distance matrix, and exactly symmetric when Z is X.
-    Non-finite X or Z is refused before any tile is built.
+    X or Z that is not 2-D or not finite, or whose rows times sqrt(M)
+    overflow, is refused before any tile is built, so K is finite.
     """
     from scipy.spatial.distance import cdist
 
@@ -272,8 +276,12 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
     if spec.family == L1_LAPLACIAN:
         metric, Xs, Zs = "cityblock", X, Z
     else:
-        metric, Xs = "euclidean", X @ spec.shape.sqrtM
-        Zs = Xs if Z is X else Z @ spec.shape.sqrtM
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xs = X @ spec.shape.sqrtM
+            Zs = Xs if Z is X else Z @ spec.shape.sqrtM
+        if not (np.isfinite(Xs).all() and np.isfinite(Zs).all()):
+            raise ValueError("inputs times sqrt(M) must be finite")
+        metric = "euclidean"
     n = Xs.shape[0]
     K = np.empty((n, Zs.shape[0]))
     for a in range(0, n, TILE):

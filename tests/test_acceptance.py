@@ -8,7 +8,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,

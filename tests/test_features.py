@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import heavyrff.features as features
-from heavyrff import (GbpParams, KernelSpec, RngStream, ShapeMatrix,
-                      build_orf, build_rff, featurize, gram_approx,
-                      kernel_eval, kernel_matrix, load_operator, psi,
-                      sample_gbp, sample_mv_cauchy, save_operator)
+from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_orf,
+                      build_rff, featurize, gram_approx, kernel_eval,
+                      kernel_matrix, load_operator, psi, sample_mv_cauchy,
+                      save_operator)
 from heavyrff.features import (build_operator, operator_from_record,
                                operator_record)
 
@@ -306,6 +306,20 @@ class TestFeaturize:
         phi = featurize(op, np.random.default_rng(2).standard_normal((5, 4)))
         np.testing.assert_allclose(np.diag(gram_approx(phi)), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n, p", [(1, 6), (7, 513), (600, 6), (600, 513)])
+    @pytest.mark.parametrize("scheme", ["rff", "orf"])
+    def test_gram_exactly_symmetric_and_bounded_by_one(self, monkeypatch, scheme, n, p):
+        # what the error sweep scores G on without checking it; (600, 513)
+        # runs psi on 3 threads, the others on one. A row of Phi has unit
+        # norm up to the rounding of its 2p-term dot product; 2 ulp above 1
+        # was measured at p = 6, n = 600
+        monkeypatch.setattr(features, "_cpu_count", lambda: 3)
+        op = build_operator(scheme, KernelSpec("laplacian", ShapeMatrix(PIN_M)), p,
+                            RngStream(117))
+        G = gram_approx(featurize(op, 2.0 * np.random.default_rng(n).standard_normal((n, 3))))
+        assert np.array_equal(G, G.T)
+        assert np.abs(G).max() <= 1.0 + (2 * p + 4) * np.finfo(float).eps
+
     def test_dim_mismatch(self):
         op = build_rff(spec_for("gaussian"), 8, RngStream(114))
         with pytest.raises(ValueError):
@@ -429,6 +443,24 @@ class TestSerialization:
     def test_rejects_foreign_record(self):
         with pytest.raises(ValueError):
             operator_from_record({"format": "something-else"})
+
+    @pytest.mark.parametrize("record", [[], None, "heavyrff-operator"],
+                             ids=["list", "null", "string"])
+    def test_record_not_an_object_is_refused_by_name(self, record):
+        with pytest.raises(ValueError, match="^not an operator record$"):
+            operator_from_record(record)
+
+    @pytest.mark.parametrize("M", [
+        [[1, 0], [0]], [[1, "0"], [0, 1]], [[1, [0]], [0, 1]], [[1, True], [0, 1]],
+        [[1, 0], [0, 1], [0, 0]], [1, 0]],
+        ids=["ragged", "string-entry", "nested-entry", "bool-entry", "3x2", "flat"])
+    def test_m_that_is_not_a_square_matrix_of_numbers_is_refused_by_name(self, M):
+        record = json.loads(json.dumps(
+            operator_record(build_rff(spec_for("laplacian"), 4, RngStream(123)))))
+        record["kernel"]["M"] = M
+        with pytest.raises(ValueError, match=rf"^operator record field 'M' must be a "
+                                             rf"square matrix of numbers, got {re.escape(repr(M))}$"):
+            operator_from_record(record)
 
     @pytest.mark.parametrize("key, value, message", [
         ("version", 2, "unsupported record version 2"),

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -92,6 +90,53 @@ class TestRelError:
         assert G.tobytes() == before.tobytes()
 
 
+class TestRelErrorRefusals:
+    """What rel_error cannot score is refused by name before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a norm was computed")
+
+        for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "norm"),
+                            (scipy.sparse.linalg, "eigsh")):
+            monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize("K, G, message", [
+        (np.ones(3), np.ones(3), r"^K must be a nonempty square matrix, got shape \(3,\)$"),
+        (np.ones((2, 3)), np.ones((2, 3)),
+         r"^K must be a nonempty square matrix, got shape \(2, 3\)$"),
+        (np.eye(2), np.ones((2, 2, 2)),
+         r"^G must be a nonempty square matrix, got shape \(2, 2, 2\)$"),
+        (np.ones((0, 0)), np.ones((0, 0)),
+         r"^K must be a nonempty square matrix, got shape \(0, 0\)$"),
+        (np.eye(2), np.eye(3), r"^shape mismatch \(2, 2\) vs \(3, 3\)$")],
+        ids=["1-D", "2x3", "3-D G", "0x0", "mismatch"])
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_shapes_it_cannot_score(self, no_work, K, G, norm, message):
+        with pytest.raises(ValueError, match=message):
+            rel_error(K, G, norm)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_asymmetric_k_is_refused_before_any_norm(self, no_work, norm):
+        with pytest.raises(ValueError, match="^matrices must be symmetric$"):
+            rel_error(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), norm)
+
+    def test_indefinite_k_is_refused_before_g_minus_k_is_scored(self, monkeypatch):
+        K = np.diag([2.0, -1.0])
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda A: calls.append(A.copy()) or real(A))
+        with pytest.raises(ValueError, match="needs a positive semidefinite K"):
+            rel_error(K, np.eye(2), "nuclear")
+        assert len(calls) == 1 and np.array_equal(calls[0], K)
+
+    def test_k_of_zero_trace_is_zero_for_the_nuclear_norm(self):
+        with pytest.raises(ZeroDivisionError, match="is zero"):
+            rel_error(np.diag([1.0, -1.0]), np.eye(2), "nuclear")
+
+
 def anisotropic_shape(d, seed):
     """M with condition number 100 in a random basis."""
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
@@ -113,9 +158,9 @@ class TestExactSideDenominators:
         K = kernel_matrix(KernelSpec(family, M, **kw), X)
         exact = harness._exact_side(K, NORMS)
         ev = np.abs(np.linalg.eigvalsh(K))
-        assert exact.operator == pytest.approx(ev.max(), rel=1e-13, abs=0)
-        assert exact.nuclear == pytest.approx(ev.sum(), rel=1e-13, abs=0)
-        assert exact.frobenius == np.linalg.norm(K)
+        assert exact["operator"] == pytest.approx(ev.max(), rel=1e-13, abs=0)
+        assert exact["nuclear"] == pytest.approx(ev.sum(), rel=1e-13, abs=0)
+        assert exact["frobenius"] == np.linalg.norm(K)
 
     def test_indefinite_k(self):
         g = np.random.default_rng(8)
@@ -124,7 +169,7 @@ class TestExactSideDenominators:
         K -= 3.0 * np.eye(40)  # the largest |eigenvalue| is a negative one
         ev = np.linalg.eigvalsh(K)
         assert -ev[0] > ev[-1] > 0
-        assert harness._exact_side(K, ("operator",)).operator == pytest.approx(
+        assert harness._exact_side(K, ("operator",))["operator"] == pytest.approx(
             -ev[0], rel=1e-13, abs=0)
         E = g.standard_normal((40, 40)) * 1e-2
         G = K + (E + E.T)
@@ -141,17 +186,17 @@ class TestExactSideDenominators:
         assert abs(v @ np.ones(n)) < 1e-12
         ev = np.linalg.eigvalsh(K)
         assert ev[0] >= 0
-        assert harness._exact_side(K, ("operator",)).operator == pytest.approx(
+        assert harness._exact_side(K, ("operator",))["operator"] == pytest.approx(
             ev[-1], rel=1e-13, abs=0)
         assert ev[-1] == pytest.approx(2.0)
         K2 = np.array([[1.0, -0.9], [-0.9, 1.0]])
-        assert harness._exact_side(K2, ("operator",)).operator == pytest.approx(1.9)
+        assert harness._exact_side(K2, ("operator",))["operator"] == pytest.approx(1.9)
 
     def test_two_calls_are_bit_equal(self):
         X = np.random.default_rng(9).standard_normal((300, 4))
         K = kernel_matrix(KernelSpec("matern", ShapeMatrix.identity(4), nu=4.0), X)
         a, b = (harness._exact_side(K, NORMS) for _ in range(2))
-        assert (a.frobenius, a.operator, a.nuclear) == (b.frobenius, b.operator, b.nuclear)
+        assert a == b
 
     def test_zero_k_and_n_one_do_not_reach_arpack(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -194,7 +239,7 @@ class TestInPlaceChecks:
         G = K + (E + E.T)
         del E
         exact = harness._exact_side(K, ("frobenius",))
-        _, growth = traced_growth(harness._gram_errors, exact, G, ("frobenius",))
+        _, growth = traced_growth(harness._gram_errors, K, exact, G)
         assert growth < G.nbytes / 4
 
 
@@ -347,20 +392,26 @@ class TestMeasureApproximation:
                                   norms=("trace",), repeats=3)
         assert calls == []
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("target", ["kernel_matrix", "gram_approx"])
-    def test_rejects_nonfinite(self, monkeypatch, target, bad):
+    def test_sweep_runs_no_matrix_checks(self, monkeypatch):
+        # K and G are finite and exactly symmetric by construction; only
+        # rel_error checks matrices, as it takes them from its caller
         spec, X = sweep_inputs()
-        real = getattr(harness, target)
+        calls = []
+        for name in ("_abs_max", "_finite_abs_max", "_asym_max"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda A, name=name, real=real:
+                                calls.append(name) or real(A))
+        measure_approximation(spec, X, "rff", [32, 128, 512], RngStream(144))
+        assert calls == []
+        rel_error(np.eye(2), np.eye(2))
+        assert set(calls) == {"_abs_max", "_finite_abs_max", "_asym_max"}
 
-        def poisoned(*args):
-            M = real(*args)
-            M[0, 1] = M[1, 0] = bad
-            return M
-
-        monkeypatch.setattr(harness, target, poisoned)
-        with pytest.raises(ValueError, match="matrices must be finite"):
-            measure_approximation(spec, X, "rff", [32], RngStream(139))
+    def test_x_overflowing_times_sqrt_m_is_refused_by_name(self):
+        # X @ sqrt(M) overflows, which would make K[0, 0] NaN
+        spec = KernelSpec("gaussian", ShapeMatrix.diagonal([4, 1]))
+        X = np.array([[1e308, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^inputs times sqrt\(M\) must be finite$"):
+            measure_approximation(spec, X, "rff", [1], RngStream(0))
 
     @pytest.mark.parametrize("scheme", ["rff", "orf"])
     def test_unsorted_grid_with_duplicate_equals_independent_grams(self, scheme):
@@ -407,13 +458,18 @@ class TestMeasureApproximation:
 
     @pytest.mark.parametrize("bad, message", [
         ("nan", "^inputs must be finite$"),
-        ("columns", "^column counts 5, 5 must equal d=4$")])
+        ("columns", "^column counts 5, 5 must equal d=4$"),
+        ("1-D", r"^X must be 2-D, got shape \(4,\)$"),
+        ("3-D", r"^X must be 2-D, got shape \(80, 1, 4\)$"),
+        ("no rows", "^X has no rows$")])
     def test_bad_x_is_refused_before_any_operator_is_built(self, monkeypatch, bad, message):
         spec, X = sweep_inputs()
         if bad == "nan":
             X[3, 1] = np.nan
-        else:
+        elif bad == "columns":
             X = np.hstack([X, X[:, :1]])
+        else:
+            X = {"1-D": X[0], "3-D": X[:, None], "no rows": X[:0]}[bad]
         builds = []
         real = harness.build_operator
         monkeypatch.setattr(harness, "build_operator",

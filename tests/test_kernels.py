@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.spatial.distance import cdist
 
-from heavyrff import (KernelSpec, RngStream, ShapeMatrix, kernel_eval,
-                      kernel_matrix, matern_profile)
+from heavyrff import (KernelSpec, ShapeMatrix, kernel_eval, kernel_matrix,
+                      matern_profile)
 from heavyrff import kernels
 from heavyrff.kernels import kernel_profile
 
@@ -423,6 +423,50 @@ class TestKernelMatrix:
         (Z if where == "Z" else X)[1, 0] = bad
         with pytest.raises(ValueError, match="inputs must be finite"):
             kernel_matrix(spec, X, None if where == "X as Z" else Z)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 3), ()])
+    @pytest.mark.parametrize("where", ["X", "Z"])
+    def test_rejects_inputs_not_2d_by_name(self, where, shape):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(3))
+        X, Z = np.zeros((2, 3)), np.zeros((5, 3))
+        if where == "X":
+            X = np.zeros(shape)
+        else:
+            Z = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{where} must be 2-D, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            kernel_matrix(spec, X, Z)
+
+    @pytest.mark.parametrize("M, row", [
+        ([[4.0, 0.0], [0.0, 1.0]], [1e308, 0.0]),      # 2e308 overflows
+        ([[10.0, 9.0], [9.0, 10.0]], [1e308, -1e308])],  # inf - inf is NaN
+        ids=["overflow", "nan"])
+    @pytest.mark.parametrize("where", ["X", "Z", "X as Z"])
+    def test_rejects_rows_that_overflow_times_sqrt_m(self, where, M, row):
+        # left unrefused, these rows would make K[0, 0] NaN
+        spec = KernelSpec("gaussian", ShapeMatrix(np.array(M)))
+        X, Z = np.zeros((2, 2)), np.zeros((3, 2))
+        (Z if where == "Z" else X)[0] = row
+        with pytest.raises(ValueError, match=r"^inputs times sqrt\(M\) must be finite$"):
+            kernel_matrix(spec, X, None if where == "X as Z" else Z)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("shape", ["identity", "anisotropic"])
+    @pytest.mark.parametrize("family, kw", TILED_FAMILIES)
+    def test_exactly_symmetric_finite_with_unit_diagonal(self, family, kw, shape, n):
+        # what the error sweep scores K on without checking it
+        d = 5
+        g = np.random.default_rng(n)
+        if shape == "identity":
+            M = np.eye(d)
+        else:  # condition number 100 in a random basis
+            basis = np.linalg.qr(g.standard_normal((d, d)))[0]
+            M = (basis * np.geomspace(0.1, 10.0, d)) @ basis.T
+        K = kernel_matrix(KernelSpec(family, ShapeMatrix(M), **kw),
+                          2.0 * g.standard_normal((n, d)))
+        assert np.array_equal(K, K.T)
+        assert np.isfinite(K).all()
+        assert np.array_equal(np.diag(K), np.ones(n))
 
     @pytest.mark.parametrize("family, kw", TILED_FAMILIES)
     def test_tiles_equal_the_profile_of_all_distances(self, family, kw):
