@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .distributions import (GbpParams, StableParams, finite_draws, gbp_cdf,
                             sample_chi, sample_gbp, sample_stable_cms, stable_charfn)
 from .features import (_atomic_write, build_operator, featurize, operator_record,
                        save_operator)
-from .harness import NORMS, measure_approximation
+from .harness import NORMS, _timed, measure_approximation
 from .kernels import FAMILIES, KernelSpec
 from .learners import (evaluate, fit_krr_exact, fit_logistic_features,
                        fit_ridge_features, one_hot)
@@ -152,9 +151,7 @@ def _run_learning(cfg: argparse.Namespace, rng: RngStream) -> dict:
     results = []
     # exact baseline (ridge, per the representer model)
     Y_train = one_hot(train.y) if ds.task == "classification" else train.y
-    t0 = time.perf_counter()
-    exact = fit_krr_exact(spec, train.X, Y_train, cfg.lam)
-    exact_ms = 1e3 * (time.perf_counter() - t0)
+    exact, exact_ms = _timed(lambda: fit_krr_exact(spec, train.X, Y_train, cfg.lam), 1)
     exact_metrics = evaluate(exact, test.X, test.y, ds.task)
     results.append({"model": "exact_krr", "p": None, "metrics": exact_metrics,
                     "time_ms": exact_ms})
@@ -162,12 +159,12 @@ def _run_learning(cfg: argparse.Namespace, rng: RngStream) -> dict:
     for j, p in enumerate(p_grid):
         # fit time covers what training costs from raw inputs, as for the
         # exact model: operator build, featurization and solve
-        t0 = time.perf_counter()
-        op = build_operator(cfg.scheme, spec, p, rng.substream(j))
-        phi = featurize(op, train.X)
-        model = (fit_logistic_features(phi, train.y, cfg.lam) if logistic else
-                 fit_ridge_features(phi, Y_train, cfg.lam))
-        fit_ms = 1e3 * (time.perf_counter() - t0)
+        def fit():
+            op = build_operator(cfg.scheme, spec, p, rng.substream(j))
+            phi = featurize(op, train.X)
+            return op, (fit_logistic_features(phi, train.y, cfg.lam) if logistic else
+                        fit_ridge_features(phi, Y_train, cfg.lam))
+        (op, model), fit_ms = _timed(fit, 1)
         phi_test = featurize(op, test.X)
         metrics = evaluate(model, phi_test, test.y, ds.task)
         result = {

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, is_integer
 
 __all__ = [
     "DataError",
@@ -206,6 +206,9 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
     ends 64 rounds of ``2 * n`` candidates in a row that keep no point, and a
     margin with one class, which has no second score.
     """
+    for name, value in (("n", n), ("d", d), ("n_classes", n_classes)):
+        if not is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if margin > 0.0 and n_classes < 2:
         raise ValueError(f"margin {margin} needs at least 2 classes, got {n_classes}")
     g = rng.generator

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .features import build_operator, featurize, gram_approx
+from .features import build_operator, feature_count, featurize, gram_approx
 from .kernels import TILE, KernelSpec, check_inputs, kernel_matrix
 from .rng import RngStream
 
@@ -180,8 +180,9 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     largest Phi. That is below the K + Phi_max + G of assembling K first
     unless the largest Phi is smaller than one kernel tile's temporaries.
     X is checked as ``kernel_matrix`` checks it, and refused if it has no
-    rows, before any operator is built; what ``kernel_matrix`` refuses in X
-    times sqrt(M) or in the profile comes after the largest point's Gram.
+    rows, and each p as the builders check it, before any operator is built;
+    what ``kernel_matrix`` refuses in X times sqrt(M) or in the profile comes
+    after the largest point's Gram.
     K and G are scored without checks: ``kernel_matrix`` returns a finite,
     exactly symmetric K with a unit diagonal, and G = Phi Phi^T is finite,
     exactly symmetric, and within rounding of [-1, 1].
@@ -195,10 +196,10 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
         raise ValueError("X has no rows")
     exact = exact_ms = None
     rows = [None] * len(p_grid)
-    for j in sorted(range(len(p_grid)), key=lambda j: -p_grid[j]):
-        p = p_grid[j]
+    # sorted() computes every key, refusing a bad p, before it compares
+    for j in sorted(range(len(p_grid)), key=lambda j: -feature_count(p_grid[j])):
         op_rng = rng.substream(j)
-        op, build_ms = _timed(lambda: build_operator(scheme, spec, p, op_rng), 1)
+        op, build_ms = _timed(lambda: build_operator(scheme, spec, p_grid[j], op_rng), 1)
         phi, featurize_ms = _timed(lambda: featurize(op, X), repeats)
         G, gram_ms = _timed(lambda: gram_approx(phi), repeats)
         del phi  # only G is scored
@@ -208,7 +209,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
         errs = _gram_errors(K, exact, G)
         del G  # free this point's Gram before the next p is built
         rows[j] = {
-            "n": X.shape[0], "p": p, "kernel": spec.family, "scheme": scheme,
+            "n": X.shape[0], "p": op.p, "kernel": spec.family, "scheme": scheme,
             **{f"rel_{norm}": errs[norm] for norm in NORMS},
             "seed": op_rng.seed, "stream_id": op_rng.stream_id,
             "exact_ms": exact_ms, "featurize_ms": featurize_ms,

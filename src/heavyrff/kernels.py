@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multivariate import ShapeMatrix
+from .rng import is_real
 
 __all__ = [
     "GAUSSIAN",
@@ -47,7 +48,7 @@ _MATERN_NU_MAX = 1e4
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family plus exactly the parameters that family needs."""
+    """A kernel family plus exactly the parameters that family needs, as floats."""
 
     family: str
     shape: ShapeMatrix
@@ -57,6 +58,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        for name in ("alpha", "nu"):
+            value = getattr(self, name)
+            if value is not None:
+                if not is_real(value):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
+                object.__setattr__(self, name, float(value))  # frozen: set once, here
         if self.family == EXP_POWER:
             if self.alpha is None or not (0.0 < self.alpha <= 2.0):
                 raise ValueError(f"exp_power needs alpha in (0, 2], got {self.alpha}")

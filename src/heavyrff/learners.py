@@ -101,6 +101,12 @@ def _as_targets(Y: np.ndarray) -> np.ndarray:
     return Y[:, None] if Y.ndim == 1 else Y
 
 
+def _check_rows(name: str, A: np.ndarray, of: str, n: int) -> None:
+    """Refuse ``A`` unless it has one row per row of ``of``."""
+    if A.shape[:1] != (n,):
+        raise ValueError(f"{name} must have {n} rows, one per row of {of}; got shape {A.shape}")
+
+
 def _check_lambda(lam: float) -> None:
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
@@ -130,6 +136,7 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
         raise ValueError(f"n={X.shape[0]} exceeds the desk-scale cap {DESK_SCALE_CAP}")
     _check_lambda(lam)
     Y = _as_targets(Y)
+    _check_rows("Y", Y, "X", X.shape[0])
     try:
         alphas = _solve_shifted(kernel_matrix(spec, X), lam, Y)
     except np.linalg.LinAlgError as exc:
@@ -149,6 +156,7 @@ def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float) -> LinearM
     _check_lambda(lam)
     P = phi.phi
     Y = _as_targets(Y)
+    _check_rows("Y", Y, "Phi", P.shape[0])
     n, m = P.shape
     try:
         if m <= n or lam == 0.0:
@@ -214,7 +222,9 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
 
     _check_lambda(lam)
     P = phi.phi
-    Yoh = one_hot(np.asarray(labels))
+    labels = np.asarray(labels)
+    _check_rows("labels", labels, "Phi", P.shape[0])
+    Yoh = one_hot(labels)
     shape = (P.shape[1], Yoh.shape[1])
 
     # trust-ncg takes Hessian-vector products at its iterate, which is most

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import StableParams, redraw_once, sample_stable_cms
-from .rng import RngStream
+from .rng import RngStream, is_real
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -60,9 +60,12 @@ class ShapeMatrix:
     """
 
     def __init__(self, M: np.ndarray):
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        # numpy reads [1, True] as [1, 1], so entries not in a real array are checked one by one
+        A = M if isinstance(M, np.ndarray) and M.dtype.kind in "iuf" else np.array(M, dtype=object)
+        if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
+                or A.dtype == object and not all(map(is_real, A.flat))):
+            raise ValueError(f"M must be a nonempty square matrix of real numbers, got {M!r}")
+        M = A.astype(float)
         if not np.isfinite(M).all():
             raise ValueError("shape matrix has non-finite entries")
         scale = np.abs(M).max()

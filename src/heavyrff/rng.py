@@ -20,6 +20,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number, False for a bool and any other type."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class RngStream:
     """A reproducible random stream identified by ``(seed, stream_id)``.
 

@@ -389,6 +389,14 @@ class TestSynthetic:
         assert set(np.unique(a.y)) <= {0, 1, 2}
         np.testing.assert_allclose(np.linalg.norm(a.X, axis=1), 1.0)
 
+    @pytest.mark.parametrize("n, d, n_classes, name, value", [
+        (0, 4, 2, "n", "0"), (5, 0, 2, "d", "0"), (5, 4, 0, "n_classes", "0"),
+        (2.5, 4, 2, "n", "2.5")], ids=["no-rows", "no-columns", "no-classes", "float-n"])
+    def test_classification_refuses_a_size_below_one_by_name(self, n, d, n_classes,
+                                                             name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value}$"):
+            make_classification(n, d, n_classes, RngStream(206))
+
     def test_margin_filters_boundary_points(self):
         from heavyrff.data import _smooth_scores
         ds = make_classification(500, 5, 2, RngStream(207), margin=0.05)

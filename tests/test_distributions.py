@@ -286,6 +286,12 @@ class TestReproducibility:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
             RngStream(seed, stream_id)
 
+    @pytest.mark.parametrize("seed, stream_id, field, value", [
+        (2**64, 0, "seed", 2**64), (-1, 0, "seed", -1), (5, 2**64, "stream_id", 2**64)])
+    def test_ids_beyond_64_bits_are_refused_by_name(self, seed, stream_id, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must fit in 64 bits, got {value}$"):
+            RngStream(seed, stream_id)
+
     def test_numpy_integer_ids_are_python_ints(self):
         stream = RngStream(np.uint64(7), np.int32(3))
         assert (type(stream.seed), type(stream.stream_id)) == (int, int)

@@ -14,6 +14,7 @@ from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_orf,
                       save_operator)
 from heavyrff.features import (build_operator, operator_from_record,
                                operator_record)
+from heavyrff.harness import measure_approximation
 
 KS_LEVEL = 0.01
 
@@ -84,9 +85,20 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(np.array([np.inf]))
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (2, 0, 5)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_empty_input_maps_to_empty_output(self, shape):
+        out = psi(np.empty(shape))
+        assert out.shape == shape[:-1] + (2 * shape[-1],)
+
+    def test_refuses_a_0d_input_by_name(self):
+        with pytest.raises(ValueError,
+                           match="^psi u must have at least one axis, got a 0-d array$"):
+            psi(np.float64(0.5))
+
     # (shape, pool size at 3 CPUs): a worker needs 2**16 entries
     @pytest.mark.parametrize("shape, workers", [
-        ((7,), 1), ((1,), 1), ((5, 3), 1), ((200_000, 1), 1),
+        ((7,), 1), ((1,), 1), ((5, 3), 1), ((200_000, 1), 3),
         ((2, 65_535), 1), ((2, 65_536), 2), ((2, 3, 40_000), 3), ((24, 65_536), 3),
     ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"w{v}")
     def test_equals_serial_map_bit_for_bit(self, monkeypatch, shape, workers):
@@ -129,35 +141,28 @@ class TestPsi:
         assert psi(u, out=out) is out
         assert out.tobytes() == ref.tobytes()
 
-    def test_out_beside_u_equals_fresh_out(self):
-        u = np.random.default_rng(8).standard_normal((4, 5))
-        out = np.full((4, 10), np.nan)
-        psi(u, out=out)
-        assert out.tobytes() == psi(u).tobytes()
-
-    @pytest.mark.parametrize("make_out, message", [
-        (lambda u: np.empty((4, 9)), "psi out must be a float64 array of shape"),
-        (lambda u: np.empty((4, 10), dtype=np.float32), "psi out must be a float64 array"),
-        (lambda u: [[0.0] * 10] * 4, "psi out must be a float64 array"),
-        (lambda u: np.empty((10, 4)).T, "psi out must be C-contiguous"),
-        (lambda u: np.empty((4, 20))[:, ::2], "psi out must be C-contiguous"),
-    ], ids=["shape", "dtype", "list", "transposed", "strided"])
-    def test_refuses_out_it_cannot_fill(self, make_out, message):
-        u = np.zeros((4, 5))
-        with pytest.raises(ValueError, match=message):
-            psi(u, out=make_out(u))
-
-    @pytest.mark.parametrize("view", [
-        lambda out, p: out[..., :p],          # left half
-        lambda out, p: out[..., 1:p + 1],     # shifted right half
-        lambda out, p: out[..., 0::2],        # the cos slots
-        lambda out, p: out[::-1, p:],         # right half, rows reversed
-    ], ids=["left-half", "shifted", "interleaved", "reversed-rows"])
-    def test_refuses_other_overlap(self, view):
-        out = np.zeros((4, 10))
-        with pytest.raises(ValueError, match=r"psi out overlaps u other than as its "
-                                             r"right half out\[\.\.\., p:\]"):
-            psi(view(out, 5), out=out)
+    # psi takes only a C-contiguous float64 out of shape (4, 10) whose right
+    # half is u: the first six cases pass a u apart from out
+    @pytest.mark.parametrize("make_out, take_u", [
+        (lambda: np.empty((4, 9)), None),
+        (lambda: np.empty((4, 10), dtype=np.float32), None),
+        (lambda: [[0.0] * 10] * 4, None),
+        (lambda: np.empty((10, 4)).T, None),
+        (lambda: np.empty((4, 20))[:, ::2], None),
+        (lambda: np.zeros((4, 10)), None),
+        (lambda: np.zeros((4, 10)), lambda out: out[..., :5]),
+        (lambda: np.zeros((4, 10)), lambda out: out[..., 1:6]),
+        (lambda: np.zeros((4, 10)), lambda out: out[..., 0::2]),
+        (lambda: np.zeros((4, 10)), lambda out: out[::-1, 5:]),
+    ], ids=["shape", "dtype", "list", "transposed", "strided", "beside-u",
+            "left-half", "shifted", "interleaved", "reversed-rows"])
+    def test_refuses_an_out_whose_right_half_is_not_u(self, make_out, take_u):
+        out = make_out()
+        u = np.zeros((4, 5)) if take_u is None else take_u(out)
+        with pytest.raises(ValueError, match=r"^psi out must be a C-contiguous float64 array "
+                                             r"of shape \(4, 10\) whose right half "
+                                             r"out\[\.\.\., p:\] is u$"):
+            psi(u, out=out)
 
     def test_nonfinite_right_half_is_refused(self):
         out = np.zeros((3, 8))
@@ -199,6 +204,10 @@ class TestBuildRff:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             build_rff(spec_for("laplacian"), 0, RngStream(0))
+
+    def test_unknown_scheme_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^unknown scheme 'srf'$"):
+            build_operator("srf", spec_for("laplacian"), 4, RngStream(0))
 
 
 class TestBuildOrf:
@@ -320,10 +329,12 @@ class TestFeaturize:
         assert np.array_equal(G, G.T)
         assert np.abs(G).max() <= 1.0 + (2 * p + 4) * np.finfo(float).eps
 
-    def test_dim_mismatch(self):
+    @pytest.mark.parametrize("X", [np.zeros((3, 5)), np.float64(0.5)], ids=["5-columns", "0-d"])
+    def test_dim_mismatch(self, X):
         op = build_rff(spec_for("gaussian"), 8, RngStream(114))
-        with pytest.raises(ValueError):
-            featurize(op, np.zeros((3, 5)))
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: X has shape "
+                                             rf"{re.escape(str(np.shape(X)))}, d=4$"):
+            featurize(op, X)
 
     def test_laplacian_gram_converges(self):
         g = np.random.default_rng(3)
@@ -455,11 +466,12 @@ class TestSerialization:
         [[1, 0], [0, 1], [0, 0]], [1, 0]],
         ids=["ragged", "string-entry", "nested-entry", "bool-entry", "3x2", "flat"])
     def test_m_that_is_not_a_square_matrix_of_numbers_is_refused_by_name(self, M):
+        # refused by ShapeMatrix, which reads M
         record = json.loads(json.dumps(
             operator_record(build_rff(spec_for("laplacian"), 4, RngStream(123)))))
         record["kernel"]["M"] = M
-        with pytest.raises(ValueError, match=rf"^operator record field 'M' must be a "
-                                             rf"square matrix of numbers, got {re.escape(repr(M))}$"):
+        with pytest.raises(ValueError, match=rf"^M must be a nonempty square matrix of real "
+                                             rf"numbers, got {re.escape(repr(M))}$"):
             operator_from_record(record)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -482,26 +494,99 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^operator record lacks '{path[-1]}'$"):
             operator_from_record(record)
 
-    @pytest.mark.parametrize("path, value, kind", [
-        pytest.param(("seed",), 5.7, "an integer", id="float-seed"),
-        pytest.param(("seed",), True, "an integer", id="bool-seed"),
-        pytest.param(("stream_id",), 2.9, "an integer", id="float-stream-id"),
-        pytest.param(("scheme",), 1, "a string", id="int-scheme"),
-        pytest.param(("kernel",), None, "an object", id="null-kernel"),
-        pytest.param(("p",), "6", "an integer >= 1", id="str-p"),
-        pytest.param(("p",), 6.0, "an integer >= 1", id="float-p"),
-        pytest.param(("p",), True, "an integer >= 1", id="bool-p"),
-        pytest.param(("p",), 0, "an integer >= 1", id="zero-p"),
-        pytest.param(("kernel", "family"), None, "a string", id="null-family"),
-        pytest.param(("kernel", "alpha"), "0.5", "a number or null", id="str-alpha"),
-        pytest.param(("kernel", "nu"), True, "a number or null", id="bool-nu"),
-        pytest.param(("kernel", "M"), "identity", "a list", id="str-M"),
+    # each field is refused by the code that takes it: RngStream, build_operator,
+    # the builders, KernelSpec, ShapeMatrix; only `kernel` by the record reader
+    @pytest.mark.parametrize("path, value, message", [
+        pytest.param(("seed",), 5.7, "seed must be an integer, got 5.7", id="float-seed"),
+        pytest.param(("seed",), True, "seed must be an integer, got True", id="bool-seed"),
+        pytest.param(("stream_id",), 2.9, "stream_id must be an integer, got 2.9",
+                     id="float-stream-id"),
+        pytest.param(("scheme",), 1, "unknown scheme 1", id="int-scheme"),
+        pytest.param(("kernel",), None,
+                     "operator record field 'kernel' must be an object, got None",
+                     id="null-kernel"),
+        pytest.param(("p",), "6", "feature count p must be an integer >= 1, got '6'",
+                     id="str-p"),
+        pytest.param(("p",), 6.0, "feature count p must be an integer >= 1, got 6.0",
+                     id="float-p"),
+        pytest.param(("p",), True, "feature count p must be an integer >= 1, got True",
+                     id="bool-p"),
+        pytest.param(("p",), 0, "feature count p must be an integer >= 1, got 0", id="zero-p"),
+        pytest.param(("kernel", "family"), None, "unknown kernel family None",
+                     id="null-family"),
+        pytest.param(("kernel", "alpha"), "0.5", "alpha must be a real number, got '0.5'",
+                     id="str-alpha"),
+        pytest.param(("kernel", "nu"), True, "nu must be a real number, got True",
+                     id="bool-nu"),
+        pytest.param(("kernel", "M"), "identity",
+                     "M must be a nonempty square matrix of real numbers, got 'identity'",
+                     id="str-M"),
     ])
-    def test_wrong_typed_field_is_refused_by_name(self, path, value, kind):
+    def test_wrong_typed_field_is_refused_by_name(self, path, value, message):
         record = json.loads(json.dumps(
             operator_record(build_rff(spec_for("laplacian"), 4, RngStream(122)))))
         owner = record["kernel"] if len(path) == 2 else record
         owner[path[-1]] = value
-        with pytest.raises(ValueError, match=rf"^operator record field '{path[-1]}' "
-                                             rf"must be {kind}, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             operator_from_record(record)
+
+    # a library caller meets the refusal a record reader meets
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: spec_for("exp_power", alpha="1"),
+                     "alpha must be a real number, got '1'", id="KernelSpec-str-alpha"),
+        pytest.param(lambda: spec_for("exp_power", alpha=True),
+                     "alpha must be a real number, got True", id="KernelSpec-bool-alpha"),
+        pytest.param(lambda: spec_for("matern", nu="1"),
+                     "nu must be a real number, got '1'", id="KernelSpec-str-nu"),
+        pytest.param(lambda: spec_for("matern", nu=True),
+                     "nu must be a real number, got True", id="KernelSpec-bool-nu"),
+        *(pytest.param(lambda M=M: ShapeMatrix(M),
+                       f"M must be a nonempty square matrix of real numbers, got {M!r}",
+                       id=f"ShapeMatrix-{name}")
+          for name, M in (("0x0", np.eye(0)), ("ragged", [[1.0, 0.0], [0.0]]),
+                          ("str", [["1", "0"], ["0", "1"]]), ("bool", np.eye(2, dtype=bool)))),
+        *(pytest.param(lambda call=call, p=p: call(p),
+                       f"feature count p must be an integer >= 1, got {p!r}",
+                       id=f"{name}-{type(p).__name__}-p")
+          for name, call in (
+              ("build_rff", lambda p: build_rff(spec_for("laplacian"), p, RngStream(0))),
+              ("build_orf", lambda p: build_orf(spec_for("laplacian", d=2), p, RngStream(0))),
+              ("measure_approximation", lambda p: measure_approximation(
+                  spec_for("laplacian"), np.ones((3, 4)), "rff", [8, p], RngStream(0))))
+          for p in (2.5, True, "6")),
+    ])
+    def test_library_callers_get_the_record_refusals(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @PROPERTY
+    @given(family=st.sampled_from(["gaussian", "l1_laplacian", "laplacian",
+                                   "matern", "exp_power"]),
+           scheme=st.sampled_from(["rff", "orf"]),
+           number=st.sampled_from([float, np.float64, np.float32, int, np.int64]),
+           integer=st.sampled_from([int, np.int64, np.int32, np.uint16]),
+           as_list=st.booleans(), d=st.integers(1, 3), blocks=st.integers(1, 3),
+           seed=st.integers(0, 2**15))
+    def test_accepted_parameters_round_trip_through_json(self, family, scheme, number,
+                                                          integer, as_list, d, blocks, seed):
+        if family == "l1_laplacian":
+            scheme = "rff"
+        # 1 and 2 are exact in every number type, integers included
+        kw = {"exp_power": {"alpha": number(1)}, "matern": {"nu": number(2)}}.get(family, {})
+        M = np.diag(np.arange(1.0, d + 1.0)).astype(integer)
+        # a list of rows holds numpy scalars
+        spec = KernelSpec(family, ShapeMatrix([list(row) for row in M] if as_list else M), **kw)
+        for name in kw:
+            assert type(getattr(spec, name)) is float
+        op = build_operator(scheme, spec, integer(d * blocks), RngStream(integer(seed)))
+        record = operator_record(op)
+        assert type(record["p"]) is int
+        clone = operator_from_record(json.loads(json.dumps(record, allow_nan=False)))
+        arrays = ("W",) if scheme == "rff" else ("S", "sqrtM")
+        for name in arrays:
+            assert getattr(clone, name).tobytes() == getattr(op, name).tobytes()
+        if scheme == "orf":
+            assert clone.Q.Q.tobytes() == op.Q.Q.tobytes()
+        (row,) = measure_approximation(spec, np.eye(2, d), scheme, [integer(d * blocks)],
+                                       RngStream(integer(seed)))
+        assert type(row["p"]) is int and row["p"] == d * blocks

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -95,6 +96,29 @@ class TestKrrExact:
         spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
         _, growth = traced_growth(fit_krr_exact, spec, X, Y, 1e-3)
         assert growth < 2.0 * 8 * n * n
+
+    def test_refuses_y_rows_before_building_k(self, monkeypatch):
+        monkeypatch.setattr(learners, "kernel_matrix",
+                            lambda *a: pytest.fail("K was built for mismatched Y"))
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(3))
+        with pytest.raises(ValueError, match=r"^Y must have 6 rows, one per row of X; "
+                                             r"got shape \(5, 1\)$"):
+            fit_krr_exact(spec, np.zeros((6, 3)), np.zeros(5), 1e-3)
+
+
+class TestRowCounts:
+    @pytest.mark.parametrize("fit, name, targets, shape", [
+        (lambda phi, Y: fit_ridge_features(phi, Y, 1e-3), "Y", np.zeros((5, 2)), "(5, 2)"),
+        (lambda phi, Y: fit_ridge_features(phi, Y, 1e-3), "Y", np.float64(1.0), "()"),
+        (lambda phi, y: fit_logistic_features(phi, y, 1e-3), "labels", np.zeros(7, int),
+         "(7,)"),
+        (lambda phi, y: fit_logistic_features(phi, y, 1e-3), "labels", np.int64(0), "()"),
+    ], ids=["ridge", "ridge-0d", "logistic", "logistic-0d"])
+    def test_feature_fits_refuse_targets_with_other_rows(self, fit, name, targets, shape):
+        phi = FeatureMatrix(np.full((6, 4), 0.5))
+        with pytest.raises(ValueError, match=rf"^{name} must have 6 rows, one per row of Phi; "
+                                             rf"got shape {re.escape(shape)}$"):
+            fit(phi, targets)
 
 
 class TestRidgeFeatures:
