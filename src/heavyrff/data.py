@@ -197,6 +197,13 @@ def _smooth_scores(X: np.ndarray, n_classes: int, rng: RngStream) -> np.ndarray:
     return scores
 
 
+def _check_sizes(**sizes) -> None:
+    """Refuse by name a size that is not an integer >= 1."""
+    for name, value in sizes.items():
+        if not is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
                         margin: float = 0.0) -> DataSet:
     """Synthetic classification data with labels from a smooth target.
@@ -206,9 +213,7 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
     ends 64 rounds of ``2 * n`` candidates in a row that keep no point, and a
     margin with one class, which has no second score.
     """
-    for name, value in (("n", n), ("d", d), ("n_classes", n_classes)):
-        if not is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    _check_sizes(n=n, d=d, n_classes=n_classes)
     if margin > 0.0 and n_classes < 2:
         raise ValueError(f"margin {margin} needs at least 2 classes, got {n_classes}")
     g = rng.generator
@@ -234,6 +239,7 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
 def make_regression(n: int, d: int, rng: RngStream,
                     noise: float = 0.05) -> DataSet:
     """Synthetic regression data from a smooth target plus Gaussian noise."""
+    _check_sizes(n=n, d=d)
     g = rng.generator
     X = g.standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)

@@ -22,7 +22,7 @@ from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, Kerne
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
                            sample_mvn, sample_stable_mixing)
-from .rng import RngStream, is_integer
+from .rng import RngStream, is_integer, real_array
 
 __all__ = [
     "FeatureOperator",
@@ -71,7 +71,7 @@ def psi(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the serial map, so the result is bit-identical to it. On a non-finite
     projection ``out`` is left partly written.
     """
-    u = np.asarray(u, dtype=float)
+    u = real_array("psi u", u)
     if u.ndim == 0:
         raise ValueError("psi u must have at least one axis, got a 0-d array")
     p = u.shape[-1]
@@ -150,7 +150,7 @@ class FeatureOperator:
         shape ``X.shape[:-1] + (p,)``, a strided view included) by the same
         GEMM that would allocate it.
         """
-        X = np.asarray(X, dtype=float)
+        X = real_array("X", X)
         if X.shape[-1:] != (self.dim,):
             raise ValueError(f"dimension mismatch: X has shape {X.shape}, d={self.dim}")
         if self.scheme == "rff":
@@ -241,7 +241,7 @@ def featurize(op: FeatureOperator, X: np.ndarray) -> FeatureMatrix:
     Phi is the only array of its size: the projection is written into its
     right half and psi maps it in place, so no separate n x p array exists.
     """
-    X = np.asarray(X, dtype=float)
+    X = real_array("X", X)
     phi = np.empty(X.shape[:-1] + (2 * op.p,))
     u = phi[..., op.p:]
     op.project(X, out=u)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .features import build_operator, feature_count, featurize, gram_approx
 from .kernels import TILE, KernelSpec, check_inputs, kernel_matrix
-from .rng import RngStream
+from .rng import RngStream, real_array
 
 __all__ = [
     "rel_error",
@@ -122,8 +122,8 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     within 1e-10 of their scale, ||K|| nonzero, and K PSD for the nuclear norm.
     """
     _check_norms((norm,))
-    K = np.asarray(K, dtype=float)
-    G = np.array(G, dtype=float)  # _gram_errors consumes its G
+    K = real_array("K", K)
+    G = real_array("G", G).copy()  # _gram_errors consumes its G
     for name, A in (("K", K), ("G", G)):
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
             raise ValueError(f"{name} must be a nonempty square matrix, got shape {A.shape}")
@@ -190,7 +190,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     _check_norms(norms)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    X = np.asarray(X, dtype=float)
+    X = real_array("X", X)
     check_inputs(spec, X, X)
     if X.shape[0] == 0:
         raise ValueError("X has no rows")
@@ -222,7 +222,7 @@ def cf_check(spec: KernelSpec, probes: np.ndarray, n_samples: int,
              rng: RngStream, scheme: str = "rff") -> np.ndarray:
     """Per-probe deviation |mean cos(w^T D) - kappa(D)| over the n_samples
     rows w of the operator that ``build_operator(scheme, ...)`` samples."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    probes = np.atleast_2d(real_array("probes", probes))
     if not np.isfinite(probes).all():
         raise ValueError("probes must be finite")
     op = build_operator(scheme, spec, n_samples, rng)

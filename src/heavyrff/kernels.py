@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multivariate import ShapeMatrix
-from .rng import is_real
+from .rng import is_real, real_array
 
 __all__ = [
     "GAUSSIAN",
@@ -36,7 +36,8 @@ MATERN = "matern"
 FAMILIES = (GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, EXP_POWER, MATERN)
 
 # Rows per tile of kernel_matrix and the side of the square tiles harness's
-# symmetry check compares; each holds a few tiles of temporaries, never n x n.
+# symmetry check compares; beside K, kernel_matrix holds at most one tile buffer
+# and the Matern profile's tile temporaries.
 TILE = 256
 
 # The nu envelope KernelSpec and matern_profile accept. A subnormal nu overflows the profile
@@ -222,28 +223,50 @@ def matern_profile(nu: float, r: float | np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_profile(spec: KernelSpec, r: float | np.ndarray) -> float | np.ndarray:
+def kernel_profile(spec: KernelSpec, r: float | np.ndarray,
+                   out: np.ndarray | None = None) -> float | np.ndarray:
     """Kernel value as a function of the relevant distance.
 
     ``r`` is the Mahalanobis distance for all families except l1_laplacian,
-    where it is the l1 distance.
+    where it is the l1 distance. ``out``, when given, is a float64 array of
+    r's shape that receives the values and is returned; it may be ``r``
+    itself. Every family but Matern then writes only into ``out``, and the
+    values are bit-equal to those of ``out=None``. A 0-d r gives a float.
     """
     r = np.asarray(r, dtype=float)
-    if spec.family == GAUSSIAN:
-        out = np.exp(-0.5 * r * r)
-    elif spec.family in (LAPLACIAN, L1_LAPLACIAN):
-        out = np.exp(-r)
-    elif spec.family == EXP_POWER:
-        out = np.exp(-(r ** spec.alpha))
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == r.shape):
+        raise ValueError(f"kernel_profile out must be a float64 array of shape {r.shape}")
+    if spec.family == MATERN:  # the ladder and kve routes keep their temporaries
+        value = np.asarray(matern_profile(spec.nu, r))
+        if out is None:
+            out = value
+        else:
+            out[...] = value
     else:
-        out = np.asarray(matern_profile(spec.nu, r))
+        if out is None:
+            out = np.empty(r.shape)
+        if spec.family == GAUSSIAN:
+            # (r r)(-1/2) is (-r/2) r bit for bit: halving is exact, except
+            # where a product is subnormal or overflows, and exp gives 1.0
+            # or 0.0 for both there
+            with np.errstate(over="ignore"):
+                np.multiply(r, r, out=out)
+            out *= -0.5
+        elif spec.family == EXP_POWER:
+            with np.errstate(over="ignore"):  # r^alpha = inf only where the kernel is 0
+                np.power(r, spec.alpha, out=out)
+            np.negative(out, out=out)
+        else:  # laplacian, l1_laplacian
+            np.negative(r, out=out)
+        np.exp(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
     """Exact kernel value K(x, z) of two points: one entry of ``kernel_matrix``."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
+    x = real_array("x", x)
+    z = real_array("z", z)
     if x.shape != (spec.dim,) or z.shape != (spec.dim,):
         raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}, d={spec.dim}")
     return float(kernel_matrix(spec, x[None], z[None])[0, 0])
@@ -266,19 +289,22 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
                   Z: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix with entries K(X_i, Z_j); Z defaults to X.
 
-    K is filled in place, ``TILE`` rows at a time, so beside K only one
-    tile's distances and profile temporaries are held. When Z is X, tile
-    [a, b) computes the rows' entries from column a on and mirrors them into
-    the rows below, so each entry is computed once. ``cdist`` computes each
-    pair alone and the profile works entry by entry, so K is bit-equal to the
-    profile of the whole distance matrix, and exactly symmetric when Z is X.
-    X or Z that is not 2-D or not finite, or whose rows times sqrt(M)
-    overflow, is refused before any tile is built, so K is finite.
+    K is filled ``TILE`` rows at a time, and each tile is written once, where
+    it ends up. Against Z, ``cdist`` writes a tile's distances into K's rows
+    and the profile maps them in place, so K is the only array of its size.
+    When Z is X, tile [a, b) computes the rows' distances from column a on
+    into one reused ``TILE`` x n buffer, the profile writes them into
+    K[a:b, a:], and they are mirrored into the rows below, so each entry is
+    computed once and K is held with one tile buffer beside it. ``cdist``
+    computes each pair alone and the profile works entry by entry, so K is
+    bit-equal to the profile of the whole distance matrix, and exactly
+    symmetric when Z is X. X or Z that is not 2-D or not finite, or whose rows
+    times sqrt(M) overflow, is refused before any tile is built, so K is finite.
     """
     from scipy.spatial.distance import cdist
 
-    X = np.asarray(X, dtype=float)
-    Z = X if Z is None else np.asarray(Z, dtype=float)
+    X = real_array("X", X)
+    Z = X if Z is None else real_array("Z", Z)
     check_inputs(spec, X, Z)
     if spec.family == L1_LAPLACIAN:
         metric, Xs, Zs = "cityblock", X, Z
@@ -291,11 +317,15 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
         metric = "euclidean"
     n = Xs.shape[0]
     K = np.empty((n, Zs.shape[0]))
+    if Zs is not Xs:
+        for a in range(0, n, TILE):
+            r = cdist(Xs[a:a + TILE], Zs, metric=metric, out=K[a:a + TILE])
+            kernel_profile(spec, r, out=r)
+        return K
+    buf = np.empty(min(TILE, n) * n)
     for a in range(0, n, TILE):
         b = min(a + TILE, n)
-        if Zs is Xs:
-            K[a:b, a:] = kernel_profile(spec, cdist(Xs[a:b], Xs[a:], metric=metric))
-            K[b:, a:b] = K[a:b, b:].T
-        else:
-            K[a:b] = kernel_profile(spec, cdist(Xs[a:b], Zs, metric=metric))
+        r = buf[:(b - a) * (n - a)].reshape(b - a, n - a)
+        kernel_profile(spec, cdist(Xs[a:b], Xs[a:], metric=metric, out=r), out=K[a:b, a:])
+        K[b:, a:b] = K[a:b, b:].T
     return K

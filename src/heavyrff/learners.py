@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, check_inputs, kernel_matrix
+from .rng import real_array
 
 __all__ = [
     "LinearModel",
@@ -93,11 +94,11 @@ class ExactKernelModel:
     link = "identity"           # class constant: ridge outputs on one-hot targets
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return kernel_matrix(self.spec, np.asarray(X, dtype=float), self.X_train) @ self.alphas
+        return kernel_matrix(self.spec, X, self.X_train) @ self.alphas
 
 
 def _as_targets(Y: np.ndarray) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
+    Y = real_array("Y", Y)
     return Y[:, None] if Y.ndim == 1 else Y
 
 
@@ -127,11 +128,13 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
                   lam: float) -> ExactKernelModel:
     """Solve (K + lam I) A = Y by Cholesky factorization.
 
-    Y may be real targets (regression) or an n x C one-hot matrix. K is
-    factored in place, so the fit holds one n x n matrix of doubles beside
-    ``kernel_matrix``'s tile temporaries.
+    Y may be real targets (regression) or an n x C one-hot matrix. X is
+    checked as ``kernel_matrix`` checks it before the desk-scale cap reads its
+    rows. K is factored in place, so the fit holds one n x n matrix of doubles
+    beside ``kernel_matrix``'s one tile buffer.
     """
-    X = np.asarray(X, dtype=float)
+    X = real_array("X", X)
+    check_inputs(spec, X, X)
     if X.shape[0] > DESK_SCALE_CAP:
         raise ValueError(f"n={X.shape[0]} exceeds the desk-scale cap {DESK_SCALE_CAP}")
     _check_lambda(lam)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import StableParams, redraw_once, sample_stable_cms
-from .rng import RngStream, is_real
+from .rng import RngStream, is_real, real_array
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -92,9 +92,9 @@ class ShapeMatrix:
 
     def norm(self, u: np.ndarray) -> float | np.ndarray:
         """Mahalanobis norm sqrt(u^T M u), computed as ||sqrtM @ u||_2."""
-        u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: {u.shape[-1]} != {self.dim}")
+        u = real_array("u", u)
+        if u.shape[-1:] != (self.dim,):
+            raise ValueError(f"dimension mismatch: u has shape {u.shape}, d={self.dim}")
         return np.linalg.norm(u @ self.sqrtM, axis=-1)
 
     def __repr__(self) -> str:
@@ -148,14 +148,25 @@ def sample_haar_blocks(p: int, d: int, rng: RngStream) -> HaarBlockMatrix:
 
 
 def sample_mvn(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
-    """Draw ``size`` rows from N(0, M) as cholM @ g for standard normal g."""
-    return rng.generator.standard_normal((size, shape.dim)) @ shape.cholM.T
+    """Draw ``size`` rows from N(0, M) as cholM @ g for standard normal g.
+
+    The heavy-tailed samplers scale the returned rows in place, so each holds
+    its result plus one (size, d) draw.
+    """
+    # The result is allocated before g, so that g ends up above it. Once a
+    # larger array has been freed, glibc raises its mmap threshold and serves
+    # both from the heap, and it returns g's freed block to the system only
+    # when nothing lies above it: else the block stays resident.
+    out = np.empty((size, shape.dim))
+    g = rng.generator.standard_normal((size, shape.dim))
+    return np.matmul(g, shape.cholM.T, out=out)
 
 
 def sample_mv_cauchy(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
     """Draw ``size`` rows from Cauchy(0, M) as u / v with u ~ N(0, M), v ~ N(0, 1)."""
     u = sample_mvn(shape, rng, size)  # v is not redrawn: P(|v| < 1e-300) < 1e-299
-    return u / rng.generator.standard_normal(size)[:, None]
+    u /= rng.generator.standard_normal(size)[:, None]
+    return u
 
 
 def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
@@ -169,7 +180,8 @@ def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream, size: int) -> np.
     u = sample_mvn(shape, rng, size)
     v = redraw_once(lambda k: rng.generator.chisquare(2.0 * nu, size=k),
                     lambda v: v < 1e-300, size)
-    return u * np.sqrt(2.0 * nu / v)[:, None]
+    u *= np.sqrt(2.0 * nu / v)[:, None]
+    return u
 
 
 def sample_stable_mixing(alpha: float, rng: RngStream, size: int) -> np.ndarray:
@@ -195,4 +207,6 @@ def sample_ec_stable(alpha: float, shape: ShapeMatrix, rng: RngStream,
     every projection u^T X is S(alpha, 0, ||u||_M).
     """
     a = sample_stable_mixing(alpha, rng, size)
-    return a[:, None] * sample_mvn(shape, rng, size)
+    u = sample_mvn(shape, rng, size)
+    u *= a[:, None]
+    return u

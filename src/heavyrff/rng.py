@@ -25,6 +25,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def real_array(name: str, A) -> np.ndarray:
+    """``A`` as a float array, refusing a complex one by name: the float cast
+    would drop its imaginary parts with no more than a warning."""
+    A = np.asarray(A)
+    if A.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {A.dtype}")
+    return A.astype(float, copy=False)
+
+
 class RngStream:
     """A reproducible random stream identified by ``(seed, stream_id)``.
 

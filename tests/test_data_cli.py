@@ -397,6 +397,12 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value}$"):
             make_classification(n, d, n_classes, RngStream(206))
 
+    @pytest.mark.parametrize("n, d, name", [(0, 3, "n"), (5, 0, "d")],
+                             ids=["no-rows", "no-columns"])
+    def test_regression_refuses_a_size_below_one_by_name(self, n, d, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got 0$"):
+            make_regression(n, d, RngStream(0))
+
     def test_margin_filters_boundary_points(self):
         from heavyrff.data import _smooth_scores
         ds = make_classification(500, 5, 2, RngStream(207), margin=0.05)

@@ -1,11 +1,15 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 import heavyrff.harness as harness
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, cf_check, featurize,
-                      gram_approx, kernel_matrix, rel_error)
-from heavyrff.features import build_operator
+                      gram_approx, kernel_eval, kernel_matrix, psi, rel_error)
+from heavyrff.features import FeatureMatrix, build_operator
+from heavyrff.learners import fit_krr_exact, fit_ridge_features
 from heavyrff.harness import measure_approximation
 
 NORMS = ("frobenius", "operator", "nuclear")
@@ -559,3 +563,42 @@ class TestBenchSpeedup:
         with pytest.raises(ValueError, match="repeats"):
             measure_approximation(spec, X, "rff", [32], RngStream(140),
                                   repeats=repeats)
+
+
+
+C2, R2 = np.ones((2, 2)) + 1j, np.eye(2)
+# (id, argument name, call on a context): each call hands a library entry
+# point one complex array, which the float cast would take the real part of
+COMPLEX_CASES = [
+    ("kernel_matrix-X", "X", lambda c: kernel_matrix(c.spec, C2)),
+    ("kernel_matrix-Z", "Z", lambda c: kernel_matrix(c.spec, R2, C2)),
+    ("kernel_eval-x", "x", lambda c: kernel_eval(c.spec, C2[0], R2[0])),
+    ("kernel_eval-z", "z", lambda c: kernel_eval(c.spec, R2[0], C2[0])),
+    ("measure_approximation", "X",
+     lambda c: measure_approximation(c.spec, C2, "rff", [4], RngStream(0))),
+    ("fit_krr_exact-X", "X", lambda c: fit_krr_exact(c.spec, C2, np.zeros(2), 1e-3)),
+    ("fit_krr_exact-Y", "Y", lambda c: fit_krr_exact(c.spec, R2, np.zeros(2) + 1j, 1e-3)),
+    ("decision_function", "X",
+     lambda c: fit_krr_exact(c.spec, R2, np.zeros(2), 1e-3).decision_function(C2)),
+    ("fit_ridge_features-Y", "Y", lambda c: fit_ridge_features(FeatureMatrix(R2), C2, 1e-3)),
+    ("featurize", "X", lambda c: featurize(c.op, C2)),
+    ("project", "X", lambda c: c.op.project(C2)),
+    ("psi", "psi u", lambda c: psi(C2)),
+    ("rel_error-K", "K", lambda c: rel_error(C2, R2)),
+    ("rel_error-G", "G", lambda c: rel_error(R2, C2)),
+    ("cf_check", "probes", lambda c: cf_check(c.spec, C2, 4, RngStream(0))),
+    ("norm", "u", lambda c: c.spec.shape.norm(C2[0])),
+]
+
+
+class TestComplexInput:
+    @pytest.mark.parametrize("name, call", [case[1:] for case in COMPLEX_CASES],
+                             ids=[case[0] for case in COMPLEX_CASES])
+    def test_is_refused_by_name_before_the_float_cast(self, name, call):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
+        context = SimpleNamespace(spec=spec, op=build_operator("rff", spec, 4, RngStream(0)))
+        with warnings.catch_warnings():
+            # the cast warns before it drops the imaginary parts
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            with pytest.raises(ValueError, match=rf"^{name} must be real, got complex128$"):
+                call(context)

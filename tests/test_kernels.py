@@ -373,6 +373,53 @@ class TestMaternProfile:
         assert np.all(np.diff(v) <= 1e-14 * v[:-1])
 
 
+# 0, subnormal and tiny r; ordinary r; r whose square is near or past the
+# largest double, and r past the largest r^2 at all
+PROFILE_R = [0.0, 1e-320, 1e-160, 0.3, 7.5, 1.3e154, 2e154, 1e300]
+PROFILE_FAMILIES = [("gaussian", {}), ("l1_laplacian", {}), ("laplacian", {}),
+                    ("exp_power", {"alpha": 0.3}), ("exp_power", {"alpha": 1.3}),
+                    ("exp_power", {"alpha": 2.0}), ("matern", {"nu": 4.0}),
+                    ("matern", {"nu": 1.3})]
+
+
+class TestKernelProfileOut:
+    @pytest.mark.parametrize("family, kw", PROFILE_FAMILIES)
+    def test_out_and_r_as_out_are_bit_equal_to_a_new_array(self, family, kw):
+        spec = KernelSpec(family, ShapeMatrix.identity(2), **kw)
+        r = np.array(PROFILE_R)
+        fresh = kernel_profile(spec, r)
+        out = np.full_like(r, np.nan)
+        assert kernel_profile(spec, r, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert kernel_profile(spec, r, out=r) is r
+        assert r.tobytes() == fresh.tobytes()
+        for x, entry in zip(PROFILE_R, fresh):
+            value = kernel_profile(spec, x)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == entry.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.3, 2.0])
+    def test_closed_forms_keep_the_bits_of_their_literal_expressions(self, alpha):
+        # the Gaussian's (r r)(-1/2) against -r/2 r, and the ufuncs that
+        # write into out against the operators that allocate
+        r = np.concatenate([PROFILE_R, np.random.default_rng(12).exponential(3.0, 10**5)])
+        with np.errstate(over="ignore"):
+            expected = {"gaussian": np.exp(-0.5 * r * r), "laplacian": np.exp(-r),
+                        "exp_power": np.exp(-(r ** alpha))}
+        for family, value in expected.items():
+            spec = KernelSpec(family, ShapeMatrix.identity(2),
+                              **({"alpha": alpha} if family == "exp_power" else {}))
+            assert kernel_profile(spec, r).tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty(3), np.empty((2, 4)), np.empty((2, 3), np.float32),
+                                     [[0.0] * 3] * 2], ids=["size", "shape", "dtype", "list"])
+    def test_refuses_an_out_it_cannot_fill(self, out):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
+        with pytest.raises(ValueError, match=r"^kernel_profile out must be a float64 array "
+                                             r"of shape \(2, 3\)$"):
+            kernel_profile(spec, np.ones((2, 3)), out=out)
+
+
 TILED_FAMILIES = [("gaussian", {}), ("l1_laplacian", {}), ("laplacian", {}),
                   ("exp_power", {"alpha": 0.7}), ("matern", {"nu": 4.0}),
                   ("matern", {"nu": 2.5}), ("matern", {"nu": 1.3})]
@@ -487,17 +534,34 @@ class TestKernelMatrix:
         assert np.array_equal(KZ, kernel_profile(spec, cdist(Xs, Zs, metric=metric)))
 
     @pytest.mark.parametrize("family, kw, bound", [
-        ("laplacian", {}, 2.0), ("matern", {"nu": 4.0}, 2.0), ("matern", {"nu": 1.3}, 2.5)])
+        ("laplacian", {}, None), ("matern", {"nu": 4.0}, 2.0), ("matern", {"nu": 1.3}, 2.5)])
     def test_holds_k_plus_one_tile(self, family, kw, bound, traced_growth):
         # traced growth in units of n^2 doubles; one full distance matrix
-        # and its profile temporaries would take 3 to 7
+        # and its profile temporaries would take 3 to 7. The Laplacian
+        # profile writes each tile's distances into K, so it holds K, one
+        # TILE x n distance buffer and 1 MiB of slack (bound None); its
+        # profile temporaries would add two more buffers.
         n, d = 2048, 6
         g = np.random.default_rng(10)
         X = g.standard_normal((n, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         spec = KernelSpec(family, ShapeMatrix.identity(d), **kw)
         _, growth = traced_growth(kernel_matrix, spec, X)
-        assert growth < bound * 8 * n * n
+        if bound is None:
+            assert growth < 8 * n * (n + kernels.TILE) + 2**20
+        else:
+            assert growth < bound * 8 * n * n
+
+    @pytest.mark.parametrize("family, kw", TILED_FAMILIES[:4])
+    def test_against_z_holds_k_alone(self, family, kw, traced_growth):
+        # cdist writes each tile into K's rows and the profile maps it there;
+        # three tiles of 256 x 600 temporaries would take 3.5 MiB
+        g = np.random.default_rng(11)
+        d = 6
+        X, Z = g.standard_normal((3400, d)), g.standard_normal((600, d))
+        spec = KernelSpec(family, ShapeMatrix.identity(d), **kw)
+        K, growth = traced_growth(kernel_matrix, spec, X, Z)
+        assert growth <= K.nbytes + 2**20
 
     @PROPERTY
     @given(family=st.sampled_from([("gaussian", {}), ("l1_laplacian", {}),

@@ -97,6 +97,11 @@ class TestKrrExact:
         _, growth = traced_growth(fit_krr_exact, spec, X, Y, 1e-3)
         assert growth < 2.0 * 8 * n * n
 
+    def test_refuses_a_0d_x_by_name(self):
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(1))
+        with pytest.raises(ValueError, match=r"^X must be 2-D, got shape \(\)$"):
+            fit_krr_exact(spec, np.float64(1), np.zeros(1), 1e-3)
+
     def test_refuses_y_rows_before_building_k(self, monkeypatch):
         monkeypatch.setattr(learners, "kernel_matrix",
                             lambda *a: pytest.fail("K was built for mismatched Y"))

@@ -6,7 +6,8 @@ from heavyrff import (GbpParams, NotPositiveDefiniteError, RngStream,
                       StableParams, sample_gbp, sample_stable_cms)
 from heavyrff.multivariate import (ShapeMatrix, sample_ec_stable,
                                    sample_haar_blocks, sample_mv_cauchy,
-                                   sample_mv_t, sample_mvn, sqrt_psd)
+                                   sample_mv_t, sample_mvn, sample_stable_mixing,
+                                   sqrt_psd)
 
 KS_LEVEL = 0.01
 
@@ -70,6 +71,10 @@ class TestShapeMatrix:
     def test_norm_dim_mismatch(self):
         with pytest.raises(ValueError):
             ShapeMatrix.identity(3).norm(np.zeros(2))
+
+    def test_norm_refuses_a_0d_u_by_name(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: u has shape \(\), d=2$"):
+            ShapeMatrix.identity(2).norm(np.float64(1))
 
     def test_immutable(self):
         sm = ShapeMatrix.identity(2)
@@ -181,6 +186,46 @@ class TestMvn:
     def test_single_draw_shape(self):
         x = sample_mvn(ShapeMatrix.identity(3), RngStream(63), size=1)
         assert x.shape == (1, 3)
+
+
+class TestScaledInPlace:
+    @pytest.mark.parametrize("sample", [
+        lambda shape, rng: sample_mv_cauchy(shape, rng, 50),
+        lambda shape, rng: sample_mv_t(1.5, shape, rng, 50),
+        lambda shape, rng: sample_ec_stable(0.7, shape, rng, 50),
+        lambda shape, rng: sample_ec_stable(2.0, shape, rng, 50)],
+        ids=["cauchy", "t", "stable", "stable-alpha2"])
+    def test_returns_the_array_sample_mvn_returned(self, monkeypatch, sample):
+        # the heavy-tailed scalars scale the Gaussian draw where it lies
+        from heavyrff import multivariate
+        drawn = []
+
+        def capture(*args, **kwargs):
+            drawn.append(sample_mvn(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(multivariate, "sample_mvn", capture)
+        out = sample(ShapeMatrix(random_spd(3, 5)), RngStream(70))
+        assert len(drawn) == 1 and np.shares_memory(out, drawn[0])
+
+    def test_bit_equal_to_scaling_a_new_array(self):
+        shape, size = ShapeMatrix(random_spd(3, 6)), 400
+
+        def gaussian(rng):
+            return rng.generator.standard_normal((size, 3)) @ shape.cholM.T
+
+        rng = RngStream(71)
+        expected = gaussian(rng) / rng.generator.standard_normal(size)[:, None]
+        np.testing.assert_array_equal(sample_mv_cauchy(shape, RngStream(71), size), expected)
+        rng = RngStream(72)
+        u = gaussian(rng)
+        expected = u * np.sqrt(3.0 / rng.generator.chisquare(3.0, size=size))[:, None]
+        np.testing.assert_array_equal(sample_mv_t(1.5, shape, RngStream(72), size), expected)
+        rng = RngStream(73)
+        a = sample_stable_mixing(0.7, rng, size)
+        expected = a[:, None] * gaussian(rng)
+        np.testing.assert_array_equal(sample_ec_stable(0.7, shape, RngStream(73), size),
+                                      expected)
 
 
 class TestMvCauchy:
