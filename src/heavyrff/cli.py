@@ -35,7 +35,7 @@ from .kernels import FAMILIES, KernelSpec
 from .learners import (evaluate, fit_krr_exact, fit_logistic_features,
                        fit_ridge_features, one_hot)
 from .multivariate import ShapeMatrix
-from .rng import RngStream
+from .rng import RngStream, count
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("dataset", "kernel", "scheme", "p", "norm", "value", "time_ms", "seed")
@@ -283,17 +283,6 @@ def _add_flags(sub: argparse.ArgumentParser, kind: str) -> None:
         sub.add_argument("--test-fraction", type=float, default=0.2)
 
 
-def _positive_int(flag: str, value: str | int) -> int:
-    """``value`` as an integer >= 1, or a ValueError that names ``flag``."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise ValueError(f"{flag} must be an integer >= 1, got {value!r}")
-    return number
-
-
 def _law_params(dist: str, text: str) -> list[float]:
     """``--params`` as floats, as many as ``dist`` takes, or a ValueError."""
     names = _SAMPLE_PARAMS[dist]
@@ -315,11 +304,15 @@ def _check_flags(cfg: argparse.Namespace) -> None:
     """Convert and check, in place, every flag the subcommand took."""
     flags = vars(cfg)
     if "p_grid" in flags:
-        cfg.p_grid = tuple(_positive_int("--p", tok) for tok in cfg.p_grid.split(","))
+        tokens = cfg.p_grid.split(",")
+        for i, token in enumerate(tokens):
+            with contextlib.suppress(ValueError):  # else the count rule refuses the text
+                tokens[i] = int(token)
+        cfg.p_grid = tuple(count("--p", token) for token in tokens)
     for name, flag in (("n", "--n"), ("d", "--d"), ("n_classes", "--classes"),
                        ("cap", "--cap"), ("repeats", "--repeats"), ("draws", "--draws")):
         if name in flags:
-            flags[name] = _positive_int(flag, flags[name])
+            flags[name] = count(flag, flags[name])
     for name, flag in (("alpha", "--alpha"), ("nu", "--nu"), ("lam", "--lambda"),
                        ("test_fraction", "--test-fraction")):
         if flags.get(name) is not None and not np.isfinite(flags[name]):

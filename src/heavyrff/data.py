@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import RngStream, is_integer
+from .rng import RngStream, count
 
 __all__ = [
     "DataError",
@@ -164,7 +164,8 @@ def preprocess(ds: DataSet, recipe: str) -> DataSet:
 
 
 def subsample(ds: DataSet, cap: int, rng: RngStream) -> DataSet:
-    """Seeded shuffle followed by prefix selection; identity when n <= cap."""
+    """Seeded shuffle, then the first ``cap`` rows (a count); ``ds`` itself when n <= cap."""
+    cap = count("cap", cap)
     if ds.n <= cap:
         return ds
     idx = rng.generator.permutation(ds.n)[:cap]
@@ -197,13 +198,6 @@ def _smooth_scores(X: np.ndarray, n_classes: int, rng: RngStream) -> np.ndarray:
     return scores
 
 
-def _check_sizes(**sizes) -> None:
-    """Refuse by name a size that is not an integer >= 1."""
-    for name, value in sizes.items():
-        if not is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
                         margin: float = 0.0) -> DataSet:
     """Synthetic classification data with labels from a smooth target.
@@ -213,7 +207,7 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
     ends 64 rounds of ``2 * n`` candidates in a row that keep no point, and a
     margin with one class, which has no second score.
     """
-    _check_sizes(n=n, d=d, n_classes=n_classes)
+    n, d, n_classes = count("n", n), count("d", d), count("n_classes", n_classes)
     if margin > 0.0 and n_classes < 2:
         raise ValueError(f"margin {margin} needs at least 2 classes, got {n_classes}")
     g = rng.generator
@@ -238,8 +232,11 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
 
 def make_regression(n: int, d: int, rng: RngStream,
                     noise: float = 0.05) -> DataSet:
-    """Synthetic regression data from a smooth target plus Gaussian noise."""
-    _check_sizes(n=n, d=d)
+    """Synthetic regression data from a smooth target plus Gaussian noise of
+    standard deviation ``noise`` (>= 0 and finite); ``n`` and ``d`` are counts."""
+    n, d = count("n", n), count("d", d)
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be >= 0 and finite, got {noise}")
     g = rng.generator
     X = g.standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)

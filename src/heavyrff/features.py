@@ -22,7 +22,7 @@ from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, Kerne
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
                            sample_mvn, sample_stable_mixing)
-from .rng import RngStream, is_integer, real_array
+from .rng import RngStream, count, real_array
 
 __all__ = [
     "FeatureOperator",
@@ -188,16 +188,9 @@ def _weights(scheme: str, kernel: KernelSpec) -> str:
     return f"{scheme} weights for {kernel.family}{param.get(kernel.family, '')}"
 
 
-def feature_count(p: int) -> int:
-    """``p`` as a Python int, refusing anything but an integer >= 1 by name."""
-    if not is_integer(p) or p < 1:
-        raise ValueError(f"feature count p must be an integer >= 1, got {p!r}")
-    return int(p)
-
-
 def build_rff(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
     """Sample a p x d RFF weight matrix for any of the five kernel families."""
-    p = feature_count(p)
+    p = count("feature count p", p)
     rng = rng.fresh()
     W = finite_draws(_weights("rff", kernel), _rff_rows, kernel, p, rng)
     return FeatureOperator("rff", kernel, p, rng.seed, rng.stream_id, W=W)
@@ -216,7 +209,7 @@ def _orf_diag(spec: KernelSpec, p: int, d: int, rng: RngStream) -> np.ndarray:
 
 def build_orf(kernel: KernelSpec, p: int, rng: RngStream) -> FeatureOperator:
     """Sample an ORF operator x -> S Q sqrt(M) x; requires p to be a multiple of d."""
-    p = feature_count(p)
+    p = count("feature count p", p)
     if kernel.family == L1_LAPLACIAN:
         raise ValueError("l1_laplacian is not rotationally invariant; ORF does not apply")
     d = kernel.dim

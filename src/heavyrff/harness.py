@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 
-from .features import build_operator, feature_count, featurize, gram_approx
+from .features import build_operator, featurize, gram_approx
 from .kernels import TILE, KernelSpec, check_inputs, kernel_matrix
-from .rng import RngStream, real_array
+from .rng import RngStream, count, real_array
 
 __all__ = [
     "rel_error",
@@ -188,8 +188,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     exactly symmetric, and within rounding of [-1, 1].
     """
     _check_norms(norms)
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = count("repeats", repeats)
     X = real_array("X", X)
     check_inputs(spec, X, X)
     if X.shape[0] == 0:
@@ -197,7 +196,7 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     exact = exact_ms = None
     rows = [None] * len(p_grid)
     # sorted() computes every key, refusing a bad p, before it compares
-    for j in sorted(range(len(p_grid)), key=lambda j: -feature_count(p_grid[j])):
+    for j in sorted(range(len(p_grid)), key=lambda j: -count("feature count p", p_grid[j])):
         op_rng = rng.substream(j)
         op, build_ms = _timed(lambda: build_operator(scheme, spec, p_grid[j], op_rng), 1)
         phi, featurize_ms = _timed(lambda: featurize(op, X), repeats)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .kernels import KernelSpec, check_inputs, kernel_matrix
-from .rng import real_array
+from .rng import count, real_array
 
 __all__ = [
     "LinearModel",
@@ -41,6 +41,8 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
+    if labels.size == 0:
+        raise ValueError("labels must not be empty")
     if labels.min() < 0:
         raise ValueError("labels out of range")
     out = np.zeros((labels.shape[0], int(labels.max()) + 1))
@@ -103,7 +105,9 @@ def _as_targets(Y: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(name: str, A: np.ndarray, of: str, n: int) -> None:
-    """Refuse ``A`` unless it has one row per row of ``of``."""
+    """Refuse ``of`` if it has no rows, and ``A`` unless it has one row per row of ``of``."""
+    if n == 0:
+        raise ValueError(f"{of} has no rows")
     if A.shape[:1] != (n,):
         raise ValueError(f"{name} must have {n} rows, one per row of {of}; got shape {A.shape}")
 
@@ -211,10 +215,10 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
                           tol: float = 1e-6, max_iter: int = 5000) -> LinearModel:
     """Softmax cross-entropy + (lam/2)||theta||^2 by trust-region Newton-CG.
 
-    scipy's ``trust-ncg`` runs on the exact gradient and Hessian-vector
-    products, from theta = 0. It stops when the gradient's 2-norm drops below
-    ``tol`` (converged) or after ``max_iter`` Newton iterations; a fit that
-    stops unconverged emits a RuntimeWarning and is marked as not converged.
+    scipy's ``trust-ncg`` runs on the exact gradient and Hessian-vector products,
+    from theta = 0. It stops when the gradient's 2-norm drops below a finite
+    ``tol`` > 0 (converged) or after ``max_iter`` (a count) Newton iterations; a
+    fit that stops unconverged emits a RuntimeWarning and is marked as not converged.
     On the lam-strongly convex objective f, a gradient below lam*eps (theta
     within eps of the optimum) or below sqrt(2 lam eps |f|) (less than eps*|f|
     left to gain) also counts as converged, eps = 2^-52. The model carries the
@@ -224,6 +228,9 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     from scipy.optimize import minimize
 
     _check_lambda(lam)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
+    max_iter = count("max_iter", max_iter)
     P = phi.phi
     labels = np.asarray(labels)
     _check_rows("labels", labels, "Phi", P.shape[0])
@@ -261,7 +268,8 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
 
 def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
                                n_bins: int = 15) -> float:
-    """Binned ECE on the max-class probability with equal-width bins."""
+    """Binned ECE on the max-class probability in ``n_bins`` (a count) equal-width bins."""
+    n_bins = count("n_bins", n_bins)
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
     conf = probs.max(axis=1)

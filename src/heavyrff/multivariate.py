@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import StableParams, redraw_once, sample_stable_cms
-from .rng import RngStream, is_real, real_array
+from .rng import RngStream, count, is_real, real_array
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -84,7 +84,7 @@ class ShapeMatrix:
 
     @classmethod
     def identity(cls, d: int) -> "ShapeMatrix":
-        return cls(np.eye(d))
+        return cls(np.eye(count("d", d)))
 
     @classmethod
     def diagonal(cls, diag: np.ndarray) -> "ShapeMatrix":

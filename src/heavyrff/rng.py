@@ -20,6 +20,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def count(name: str, value) -> int:
+    """``value`` as an int if it is a count, a Python or numpy integer >= 1 (not a bool)."""
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def is_real(value) -> bool:
     """True for a Python or numpy real number, False for a bool and any other type."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -403,6 +403,11 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got 0$"):
             make_regression(n, d, RngStream(0))
 
+    @pytest.mark.parametrize("noise", [float("nan"), -1.0, float("inf")])
+    def test_regression_refuses_a_noise_that_is_not_nonnegative_and_finite(self, noise):
+        with pytest.raises(ValueError, match=rf"^noise must be >= 0 and finite, got {noise}$"):
+            make_regression(5, 2, RngStream(0), noise=noise)
+
     def test_margin_filters_boundary_points(self):
         from heavyrff.data import _smooth_scores
         ds = make_classification(500, 5, 2, RngStream(207), margin=0.05)
@@ -527,6 +532,12 @@ class TestCliRuns:
         assert len(err) == 1
         assert err[0].startswith("error: ") and flag in err[0]
         assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("grid, got", [("64,0", "0"), ("12,abc", "'abc'"), ("16,,32", "''")])
+    def test_p_refusal_shows_the_parsed_count_or_the_token(self, tmp_path, capsys, grid, got):
+        assert main(["approx", "--p", grid, "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --p must be an integer >= 1, got {got}"]
 
     @pytest.mark.parametrize("dist, params, draws, message", [
         ("gbp", "2,0.5,2", "100", "--params for gbp takes 4 values (alpha,beta,p,q), got 3"),

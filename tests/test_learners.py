@@ -125,6 +125,19 @@ class TestRowCounts:
                                              rf"got shape {re.escape(shape)}$"):
             fit(phi, targets)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: fit_krr_exact(KernelSpec("laplacian", ShapeMatrix.identity(3)),
+                               np.zeros((0, 3)), np.zeros(0), 1e-3), "X has no rows"),
+        (lambda: fit_ridge_features(FeatureMatrix(np.zeros((0, 4))), np.zeros(0), 1e-3),
+         "Phi has no rows"),
+        (lambda: fit_logistic_features(FeatureMatrix(np.zeros((0, 4))), np.zeros(0, int),
+                                       1e-3), "Phi has no rows"),
+        (lambda: one_hot(np.zeros(0, int)), "labels must not be empty"),
+    ], ids=["krr_exact", "ridge", "logistic", "one_hot"])
+    def test_zero_rows_are_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestRidgeFeatures:
     def test_identity_features(self):
@@ -342,6 +355,13 @@ class TestLogisticFeatures:
                                           tol=1e-14, max_iter=3)
         assert not model.converged
         assert model.grad_norm > 0
+
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_refuses_a_tol_that_is_not_positive_and_finite(self, tol):
+        phi = FeatureMatrix(np.full((4, 2), 0.5))
+        with pytest.raises(ValueError, match=rf"^tol must be > 0 and finite, got {tol}$"):
+            fit_logistic_features(phi, np.arange(4) % 2, 1e-3, tol=tol)
 
 
 class TestMetrics:
