@@ -202,12 +202,15 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
                         margin: float = 0.0) -> DataSet:
     """Synthetic classification data with labels from a smooth target.
 
-    ``margin`` > 0 rejects points whose top-two class scores are closer than
-    the margin, which controls how hard the decision boundary is. ValueError
-    ends 64 rounds of ``2 * n`` candidates in a row that keep no point, and a
-    margin with one class, which has no second score.
+    A positive ``margin`` rejects points whose top-two class scores are closer
+    than it, which controls how hard the decision boundary is. ValueError ends
+    a margin that is not >= 0 and finite, 64 rounds of ``2 * n`` candidates in
+    a row that keep no point, and a margin with one class, which has no second
+    score.
     """
     n, d, n_classes = count("n", n), count("d", d), count("n_classes", n_classes)
+    if not 0 <= margin < np.inf:
+        raise ValueError(f"margin must be >= 0 and finite, got {margin}")
     if margin > 0.0 and n_classes < 2:
         raise ValueError(f"margin {margin} needs at least 2 classes, got {n_classes}")
     g = rng.generator

@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from .features import build_operator, featurize, gram_approx
-from .kernels import TILE, KernelSpec, check_inputs, kernel_matrix
-from .rng import RngStream, count, real_array
+from .kernels import TILE, KernelSpec, kernel_matrix
+from .rng import RngStream, count, matrix
 
 __all__ = [
     "rel_error",
@@ -44,13 +44,6 @@ def _asym_max(A: np.ndarray) -> float:
             diff = A[i:i + TILE, j:j + TILE] - A[j:j + TILE, i:i + TILE].T
             worst = max(worst, _abs_max(diff))
     return worst
-
-
-def _finite_abs_max(A: np.ndarray) -> float:
-    abs_max = _abs_max(A)
-    if not np.isfinite(abs_max):
-        raise ValueError("matrices must be finite")
-    return abs_max
 
 
 def _check_norms(norms: tuple[str, ...]) -> None:
@@ -118,18 +111,17 @@ def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     matrix is: a K with an eigenvalue below -n * 2^-52 * ||K||_2 is refused.
 
     The caller's matrices are checked here, in this order, before any norm:
-    each a nonempty square matrix, both of one shape, finite, symmetric
-    within 1e-10 of their scale, ||K|| nonzero, and K PSD for the nuclear norm.
+    each through ``rng.matrix``, K square, both of one shape, symmetric within
+    1e-10 of their scale, ||K|| nonzero, and K PSD for the nuclear norm.
     """
     _check_norms((norm,))
-    K = real_array("K", K)
-    G = real_array("G", G).copy()  # _gram_errors consumes its G
-    for name, A in (("K", K), ("G", G)):
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-            raise ValueError(f"{name} must be a nonempty square matrix, got shape {A.shape}")
+    K = matrix("K", K)
+    G = matrix("G", G).copy()  # _gram_errors consumes its G
+    if K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be square, got shape {K.shape}")
     if K.shape != G.shape:
         raise ValueError(f"shape mismatch {K.shape} vs {G.shape}")
-    k_max, g_max = _finite_abs_max(K), _finite_abs_max(G)
+    k_max, g_max = _abs_max(K), _abs_max(G)
     if max(_asym_max(K), _asym_max(G)) > 1e-10 * max(k_max, g_max, 1.0):
         raise ValueError("matrices must be symmetric")
     if k_max == 0.0 or (norm == "nuclear" and np.trace(K) == 0.0):
@@ -179,20 +171,17 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     temporaries, and K + G + the second-largest Phi: never K beside the
     largest Phi. That is below the K + Phi_max + G of assembling K first
     unless the largest Phi is smaller than one kernel tile's temporaries.
-    X is checked as ``kernel_matrix`` checks it, and refused if it has no
-    rows, and each p as the builders check it, before any operator is built;
-    what ``kernel_matrix`` refuses in X times sqrt(M) or in the profile comes
-    after the largest point's Gram.
+    X goes through ``rng.matrix`` with d columns, and each p through
+    ``rng.count``, before any operator is built; what ``kernel_matrix``
+    refuses in X times sqrt(M) or in the profile comes after the largest
+    point's Gram.
     K and G are scored without checks: ``kernel_matrix`` returns a finite,
     exactly symmetric K with a unit diagonal, and G = Phi Phi^T is finite,
     exactly symmetric, and within rounding of [-1, 1].
     """
     _check_norms(norms)
     repeats = count("repeats", repeats)
-    X = real_array("X", X)
-    check_inputs(spec, X, X)
-    if X.shape[0] == 0:
-        raise ValueError("X has no rows")
+    X = matrix("X", X, spec.dim)
     exact = exact_ms = None
     rows = [None] * len(p_grid)
     # sorted() computes every key, refusing a bad p, before it compares
@@ -220,11 +209,10 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
 def cf_check(spec: KernelSpec, probes: np.ndarray, n_samples: int,
              rng: RngStream, scheme: str = "rff") -> np.ndarray:
     """Per-probe deviation |mean cos(w^T D) - kappa(D)| over the n_samples
-    rows w of the operator that ``build_operator(scheme, ...)`` samples."""
-    probes = np.atleast_2d(real_array("probes", probes))
-    if not np.isfinite(probes).all():
-        raise ValueError("probes must be finite")
-    op = build_operator(scheme, spec, n_samples, rng)
+    rows w of the operator that ``build_operator(scheme, ...)`` samples; the
+    probes, made 2-D, go through ``rng.matrix`` and n_samples through ``rng.count``."""
+    probes = matrix("probes", np.atleast_2d(probes), spec.dim)
+    op = build_operator(scheme, spec, count("n_samples", n_samples), rng)
     emp = np.cos(op.project(probes)).mean(axis=1)
     kappa = kernel_matrix(spec, probes, np.zeros((1, probes.shape[1])))[:, 0]
     return np.abs(emp - kappa)

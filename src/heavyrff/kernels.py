@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multivariate import ShapeMatrix
-from .rng import is_real, real_array
+from .rng import is_real, matrix, real_array
 
 __all__ = [
     "GAUSSIAN",
@@ -272,19 +272,6 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
     return float(kernel_matrix(spec, x[None], z[None])[0, 0])
 
 
-def check_inputs(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> None:
-    """Refuse what ``kernel_matrix(spec, X, Z)`` cannot take: an X or Z that
-    is not 2-D, a column count other than d, or an entry that is not finite."""
-    for name, A in (("X", X), ("Z", Z)):
-        if A.ndim != 2:
-            raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
-    if X.shape[1] != spec.dim or Z.shape[1] != spec.dim:
-        raise ValueError(
-            f"column counts {X.shape[1]}, {Z.shape[1]} must equal d={spec.dim}")
-    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
-        raise ValueError("inputs must be finite")
-
-
 def kernel_matrix(spec: KernelSpec, X: np.ndarray,
                   Z: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix with entries K(X_i, Z_j); Z defaults to X.
@@ -298,14 +285,14 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
     computed once and K is held with one tile buffer beside it. ``cdist``
     computes each pair alone and the profile works entry by entry, so K is
     bit-equal to the profile of the whole distance matrix, and exactly
-    symmetric when Z is X. X or Z that is not 2-D or not finite, or whose rows
-    times sqrt(M) overflow, is refused before any tile is built, so K is finite.
+    symmetric when Z is X. X and Z go through ``rng.matrix`` with d columns,
+    and rows whose product with sqrt(M) overflows are refused, before any tile
+    is built, so K is finite.
     """
     from scipy.spatial.distance import cdist
 
-    X = real_array("X", X)
-    Z = X if Z is None else real_array("Z", Z)
-    check_inputs(spec, X, Z)
+    X = matrix("X", X, spec.dim)
+    Z = X if Z is None else matrix("Z", Z, spec.dim)
     if spec.family == L1_LAPLACIAN:
         metric, Xs, Zs = "cityblock", X, Z
     else:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix
-from .kernels import KernelSpec, check_inputs, kernel_matrix
-from .rng import count, real_array
+from .kernels import KernelSpec, kernel_matrix
+from .rng import count, matrix, real_array
 
 __all__ = [
     "LinearModel",
@@ -83,7 +83,7 @@ class LinearModel:
     n_hessp: int = 0
 
     def decision_function(self, phi: FeatureMatrix) -> np.ndarray:
-        return phi.phi @ self.theta
+        return matrix("Phi", phi.phi, self.theta.shape[0]) @ self.theta
 
 
 @dataclass
@@ -101,13 +101,11 @@ class ExactKernelModel:
 
 def _as_targets(Y: np.ndarray) -> np.ndarray:
     Y = real_array("Y", Y)
-    return Y[:, None] if Y.ndim == 1 else Y
+    return matrix("Y", Y[:, None] if Y.ndim == 1 else Y)
 
 
 def _check_rows(name: str, A: np.ndarray, of: str, n: int) -> None:
-    """Refuse ``of`` if it has no rows, and ``A`` unless it has one row per row of ``of``."""
-    if n == 0:
-        raise ValueError(f"{of} has no rows")
+    """Refuse ``A`` unless it has one row per row of ``of``, which has ``n``."""
     if A.shape[:1] != (n,):
         raise ValueError(f"{name} must have {n} rows, one per row of {of}; got shape {A.shape}")
 
@@ -132,13 +130,12 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
                   lam: float) -> ExactKernelModel:
     """Solve (K + lam I) A = Y by Cholesky factorization.
 
-    Y may be real targets (regression) or an n x C one-hot matrix. X is
-    checked as ``kernel_matrix`` checks it before the desk-scale cap reads its
+    Y may be real targets (regression) or an n x C one-hot matrix. X goes
+    through ``rng.matrix`` with d columns before the desk-scale cap reads its
     rows. K is factored in place, so the fit holds one n x n matrix of doubles
     beside ``kernel_matrix``'s one tile buffer.
     """
-    X = real_array("X", X)
-    check_inputs(spec, X, X)
+    X = matrix("X", X, spec.dim)
     if X.shape[0] > DESK_SCALE_CAP:
         raise ValueError(f"n={X.shape[0]} exceeds the desk-scale cap {DESK_SCALE_CAP}")
     _check_lambda(lam)
@@ -161,7 +158,7 @@ def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float) -> LinearM
     Gram matrix is factored in place.
     """
     _check_lambda(lam)
-    P = phi.phi
+    P = matrix("Phi", phi.phi)
     Y = _as_targets(Y)
     _check_rows("Y", Y, "Phi", P.shape[0])
     n, m = P.shape
@@ -231,7 +228,7 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol}")
     max_iter = count("max_iter", max_iter)
-    P = phi.phi
+    P = matrix("Phi", phi.phi)
     labels = np.asarray(labels)
     _check_rows("labels", labels, "Phi", P.shape[0])
     Yoh = one_hot(labels)
@@ -268,10 +265,12 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
 
 def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
                                n_bins: int = 15) -> float:
-    """Binned ECE on the max-class probability in ``n_bins`` (a count) equal-width bins."""
+    """Binned ECE on the max-class probability in ``n_bins`` (a count) equal-width
+    bins; ``probs`` goes through ``rng.matrix``, and ``labels`` has one entry per row."""
     n_bins = count("n_bins", n_bins)
-    probs = np.asarray(probs, dtype=float)
+    probs = matrix("probs", probs)
     labels = np.asarray(labels)
+    _check_rows("labels", labels, "probs", probs.shape[0])
     conf = probs.max(axis=1)
     pred = probs.argmax(axis=1)
     correct = (pred == labels).astype(float)
@@ -302,8 +301,9 @@ def evaluate(model, inputs, y_test: np.ndarray, task: str) -> dict:
     """Metrics record: accuracy + ECE for classification, R^2 for regression.
 
     ``inputs`` is whatever the model consumes: the test FeatureMatrix for
-    feature models, raw X for exact kernel models. The scores are computed once, so an exact model builds its
-    test kernel once.
+    feature models, raw X for exact kernel models; the model's
+    ``decision_function`` sends it through ``rng.matrix``. The scores are
+    computed once, so an exact model builds its test kernel once.
     """
     y_test = np.asarray(y_test)
     if task not in ("classification", "regression"):

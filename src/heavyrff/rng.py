@@ -33,12 +33,28 @@ def is_real(value) -> bool:
 
 
 def real_array(name: str, A) -> np.ndarray:
-    """``A`` as a float array, refusing a complex one by name: the float cast
-    would drop its imaginary parts with no more than a warning."""
+    """``A`` as a float array, refusing by name one that is not bool, integer or
+    float: the float cast would drop a complex one's imaginary parts with no
+    more than a warning, and fail on a string one with numpy's own text."""
     A = np.asarray(A)
-    if A.dtype.kind == "c":
+    if A.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be real, got {A.dtype}")
     return A.astype(float, copy=False)
+
+
+def matrix(name: str, A, cols: int | None = None) -> np.ndarray:
+    """``A`` as a float array if it is a data matrix: a real, finite, nonempty
+    2-D array, with ``cols`` columns when given. Finiteness is read from
+    ``A.min()`` and ``A.max()``, which NaN propagates through, so no mask of
+    A's size is formed."""
+    A = real_array(name, A)
+    if A.ndim != 2 or 0 in A.shape:
+        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {A.shape}")
+    if cols is not None and A.shape[1] != cols:
+        raise ValueError(f"{name} must have {cols} columns, got shape {A.shape}")
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
+        raise ValueError(f"{name} must be finite")
+    return A
 
 
 class RngStream:

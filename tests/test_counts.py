@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_orf, build_rff,
+from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_orf, build_rff, cf_check,
                       expected_calibration_error, fit_logistic_features)
 from heavyrff.cli import _check_flags
 from heavyrff.data import DataSet, make_classification, make_regression, subsample
@@ -63,6 +63,7 @@ COUNTS = {
     "expected_calibration_error-n_bins": (
         lambda v: expected_calibration_error(np.eye(2), np.arange(2), n_bins=v),
         "n_bins", False),
+    "cf_check-n_samples": (lambda v: cf_check(SPEC, X, v, RngStream(0)), "n_samples", False),
     "fit_logistic_features-max_iter": (
         lambda v: fit_logistic_features(PHI, np.arange(4) % 2, 1e-3, max_iter=v),
         "max_iter", False),

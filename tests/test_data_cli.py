@@ -427,6 +427,11 @@ class TestSynthetic:
             ds = make_classification(31, 8, 10, RngStream(seed), margin=0.5)
             assert ds.X.shape == (31, 8) and ds.y.shape == (31,)
 
+    @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
+    def test_margin_not_nonnegative_and_finite_is_refused_by_name(self, margin):
+        with pytest.raises(ValueError, match=rf"^margin must be >= 0 and finite, got {margin}$"):
+            make_classification(5, 2, 2, RngStream(0), margin=margin)
+
     def test_margin_with_one_class_is_refused_by_name(self):
         with pytest.raises(ValueError, match="margin 0.1 needs at least 2 classes, got 1"):
             make_classification(10, 2, 1, RngStream(0), margin=0.1)

@@ -107,13 +107,13 @@ class TestRelErrorRefusals:
             monkeypatch.setattr(owner, name, refuse)
 
     @pytest.mark.parametrize("K, G, message", [
-        (np.ones(3), np.ones(3), r"^K must be a nonempty square matrix, got shape \(3,\)$"),
+        (np.ones(3), np.ones(3), r"^K must be a nonempty 2-D array, got shape \(3,\)$"),
         (np.ones((2, 3)), np.ones((2, 3)),
-         r"^K must be a nonempty square matrix, got shape \(2, 3\)$"),
+         r"^K must be square, got shape \(2, 3\)$"),
         (np.eye(2), np.ones((2, 2, 2)),
-         r"^G must be a nonempty square matrix, got shape \(2, 2, 2\)$"),
+         r"^G must be a nonempty 2-D array, got shape \(2, 2, 2\)$"),
         (np.ones((0, 0)), np.ones((0, 0)),
-         r"^K must be a nonempty square matrix, got shape \(0, 0\)$"),
+         r"^K must be a nonempty 2-D array, got shape \(0, 0\)$"),
         (np.eye(2), np.eye(3), r"^shape mismatch \(2, 2\) vs \(3, 3\)$")],
         ids=["1-D", "2x3", "3-D G", "0x0", "mismatch"])
     @pytest.mark.parametrize("norm", NORMS)
@@ -397,18 +397,24 @@ class TestMeasureApproximation:
         assert calls == []
 
     def test_sweep_runs_no_matrix_checks(self, monkeypatch):
-        # K and G are finite and exactly symmetric by construction; only
-        # rel_error checks matrices, as it takes them from its caller
+        # K and G are finite and exactly symmetric by construction: the sweep
+        # sends only its caller's X through the matrix rule, and rel_error,
+        # which takes K and G from its caller, sends both
         spec, X = sweep_inputs()
         calls = []
-        for name in ("_abs_max", "_finite_abs_max", "_asym_max"):
+        real_matrix = harness.matrix
+        monkeypatch.setattr(harness, "matrix", lambda name, A, *cols:
+                            calls.append(name) or real_matrix(name, A, *cols))
+        for name in ("_abs_max", "_asym_max"):
             real = getattr(harness, name)
             monkeypatch.setattr(harness, name, lambda A, name=name, real=real:
                                 calls.append(name) or real(A))
         measure_approximation(spec, X, "rff", [32, 128, 512], RngStream(144))
-        assert calls == []
+        assert calls == ["X"]
+        calls.clear()
         rel_error(np.eye(2), np.eye(2))
-        assert set(calls) == {"_abs_max", "_finite_abs_max", "_asym_max"}
+        assert calls[:2] == ["K", "G"]
+        assert set(calls) == {"K", "G", "_abs_max", "_asym_max"}
 
     def test_x_overflowing_times_sqrt_m_is_refused_by_name(self):
         # X @ sqrt(M) overflows, which would make K[0, 0] NaN
@@ -461,11 +467,11 @@ class TestMeasureApproximation:
                           f"build 32/{ids[2]}", "gram", "gram"]
 
     @pytest.mark.parametrize("bad, message", [
-        ("nan", "^inputs must be finite$"),
-        ("columns", "^column counts 5, 5 must equal d=4$"),
-        ("1-D", r"^X must be 2-D, got shape \(4,\)$"),
-        ("3-D", r"^X must be 2-D, got shape \(80, 1, 4\)$"),
-        ("no rows", "^X has no rows$")])
+        ("nan", "^X must be finite$"),
+        ("columns", r"^X must have 4 columns, got shape \(80, 5\)$"),
+        ("1-D", r"^X must be a nonempty 2-D array, got shape \(4,\)$"),
+        ("3-D", r"^X must be a nonempty 2-D array, got shape \(80, 1, 4\)$"),
+        ("no rows", r"^X must be a nonempty 2-D array, got shape \(0, 4\)$")])
     def test_bad_x_is_refused_before_any_operator_is_built(self, monkeypatch, bad, message):
         spec, X = sweep_inputs()
         if bad == "nan":

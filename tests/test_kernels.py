@@ -467,7 +467,7 @@ class TestKernelMatrix:
         spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
         X, Z = np.zeros((3, 2)), np.ones((4, 2))
         (Z if where == "Z" else X)[1, 0] = bad
-        with pytest.raises(ValueError, match="inputs must be finite"):
+        with pytest.raises(ValueError, match=f"^{'Z' if where == 'Z' else 'X'} must be finite$"):
             kernel_matrix(spec, X, None if where == "X as Z" else Z)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 3), ()])
@@ -479,7 +479,7 @@ class TestKernelMatrix:
             X = np.zeros(shape)
         else:
             Z = np.zeros(shape)
-        with pytest.raises(ValueError, match=rf"^{where} must be 2-D, got shape "
+        with pytest.raises(ValueError, match=rf"^{where} must be a nonempty 2-D array, got shape "
                                              rf"{re.escape(str(shape))}$"):
             kernel_matrix(spec, X, Z)
 

@@ -99,7 +99,7 @@ class TestKrrExact:
 
     def test_refuses_a_0d_x_by_name(self):
         spec = KernelSpec("laplacian", ShapeMatrix.identity(1))
-        with pytest.raises(ValueError, match=r"^X must be 2-D, got shape \(\)$"):
+        with pytest.raises(ValueError, match=r"^X must be a nonempty 2-D array, got shape \(\)$"):
             fit_krr_exact(spec, np.float64(1), np.zeros(1), 1e-3)
 
     def test_refuses_y_rows_before_building_k(self, monkeypatch):
@@ -112,30 +112,34 @@ class TestKrrExact:
 
 
 class TestRowCounts:
-    @pytest.mark.parametrize("fit, name, targets, shape", [
-        (lambda phi, Y: fit_ridge_features(phi, Y, 1e-3), "Y", np.zeros((5, 2)), "(5, 2)"),
-        (lambda phi, Y: fit_ridge_features(phi, Y, 1e-3), "Y", np.float64(1.0), "()"),
-        (lambda phi, y: fit_logistic_features(phi, y, 1e-3), "labels", np.zeros(7, int),
-         "(7,)"),
-        (lambda phi, y: fit_logistic_features(phi, y, 1e-3), "labels", np.int64(0), "()"),
+    @pytest.mark.parametrize("fit, targets, message", [
+        (lambda phi, Y: fit_ridge_features(phi, Y, 1e-3), np.zeros((5, 2)),
+         "Y must have 6 rows, one per row of Phi; got shape (5, 2)"),
+        # a 0-d Y is no data matrix, so the matrix rule refuses it first
+        (lambda phi, Y: fit_ridge_features(phi, Y, 1e-3), np.float64(1.0),
+         "Y must be a nonempty 2-D array, got shape ()"),
+        (lambda phi, y: fit_logistic_features(phi, y, 1e-3), np.zeros(7, int),
+         "labels must have 6 rows, one per row of Phi; got shape (7,)"),
+        (lambda phi, y: fit_logistic_features(phi, y, 1e-3), np.int64(0),
+         "labels must have 6 rows, one per row of Phi; got shape ()"),
     ], ids=["ridge", "ridge-0d", "logistic", "logistic-0d"])
-    def test_feature_fits_refuse_targets_with_other_rows(self, fit, name, targets, shape):
+    def test_feature_fits_refuse_targets_with_other_rows(self, fit, targets, message):
         phi = FeatureMatrix(np.full((6, 4), 0.5))
-        with pytest.raises(ValueError, match=rf"^{name} must have 6 rows, one per row of Phi; "
-                                             rf"got shape {re.escape(shape)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit(phi, targets)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: fit_krr_exact(KernelSpec("laplacian", ShapeMatrix.identity(3)),
-                               np.zeros((0, 3)), np.zeros(0), 1e-3), "X has no rows"),
+                               np.zeros((0, 3)), np.zeros(0), 1e-3),
+         "X must be a nonempty 2-D array, got shape (0, 3)"),
         (lambda: fit_ridge_features(FeatureMatrix(np.zeros((0, 4))), np.zeros(0), 1e-3),
-         "Phi has no rows"),
+         "Phi must be a nonempty 2-D array, got shape (0, 4)"),
         (lambda: fit_logistic_features(FeatureMatrix(np.zeros((0, 4))), np.zeros(0, int),
-                                       1e-3), "Phi has no rows"),
+                                       1e-3), "Phi must be a nonempty 2-D array, got shape (0, 4)"),
         (lambda: one_hot(np.zeros(0, int)), "labels must not be empty"),
     ], ids=["krr_exact", "ridge", "logistic", "one_hot"])
     def test_zero_rows_are_refused_by_name(self, call, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 
@@ -384,6 +388,22 @@ class TestMetrics:
         ece = expected_calibration_error(probs, labels, n_bins=4)
         expected = (2 / 4) * abs(1.0 - 0.85) + (2 / 4) * abs(0.5 - 0.575)
         assert ece == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: evaluate(fit_logistic_features(FeatureMatrix(np.full((4, 2), 0.5)),
+                                                np.arange(4) % 2, 1e-3),
+                          FeatureMatrix(np.zeros((0, 2))), np.zeros(0, int), "classification"),
+         "Phi must be a nonempty 2-D array, got shape (0, 2)"),
+        (lambda: expected_calibration_error(np.zeros((0, 2)), np.zeros(0, int)),
+         "probs must be a nonempty 2-D array, got shape (0, 2)"),
+        (lambda: expected_calibration_error(np.full(4, 0.5), np.zeros(4, int)),
+         "probs must be a nonempty 2-D array, got shape (4,)"),
+        (lambda: expected_calibration_error(np.full((4, 2), 0.5), np.zeros(3, int)),
+         "labels must have 4 rows, one per row of probs; got shape (3,)"),
+    ], ids=["evaluate-0-rows", "ece-0-rows", "ece-1-D", "ece-labels"])
+    def test_metrics_refuse_what_they_cannot_score_by_name(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_one_hot_rejects_float_and_negative_labels(self):
         with pytest.raises(ValueError, match="integers"):
