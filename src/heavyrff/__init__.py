@@ -12,7 +12,7 @@ from .features import (FeatureMatrix, FeatureOperator, build_orf, build_rff,
                        save_operator)
 from .harness import cf_check, rel_error
 from .kernels import (EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN,
-                      KernelSpec, kernel_eval, kernel_matrix, matern_profile)
+                      KernelSpec, kernel_matrix, matern_profile)
 from .learners import (ExactKernelModel, LinearModel, evaluate,
                        expected_calibration_error, fit_krr_exact,
                        fit_logistic_features, fit_ridge_features, r_squared)

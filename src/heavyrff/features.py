@@ -22,7 +22,7 @@ from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, Kerne
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
                            sample_mvn, sample_stable_mixing)
-from .rng import RngStream, count, real_array
+from .rng import RngStream, count, real_array, vectors
 
 __all__ = [
     "FeatureOperator",
@@ -144,15 +144,15 @@ class FeatureOperator:
         return self.kernel.shape.sqrtM
 
     def project(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Linear part of the map: W x for RFF, S Q sqrt(M) x for ORF.
+        """Linear part of the map: W x for RFF, S Q sqrt(M) x for ORF, on every
+        d-vector along X's last axis.
 
-        The product is written into ``out`` when given (any float64 array of
+        X goes through ``rng.vectors`` with d entries before any product. The
+        product is written into ``out`` when given (any float64 array of
         shape ``X.shape[:-1] + (p,)``, a strided view included) by the same
         GEMM that would allocate it.
         """
-        X = real_array("X", X)
-        if X.shape[-1:] != (self.dim,):
-            raise ValueError(f"dimension mismatch: X has shape {X.shape}, d={self.dim}")
+        X = vectors("X", X, self.dim)
         if self.scheme == "rff":
             return np.matmul(X, self.W.T, out=out)
         out = np.matmul(X @ self.sqrtM, self.Q.Q.T, out=out)
@@ -229,13 +229,13 @@ def build_operator(scheme: str, kernel: KernelSpec, p: int,
 
 
 def featurize(op: FeatureOperator, X: np.ndarray) -> FeatureMatrix:
-    """Apply the operator and the SinCos map to every row of X.
+    """Apply the operator and the SinCos map to every d-vector along X's last axis.
 
+    X is refused by ``project``, through ``rng.vectors``, before any product.
     Phi is the only array of its size: the projection is written into its
     right half and psi maps it in place, so no separate n x p array exists.
     """
-    X = real_array("X", X)
-    phi = np.empty(X.shape[:-1] + (2 * op.p,))
+    phi = np.empty(np.shape(X)[:-1] + (2 * op.p,))
     u = phi[..., op.p:]
     op.project(X, out=u)
     psi(u, out=phi)

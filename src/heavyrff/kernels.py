@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multivariate import ShapeMatrix
-from .rng import is_real, matrix, real_array
+from .rng import is_real, matrix
 
 __all__ = [
     "GAUSSIAN",
@@ -23,7 +23,6 @@ __all__ = [
     "KernelSpec",
     "matern_profile",
     "kernel_profile",
-    "kernel_eval",
     "kernel_matrix",
 ]
 
@@ -261,15 +260,6 @@ def kernel_profile(spec: KernelSpec, r: float | np.ndarray,
             np.negative(r, out=out)
         np.exp(out, out=out)
     return float(out) if out.ndim == 0 else out
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
-    """Exact kernel value K(x, z) of two points: one entry of ``kernel_matrix``."""
-    x = real_array("x", x)
-    z = real_array("z", z)
-    if x.shape != (spec.dim,) or z.shape != (spec.dim,):
-        raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}, d={spec.dim}")
-    return float(kernel_matrix(spec, x[None], z[None])[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray,

@@ -37,8 +37,17 @@ __all__ = [
 DESK_SCALE_CAP = 20_000
 
 
-def one_hot(labels: np.ndarray) -> np.ndarray:
+def _labels(labels) -> np.ndarray:
+    """``labels`` as an array if it is 1-D: an (n, 1) column would broadcast
+    against n predictions to an n x n comparison."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    return labels
+
+
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    labels = _labels(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     if labels.size == 0:
@@ -266,10 +275,11 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
 def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
                                n_bins: int = 15) -> float:
     """Binned ECE on the max-class probability in ``n_bins`` (a count) equal-width
-    bins; ``probs`` goes through ``rng.matrix``, and ``labels`` has one entry per row."""
+    bins; ``probs`` goes through ``rng.matrix``, and ``labels`` is 1-D with one
+    entry per row."""
     n_bins = count("n_bins", n_bins)
     probs = matrix("probs", probs)
-    labels = np.asarray(labels)
+    labels = _labels(labels)
     _check_rows("labels", labels, "probs", probs.shape[0])
     conf = probs.max(axis=1)
     pred = probs.argmax(axis=1)
@@ -288,8 +298,10 @@ def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Coefficient of determination; ``y_pred`` has one entry per entry of ``y_true``."""
     y_true = np.asarray(y_true, dtype=float).ravel()
     y_pred = np.asarray(y_pred, dtype=float).ravel()
+    _check_rows("y_pred", y_pred, "y_true", y_true.shape[0])
     sst = float(((y_true - y_true.mean()) ** 2).sum())
     if sst == 0.0:
         raise ValueError("R^2 is undefined for constant targets")
@@ -302,12 +314,14 @@ def evaluate(model, inputs, y_test: np.ndarray, task: str) -> dict:
 
     ``inputs`` is whatever the model consumes: the test FeatureMatrix for
     feature models, raw X for exact kernel models; the model's
-    ``decision_function`` sends it through ``rng.matrix``. The scores are
-    computed once, so an exact model builds its test kernel once.
+    ``decision_function`` sends it through ``rng.matrix``. Classification
+    labels must be 1-D, and are refused before any score is computed. The
+    scores are computed once, so an exact model builds its test kernel once.
     """
-    y_test = np.asarray(y_test)
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
+    if task == "classification":
+        y_test = _labels(y_test)
     scores = model.decision_function(inputs)
     if task == "classification":
         pred = scores.argmax(axis=1)

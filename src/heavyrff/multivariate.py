@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import StableParams, redraw_once, sample_stable_cms
-from .rng import RngStream, count, is_real, real_array
+from .rng import RngStream, count, is_real, vectors
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -91,10 +91,9 @@ class ShapeMatrix:
         return cls(np.diag(np.asarray(diag, dtype=float)))
 
     def norm(self, u: np.ndarray) -> float | np.ndarray:
-        """Mahalanobis norm sqrt(u^T M u), computed as ||sqrtM @ u||_2."""
-        u = real_array("u", u)
-        if u.shape[-1:] != (self.dim,):
-            raise ValueError(f"dimension mismatch: u has shape {u.shape}, d={self.dim}")
+        """Mahalanobis norm sqrt(u^T M u) along u's last axis, computed as
+        ||sqrtM @ u||_2; u goes through ``rng.vectors`` with d entries."""
+        u = vectors("u", u, self.dim)
         return np.linalg.norm(u @ self.sqrtM, axis=-1)
 
     def __repr__(self) -> str:

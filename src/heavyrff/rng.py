@@ -42,19 +42,33 @@ def real_array(name: str, A) -> np.ndarray:
     return A.astype(float, copy=False)
 
 
+def _finite(name: str, A: np.ndarray) -> np.ndarray:
+    """``A`` if its entries are finite. Finiteness is read from ``A.min()`` and
+    ``A.max()``, which NaN propagates through, so no mask of A's size is
+    formed; an empty A has no entries to refuse."""
+    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
+        raise ValueError(f"{name} must be finite")
+    return A
+
+
 def matrix(name: str, A, cols: int | None = None) -> np.ndarray:
     """``A`` as a float array if it is a data matrix: a real, finite, nonempty
-    2-D array, with ``cols`` columns when given. Finiteness is read from
-    ``A.min()`` and ``A.max()``, which NaN propagates through, so no mask of
-    A's size is formed."""
+    2-D array, with ``cols`` columns when given."""
     A = real_array(name, A)
     if A.ndim != 2 or 0 in A.shape:
         raise ValueError(f"{name} must be a nonempty 2-D array, got shape {A.shape}")
     if cols is not None and A.shape[1] != cols:
         raise ValueError(f"{name} must have {cols} columns, got shape {A.shape}")
-    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
-        raise ValueError(f"{name} must be finite")
-    return A
+    return _finite(name, A)
+
+
+def vectors(name: str, A, d: int) -> np.ndarray:
+    """``A`` as a float array if it is a batch of d-vectors: a real, finite
+    array of any leading shape, an empty one included, whose last axis is d."""
+    A = real_array(name, A)
+    if A.shape[-1:] != (d,):
+        raise ValueError(f"{name} must have shape (..., {d}), got shape {A.shape}")
+    return _finite(name, A)
 
 
 class RngStream:

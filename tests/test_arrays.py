@@ -1,9 +1,11 @@
 """One rule for every data matrix the library takes: a real, finite, nonempty
-2-D array, with d columns where the kernel's dimension applies.
+2-D array, with d columns where the kernel's dimension applies. And one rule
+for every batch of d-vectors: a real, finite array of any leading shape whose
+last axis is d.
 
-``rng.matrix`` holds the rule and its refusal texts; each callable below sends
-one matrix argument through it, so every caller meets the same refusal,
-naming the argument, before any work.
+``rng.matrix`` and ``rng.vectors`` hold the rules and their refusal texts;
+each callable below sends one argument through one of them, so every caller
+meets the same refusal, naming the argument, before any work.
 """
 
 import re
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, build_rff, cf_check, evaluate,
-                      expected_calibration_error, fit_krr_exact, fit_logistic_features,
-                      fit_ridge_features, kernel_eval, kernel_matrix, psi, rel_error)
+                      expected_calibration_error, featurize, fit_krr_exact,
+                      fit_logistic_features, fit_ridge_features, kernel_matrix, psi,
+                      rel_error)
 from heavyrff.features import FeatureMatrix
 from heavyrff.harness import measure_approximation
 
@@ -100,20 +103,65 @@ def test_every_matrix_goes_through_the_one_rule(case, kind, at):
         call(A)
 
 
-@pytest.mark.parametrize("name, call", [
-    ("psi u", psi),
-    ("X", lambda u: build_rff(SPEC, 4, RngStream(0)).project(u)),
-    ("u", SPEC.shape.norm),
-    ("x", lambda u: kernel_eval(SPEC, u, X[0])),
-], ids=["psi", "project", "norm", "kernel_eval"])
-def test_batched_vectors_refuse_a_string_dtype_by_name(name, call):
-    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be real, got <U3$"):
-        call(np.array(["abc"] * 3))
+OP = build_rff(SPEC, 4, RngStream(0))
+
+# (callable of the batch, the name it is refused by, the product each valid
+# batch gave before the rule: the projection GEMM, psi of it, and the norm of
+# the batch times sqrt(M))
+VECTORS = {
+    "project-X": (OP.project, "X", lambda A: np.matmul(A, OP.W.T)),
+    "featurize-X": (lambda A: featurize(OP, A).phi, "X", lambda A: psi(np.matmul(A, OP.W.T))),
+    "norm-u": (SPEC.shape.norm, "u",
+               lambda A: np.linalg.norm(A @ SPEC.shape.sqrtM, axis=-1)),
+}
+VECTOR_KINDS = ["0-d", "last axis", "complex", "string", "nan", "+inf", "-inf"]
+
+
+def malformed_batch(kind, at):
+    """X broken in one way, and the vector rule's refusal text for it (up to
+    the name); ``at`` places a non-finite entry."""
+    if kind in ("0-d", "last axis"):
+        A = X[0, 0] if kind == "0-d" else np.hstack([X, X[:, :1]])
+        return A, f"must have shape (..., 3), got shape {np.shape(A)}"
+    return malformed(kind, X, at)
+
+
+VECTOR_PAIRS = [(case, kind) for case in VECTORS for kind in VECTOR_KINDS]
+
+
+@pytest.mark.parametrize("case, kind", VECTOR_PAIRS,
+                         ids=[f"{case}-{kind}" for case, kind in VECTOR_PAIRS])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(at=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+def test_every_batch_goes_through_the_one_rule(case, kind, at):
+    call, name, _ = VECTORS[case]
+    A, text = malformed_batch(kind, at)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {text}')}$"):
+        call(A)
+
+
+BATCHES = {"(d,)": X[0], "(n, d)": X, "(a, b, d)": X[:4].reshape(2, 2, 3), "(0, d)": X[:0]}
+
+
+@pytest.mark.parametrize("case", VECTORS)
+def test_valid_batches_keep_their_bits(case):
+    call, _, before = VECTORS[case]
+    for shape, A in BATCHES.items():
+        assert np.array_equal(call(A), before(A)), shape
+
+
+def test_batched_vectors_refuse_a_string_dtype_by_name():
+    # psi's u has no fixed d and is normally a projection just written, so it
+    # keeps its own checks outside the vector rule
+    with pytest.raises(ValueError, match="^psi u must be real, got <U3$"):
+        psi(np.array(["abc"] * 3))
 
 
 def test_the_matrix_rule_is_written_once():
-    texts = ("must be a nonempty 2-D array", "inputs must be finite",
-             "matrices must be finite", "probes must be finite", "has no rows")
+    # the two rules' texts, then texts they replaced
+    ruled = ("must be a nonempty 2-D array", "must have shape (...,", "{name} must be finite")
+    texts = ruled + ("inputs must be finite", "matrices must be finite",
+                     "probes must be finite", "has no rows", "dimension mismatch")
     holders = {text: sorted(p.name for p in ROOT.glob("src/heavyrff/*.py")
                             if text in p.read_text(encoding="utf-8")) for text in texts}
-    assert holders == {text: ["rng.py"] if text == texts[0] else [] for text in texts}
+    assert holders == {text: ["rng.py"] if text in ruled else [] for text in texts}

@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 import heavyrff.harness as harness
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, cf_check, featurize,
-                      gram_approx, kernel_eval, kernel_matrix, psi, rel_error)
+                      gram_approx, kernel_matrix, psi, rel_error)
 from heavyrff.features import FeatureMatrix, build_operator
 from heavyrff.learners import fit_krr_exact, fit_ridge_features
 from heavyrff.harness import measure_approximation
@@ -578,8 +578,6 @@ C2, R2 = np.ones((2, 2)) + 1j, np.eye(2)
 COMPLEX_CASES = [
     ("kernel_matrix-X", "X", lambda c: kernel_matrix(c.spec, C2)),
     ("kernel_matrix-Z", "Z", lambda c: kernel_matrix(c.spec, R2, C2)),
-    ("kernel_eval-x", "x", lambda c: kernel_eval(c.spec, C2[0], R2[0])),
-    ("kernel_eval-z", "z", lambda c: kernel_eval(c.spec, R2[0], C2[0])),
     ("measure_approximation", "X",
      lambda c: measure_approximation(c.spec, C2, "rff", [4], RngStream(0))),
     ("fit_krr_exact-X", "X", lambda c: fit_krr_exact(c.spec, C2, np.zeros(2), 1e-3)),

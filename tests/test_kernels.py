@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.spatial.distance import cdist
 
-from heavyrff import (KernelSpec, ShapeMatrix, kernel_eval, kernel_matrix,
-                      matern_profile)
+from heavyrff import KernelSpec, ShapeMatrix, kernel_matrix, matern_profile
 from heavyrff import kernels
 from heavyrff.kernels import kernel_profile
 
@@ -145,13 +144,13 @@ class TestKernelEval:
         family, kw = spec_args
         spec = KernelSpec(family, ShapeMatrix.identity(3), **kw)
         x = np.array([0.3, -1.0, 2.0])
-        assert kernel_eval(spec, x, x) == 1.0
+        assert kernel_matrix(spec, x[None], x[None])[0, 0] == 1.0
 
     def test_matern_32_closed_form(self):
         spec = KernelSpec("matern", ShapeMatrix.identity(2), nu=1.5)
         x, z = np.array([1.0, 0.0]), np.array([0.0, 0.5])
         t = np.linalg.norm(x - z)
-        assert kernel_eval(spec, x, z) == pytest.approx(
+        assert kernel_matrix(spec, x[None], z[None])[0, 0] == pytest.approx(
             (1 + np.sqrt(3) * t) * np.exp(-np.sqrt(3) * t), rel=1e-14)
 
     def test_matern_half_equals_laplacian(self):
@@ -161,7 +160,8 @@ class TestKernelEval:
         g = np.random.default_rng(1)
         for _ in range(100):
             x, z = g.standard_normal(4), g.standard_normal(4)
-            a, b = kernel_eval(mat, x, z), kernel_eval(lap, x, z)
+            a = kernel_matrix(mat, x[None], z[None])[0, 0]
+            b = kernel_matrix(lap, x[None], z[None])[0, 0]
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_exp_power_one_equals_laplacian(self):
@@ -170,20 +170,13 @@ class TestKernelEval:
         lap = KernelSpec("laplacian", sm)
         g = np.random.default_rng(2)
         x, z = g.standard_normal(3), g.standard_normal(3)
-        assert kernel_eval(ep, x, z) == kernel_eval(lap, x, z)
+        assert (kernel_matrix(ep, x[None], z[None])[0, 0]
+                == kernel_matrix(lap, x[None], z[None])[0, 0])
 
     def test_rejects_nan(self):
         spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
         with pytest.raises(ValueError):
-            kernel_eval(spec, np.array([np.nan, 0.0]), np.zeros(2))
-
-    @pytest.mark.parametrize("x, z", [(np.zeros(3), np.zeros(2)),
-                                      (np.zeros(2), np.zeros((1, 2)))], ids=["x-too-long", "z-2-D"])
-    def test_rejects_points_of_another_shape(self, x, z):
-        spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
-        with pytest.raises(ValueError, match=rf"^dimension mismatch: {re.escape(str(x.shape))} "
-                                             rf"vs {re.escape(str(z.shape))}, d=2$"):
-            kernel_eval(spec, x, z)
+            kernel_matrix(spec, np.array([np.nan, 0.0])[None], np.zeros(2)[None])
 
     def test_shift_invariance(self):
         g = np.random.default_rng(3)
@@ -194,8 +187,8 @@ class TestKernelEval:
                  KernelSpec("matern", sm, nu=2.2)]
         x, z, c = g.standard_normal(3), g.standard_normal(3), g.standard_normal(3)
         for spec in specs:
-            assert kernel_eval(spec, x + c, z + c) == pytest.approx(
-                kernel_eval(spec, x, z), abs=1e-12)
+            assert kernel_matrix(spec, (x + c)[None], (z + c)[None])[0, 0] == pytest.approx(
+                kernel_matrix(spec, x[None], z[None])[0, 0], abs=1e-12)
 
     def test_anisotropy_reduction(self):
         # K_M(x, z) = K_I(sqrt(M) x, sqrt(M) z) for the M-parameterized families
@@ -207,8 +200,9 @@ class TestKernelEval:
             spec_m = KernelSpec(fam, sm, **kw)
             spec_i = KernelSpec(fam, eye, **kw)
             x, z = g.standard_normal(3), g.standard_normal(3)
-            assert kernel_eval(spec_m, x, z) == pytest.approx(
-                kernel_eval(spec_i, sm.sqrtM @ x, sm.sqrtM @ z), rel=1e-10)
+            assert kernel_matrix(spec_m, x[None], z[None])[0, 0] == pytest.approx(
+                kernel_matrix(spec_i, (sm.sqrtM @ x)[None], (sm.sqrtM @ z)[None])[0, 0],
+                rel=1e-10)
 
     def test_bounds(self):
         g = np.random.default_rng(5)
@@ -219,7 +213,7 @@ class TestKernelEval:
         for spec in specs:
             for _ in range(20):
                 x, z = g.standard_normal(4), g.standard_normal(4)
-                v = kernel_eval(spec, x, z)
+                v = kernel_matrix(spec, x[None], z[None])[0, 0]
                 assert 0.0 < v < 1.0
 
 
@@ -440,7 +434,8 @@ class TestKernelMatrix:
         K = kernel_matrix(spec, X)
         for i in range(3):
             for j in range(3):
-                assert K[i, j] == pytest.approx(kernel_eval(spec, X[i], X[j]), abs=1e-12)
+                assert K[i, j] == pytest.approx(kernel_matrix(spec, X[i][None], X[j][None])[0, 0],
+                                                abs=1e-12)
 
     def test_positive_semidefinite(self):
         g = np.random.default_rng(7)
@@ -454,7 +449,8 @@ class TestKernelMatrix:
         spec = KernelSpec("matern", ShapeMatrix.identity(3), nu=2.5)
         K = kernel_matrix(spec, X, Z)
         assert K.shape == (4, 6)
-        assert K[1, 2] == pytest.approx(kernel_eval(spec, X[1], Z[2]), abs=1e-12)
+        assert K[1, 2] == pytest.approx(kernel_matrix(spec, X[1][None], Z[2][None])[0, 0],
+                                        abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -570,7 +566,7 @@ class TestKernelMatrix:
                                    ("matern", {"nu": 1.3})]),
            d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_matches_kernel_eval_property(self, family, d, seed):
-        # random SPD M; kernel_eval(spec, x, z) is kernel_matrix(spec, X)[i, j]
+        # random SPD M; one point pair's entry is kernel_matrix(spec, X)[i, j]
         name, kw = family
         g = np.random.default_rng(seed)
         A = g.standard_normal((d, d))
@@ -579,4 +575,5 @@ class TestKernelMatrix:
         K = kernel_matrix(spec, X)
         for i in range(5):
             for j in range(5):
-                assert kernel_eval(spec, X[i], X[j]) == pytest.approx(K[i, j], rel=1e-12)
+                assert kernel_matrix(spec, X[i][None], X[j][None])[0, 0] == pytest.approx(
+                    K[i, j], rel=1e-12)

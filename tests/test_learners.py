@@ -400,10 +400,34 @@ class TestMetrics:
          "probs must be a nonempty 2-D array, got shape (4,)"),
         (lambda: expected_calibration_error(np.full((4, 2), 0.5), np.zeros(3, int)),
          "labels must have 4 rows, one per row of probs; got shape (3,)"),
-    ], ids=["evaluate-0-rows", "ece-0-rows", "ece-1-D", "ece-labels"])
+        (lambda: r_squared(np.arange(4.0), np.zeros(1)),
+         "y_pred must have 4 rows, one per row of y_true; got shape (1,)"),
+        (lambda: evaluate(learners.LinearModel(np.ones((2, 1))), FeatureMatrix(np.eye(4, 2)),
+                          np.arange(3.0), "regression"),
+         "y_pred must have 3 rows, one per row of y_true; got shape (4,)"),
+        (lambda: one_hot(np.zeros((4, 1), int)), "labels must be 1-D, got shape (4, 1)"),
+        (lambda: expected_calibration_error(np.full((4, 2), 0.5), np.zeros((4, 1), int)),
+         "labels must be 1-D, got shape (4, 1)"),
+        (lambda: fit_logistic_features(FeatureMatrix(np.eye(4, 2)), (np.arange(4) % 2)[:, None],
+                                       1e-3),
+         "labels must be 1-D, got shape (4, 1)"),
+    ], ids=["evaluate-0-rows", "ece-0-rows", "ece-1-D", "ece-labels", "r2-lengths",
+            "evaluate-regression-lengths", "one_hot-column", "ece-label-column",
+            "logistic-label-column"])
     def test_metrics_refuse_what_they_cannot_score_by_name(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_evaluate_refuses_a_label_column_before_scoring(self):
+        # an (n, 1) column against n predictions would be compared n x n
+        class Unscored:
+            link = "identity"
+
+            def decision_function(self, inputs):
+                raise AssertionError("scored before the labels were checked")
+
+        with pytest.raises(ValueError, match=r"^labels must be 1-D, got shape \(4, 1\)$"):
+            evaluate(Unscored(), None, np.zeros((4, 1), int), "classification")
 
     def test_one_hot_rejects_float_and_negative_labels(self):
         with pytest.raises(ValueError, match="integers"):

@@ -73,7 +73,7 @@ class TestShapeMatrix:
             ShapeMatrix.identity(3).norm(np.zeros(2))
 
     def test_norm_refuses_a_0d_u_by_name(self):
-        with pytest.raises(ValueError, match=r"^dimension mismatch: u has shape \(\), d=2$"):
+        with pytest.raises(ValueError, match=r"^u must have shape \(\.\.\., 2\), got shape \(\)$"):
             ShapeMatrix.identity(2).norm(np.float64(1))
 
     def test_immutable(self):
