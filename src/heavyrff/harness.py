@@ -9,12 +9,13 @@ either scheme's feature operator with its target kernel.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from .features import build_operator, featurize, gram_approx
-from .kernels import TILE, KernelSpec, kernel_matrix
+from .kernels import TILE, KernelSpec, _distance_tiles, _scaled, kernel_matrix, kernel_profile
 from .rng import RngStream, count, matrix
 
 __all__ = [
@@ -46,6 +47,38 @@ def _asym_max(A: np.ndarray) -> float:
     return worst
 
 
+def _square_sum(T: np.ndarray) -> float:
+    """Square T = A[a:b, a:], rows [a, b) of a symmetric A from column a on,
+    in place, and return its share of ||A||_F^2.
+
+    The order is fixed: each row's squares in the diagonal block [a, b) are
+    added by numpy's pairwise ``sum``, and so are those right of it, which
+    count twice for the mirror image below the diagonal; row i gives
+    d_i + 2 o_i, and the rows are added in order. No BLAS call takes part, so
+    the sum does not depend on the BLAS kernel or thread count.
+    """
+    np.square(T, out=T)
+    w = T.shape[0]
+    rows = T[:, :w].sum(axis=1)
+    rows += 2.0 * T[:, w:].sum(axis=1)
+    total = 0.0
+    for value in rows.tolist():
+        total += value
+    return total
+
+
+def _frobenius(A: np.ndarray, in_place: bool = False) -> float:
+    """||A||_F of a symmetric n x n A, read from its upper triangle: the
+    ``_square_sum`` of each ``TILE``-row tile A[a:b, a:], added tile by tile
+    from the top. Each tile is squared in a copy, or in A itself when
+    ``in_place``."""
+    total = 0.0
+    for a in range(0, A.shape[0], TILE):
+        T = A[a:a + TILE, a:]
+        total += _square_sum(T if in_place else T.copy())
+    return math.sqrt(total)
+
+
 def _check_norms(norms: tuple[str, ...]) -> None:
     for name in norms:
         if name not in NORMS:
@@ -73,7 +106,7 @@ def _exact_side(K: np.ndarray, norms: tuple[str, ...]) -> dict[str, float]:
     """||K|| in each norm asked for, which every Gram's error against K shares:
     ||K||_2 is one Lanczos eigenvalue and ||K||_* the trace, the sum of the
     |eigenvalues| of a PSD K, as a kernel matrix is. K must be nonzero."""
-    k_norms = {"frobenius": np.linalg.norm, "operator": _top_eigenvalue, "nuclear": np.trace}
+    k_norms = {"frobenius": _frobenius, "operator": _top_eigenvalue, "nuclear": np.trace}
     return {name: k_norms[name](K) for name in norms}
 
 
@@ -84,13 +117,12 @@ def _gram_errors(K: np.ndarray, exact: dict[str, float],
 
     Only scores: the sweep's K and G are finite and exactly symmetric by
     construction, and ``rel_error`` checks a caller's matrices before this.
-    Consumes G: it is overwritten by G - K, so no n x n temporary is formed.
-    A caller that still needs G passes a copy.
+    Consumes G: it is overwritten by G - K, and for the Frobenius norm then
+    squared, so no n x n temporary is formed. A caller that still needs G
+    passes a copy.
     """
     diff = np.subtract(G, K, out=G)
     errs = dict.fromkeys(NORMS)  # None, not nan: JSON has no NaN token
-    if "frobenius" in exact:
-        errs["frobenius"] = float(np.linalg.norm(diff) / exact["frobenius"])
     if "operator" in exact or "nuclear" in exact:
         # one eigendecomposition of G - K serves both spectral norms; the
         # nuclear norm needs every eigenvalue
@@ -98,11 +130,21 @@ def _gram_errors(K: np.ndarray, exact: dict[str, float],
         for name, reduce in (("operator", np.max), ("nuclear", np.sum)):
             if name in exact:
                 errs[name] = float(reduce(ev_diff) / exact[name])
+    if "frobenius" in exact:
+        errs["frobenius"] = _frobenius(diff, in_place=True) / exact["frobenius"]
     return errs
 
 
 def rel_error(K: np.ndarray, G: np.ndarray, norm: str = "frobenius") -> float:
     """||G - K|| / ||K|| for symmetric matrices in the requested norm.
+
+    Both Frobenius norms are read from the upper triangle in one fixed order,
+    which the sweep shares, so its values equal this function's bit for bit
+    and do not depend on the BLAS thread count: ||A||_F^2 is summed over
+    ``TILE``-row tiles A[a:b, a:] from the top, each tile's rows in order,
+    and each row as its squares in the diagonal block [a, b) plus twice those
+    right of it, both by numpy's pairwise ``sum``. For a matrix symmetric
+    only within rounding, that is the norm of its upper triangle mirrored.
 
     The spectral norms of G - K come from its symmetric eigendecomposition
     (operator norm = max |eigenvalue|, nuclear norm = sum of |eigenvalues|).
@@ -147,6 +189,42 @@ def _timed(call, repeats: int):
     return result, float(np.median(times))
 
 
+def _tile_pass(spec: KernelSpec, metric: str, Xs: np.ndarray,
+               phis: dict[int, np.ndarray], repeats: int) -> tuple[list, dict, float, dict]:
+    """One walk over K's upper triangle in ``TILE``-row tiles [a, b), scoring
+    every Phi of ``phis`` against it without an n x n array.
+
+    Each K tile K[a:b, a:] is the profile of one ``_distance_tiles`` tile,
+    computed in place. For each Phi, G[a:b, a:] = Phi[a:b] Phi[a:]^T goes into
+    one reused tile buffer, K's tile is subtracted from it, and
+    ``_square_sum`` adds it to ||G - K||_F^2; K's tile then adds itself to
+    ||K||_F^2. Each K tile and each G tile is formed ``repeats`` times in a
+    row, and the r-th times are summed over the tiles. Returns those sums in
+    ms, for K's tiles (distances and profile) and for each Phi's G tiles,
+    then ||K||_F^2 and each ||G - K||_F^2.
+    """
+    n = Xs.shape[0]
+    buf = np.empty(min(TILE, n) * n)
+    k_ms, k_sq = [0.0] * repeats, 0.0
+    g_ms = {j: [0.0] * repeats for j in phis}
+    diff_sq = dict.fromkeys(phis, 0.0)
+    for a, b, distances in _distance_tiles(metric, Xs):
+        for r in range(repeats):
+            t0 = time.perf_counter()
+            K = distances()
+            kernel_profile(spec, K, out=K)
+            k_ms[r] += 1e3 * (time.perf_counter() - t0)
+        G = buf[:K.size].reshape(K.shape)
+        for j, phi in phis.items():
+            for r in range(repeats):
+                t0 = time.perf_counter()
+                np.matmul(phi[a:b], phi[a:].T, out=G)
+                g_ms[j][r] += 1e3 * (time.perf_counter() - t0)
+            diff_sq[j] += _square_sum(np.subtract(G, K, out=G))
+        k_sq += _square_sum(K)
+    return k_ms, g_ms, k_sq, diff_sq
+
+
 def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
                           p_grid: list[int], rng: RngStream,
                           norms: tuple[str, ...] = NORMS,
@@ -160,49 +238,87 @@ def measure_approximation(spec: KernelSpec, X: np.ndarray, scheme: str,
     build_ms, speedup``, in that order. Grid point j draws its operator from
     ``rng.substream(j)``; the build is timed once as ``build_ms`` and left out
     of ``speedup = exact_ms / (featurize_ms + gram_ms)``. The other times are
-    medians over ``repeats``: at each p those of featurize run first, then
-    those of the Gram of the last Phi.
+    medians over ``repeats``. The points are visited from the largest p down,
+    ties in grid order, and each point runs its featurize repeats first. K's
+    norms are computed once for the grid, so every row carries the same
+    ``exact_ms``. X goes through ``rng.matrix`` with d columns, and each p
+    through ``rng.count``, before any operator is built.
 
-    The points are visited from the largest p down, ties in grid order, and
-    K is assembled (its repeats timed as ``exact_ms``) only once the first
-    point's Gram has dropped its Phi. K's norms are computed once for the
-    grid, so every row carries the same ``exact_ms``. The sweep holds
-    at most the largest of Phi_max + G, G + K + one ``kernel_matrix`` tile's
-    temporaries, and K + G + the second-largest Phi: never K beside the
-    largest Phi. That is below the K + Phi_max + G of assembling K first
-    unless the largest Phi is smaller than one kernel tile's temporaries.
-    X goes through ``rng.matrix`` with d columns, and each p through
-    ``rng.count``, before any operator is built; what ``kernel_matrix``
-    refuses in X times sqrt(M) or in the profile comes after the largest
-    point's Gram.
-    K and G are scored without checks: ``kernel_matrix`` returns a finite,
-    exactly symmetric K with a unit diagonal, and G = Phi Phi^T is finite,
-    exactly symmetric, and within rounding of [-1, 1].
+    A sweep that asks for no spectral norm forms no n x n array. It
+    featurizes every point first, then walks K's upper triangle once in
+    ``TILE``-row tiles (``_tile_pass``): each K tile is computed once, and
+    every point's G tile is formed and scored against it. It holds the sum
+    of the Phi plus two ``TILE`` x n tile buffers. The sum of the Phi exceeds
+    the largest Phi + G that the dense path below holds only when
+    2 (sum of p - largest p) > n; the two tiles add 2 ``TILE`` n doubles.
+    Each tile is formed ``repeats`` times in a row: ``exact_ms`` is the
+    median over the repeats of the time of K's tiles, their distances and
+    profile, and ``gram_ms`` the median over the repeats of the time of that
+    point's G tiles. Scoring is not timed. X times sqrt(M) is refused, as
+    ``kernel_matrix`` refuses it, before any operator is built.
+
+    A sweep that asks for the operator or nuclear norm forms each point's G
+    (``gram_ms``, its repeats on the last Phi) and drops that Phi before G is
+    scored. K is assembled by ``kernel_matrix``, its repeats timed as
+    ``exact_ms``, only once the first point's Gram has dropped its Phi. The
+    sweep holds at most the largest of Phi_max + G, G + K + one
+    ``kernel_matrix`` tile's temporaries, and K + G + the second-largest Phi:
+    never K beside the largest Phi. What ``kernel_matrix`` refuses in X times
+    sqrt(M) or in the profile comes after the largest point's Gram.
+
+    K and G are scored without checks: K's tiles are finite and exactly
+    symmetric with a unit diagonal, and G = Phi Phi^T is finite, exactly
+    symmetric, and within rounding of [-1, 1]. Both paths score the
+    Frobenius norm by ``rel_error``'s tile rule, on bit-equal tiles, so they
+    give the same value bit for bit.
     """
     _check_norms(norms)
     repeats = count("repeats", repeats)
     X = matrix("X", X, spec.dim)
-    exact = exact_ms = None
-    rows = [None] * len(p_grid)
     # sorted() computes every key, refusing a bad p, before it compares
-    for j in sorted(range(len(p_grid)), key=lambda j: -count("feature count p", p_grid[j])):
+    order = sorted(range(len(p_grid)), key=lambda j: -count("feature count p", p_grid[j]))
+    tiled = not {"operator", "nuclear"} & set(norms)
+    if tiled:
+        metric, Xs, _ = _scaled(spec, X)
+    built = {}
+
+    def featurized(j):
         op_rng = rng.substream(j)
         op, build_ms = _timed(lambda: build_operator(scheme, spec, p_grid[j], op_rng), 1)
         phi, featurize_ms = _timed(lambda: featurize(op, X), repeats)
-        G, gram_ms = _timed(lambda: gram_approx(phi), repeats)
-        del phi  # only G is scored
-        if exact is None:
-            K, exact_ms = _timed(lambda: kernel_matrix(spec, X), repeats)
-            exact = _exact_side(K, norms)
-        errs = _gram_errors(K, exact, G)
-        del G  # free this point's Gram before the next p is built
-        rows[j] = {
-            "n": X.shape[0], "p": op.p, "kernel": spec.family, "scheme": scheme,
-            **{f"rel_{norm}": errs[norm] for norm in NORMS},
+        built[j] = op.p, op_rng, build_ms, featurize_ms
+        return phi
+
+    errs, gram_ms = {}, {}
+    if tiled:
+        phis = {j: featurized(j).phi for j in order}
+        k_ms, g_ms, k_sq, diff_sq = _tile_pass(spec, metric, Xs, phis, repeats)
+        exact_ms = float(np.median(k_ms))
+        for j in order:
+            gram_ms[j] = float(np.median(g_ms[j]))
+            errs[j] = {norm: math.sqrt(diff_sq[j]) / math.sqrt(k_sq) if norm in norms
+                       else None for norm in NORMS}
+    else:
+        exact = None
+        for j in order:
+            phi = featurized(j)
+            G, gram_ms[j] = _timed(lambda: gram_approx(phi), repeats)
+            del phi  # only G is scored
+            if exact is None:
+                K, exact_ms = _timed(lambda: kernel_matrix(spec, X), repeats)
+                exact = _exact_side(K, norms)
+            errs[j] = _gram_errors(K, exact, G)
+            del G  # free this point's Gram before the next p is built
+    rows = []
+    for j in range(len(p_grid)):
+        p, op_rng, build_ms, featurize_ms = built[j]
+        rows.append({
+            "n": X.shape[0], "p": p, "kernel": spec.family, "scheme": scheme,
+            **{f"rel_{norm}": errs[j][norm] for norm in NORMS},
             "seed": op_rng.seed, "stream_id": op_rng.stream_id,
             "exact_ms": exact_ms, "featurize_ms": featurize_ms,
-            "gram_ms": gram_ms, "build_ms": build_ms,
-            "speedup": exact_ms / (featurize_ms + gram_ms)}
+            "gram_ms": gram_ms[j], "build_ms": build_ms,
+            "speedup": exact_ms / (featurize_ms + gram_ms[j])})
     return rows
 
 

@@ -8,6 +8,7 @@ Matern family built on the modified Bessel function of the second kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,9 +35,10 @@ MATERN = "matern"
 
 FAMILIES = (GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, EXP_POWER, MATERN)
 
-# Rows per tile of kernel_matrix and the side of the square tiles harness's
-# symmetry check compares; beside K, kernel_matrix holds at most one tile buffer
-# and the Matern profile's tile temporaries.
+# Rows per tile of K's upper triangle, which kernel_matrix and harness's
+# Frobenius rule walk, and the side of the square tiles harness's symmetry check
+# compares; beside K, kernel_matrix holds at most one tile buffer and the Matern
+# profile's tile temporaries.
 TILE = 256
 
 # The nu envelope KernelSpec and matern_profile accept. A subnormal nu overflows the profile
@@ -262,6 +264,44 @@ def kernel_profile(spec: KernelSpec, r: float | np.ndarray,
     return float(out) if out.ndim == 0 else out
 
 
+def _scaled(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None
+            ) -> tuple[str, np.ndarray, np.ndarray]:
+    """``(metric, Xs, Zs)``: X and Z (Z defaults to X) as ``cdist`` reads them.
+
+    X and Z go through ``rng.matrix`` with d columns. The l1 family reads them
+    as they are, under the cityblock metric; every other family reads them
+    times sqrt(M), under the Euclidean one, and rows whose product overflows
+    are refused. Zs is Xs when Z is X.
+    """
+    X = matrix("X", X, spec.dim)
+    Z = X if Z is None else matrix("Z", Z, spec.dim)
+    if spec.family == L1_LAPLACIAN:
+        return "cityblock", X, Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xs = X @ spec.shape.sqrtM
+        Zs = Xs if Z is X else Z @ spec.shape.sqrtM
+    if not (np.isfinite(Xs).all() and np.isfinite(Zs).all()):
+        raise ValueError("inputs times sqrt(M) must be finite")
+    return "euclidean", Xs, Zs
+
+
+def _distance_tiles(metric: str, Xs: np.ndarray):
+    """Yield ``(a, b, distances)`` for each ``TILE``-row tile [a, b) of the
+    n x n distance matrix's upper triangle. Each call of ``distances()``
+    computes the distances of rows [a, b) to rows a on, (b - a) x (n - a), into
+    one reused ``TILE`` x n buffer and returns that view; the next tile's calls
+    overwrite it. ``cdist`` computes each pair alone, so every tile is
+    bit-equal to its block of the whole distance matrix."""
+    from scipy.spatial.distance import cdist
+
+    n = Xs.shape[0]
+    buf = np.empty(min(TILE, n) * n)
+    for a in range(0, n, TILE):
+        b = min(a + TILE, n)
+        r = buf[:(b - a) * (n - a)].reshape(b - a, n - a)
+        yield a, b, partial(cdist, Xs[a:b], Xs[a:], metric=metric, out=r)
+
+
 def kernel_matrix(spec: KernelSpec, X: np.ndarray,
                   Z: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix with entries K(X_i, Z_j); Z defaults to X.
@@ -269,29 +309,16 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
     K is filled ``TILE`` rows at a time, and each tile is written once, where
     it ends up. Against Z, ``cdist`` writes a tile's distances into K's rows
     and the profile maps them in place, so K is the only array of its size.
-    When Z is X, tile [a, b) computes the rows' distances from column a on
-    into one reused ``TILE`` x n buffer, the profile writes them into
-    K[a:b, a:], and they are mirrored into the rows below, so each entry is
-    computed once and K is held with one tile buffer beside it. ``cdist``
-    computes each pair alone and the profile works entry by entry, so K is
-    bit-equal to the profile of the whole distance matrix, and exactly
-    symmetric when Z is X. X and Z go through ``rng.matrix`` with d columns,
-    and rows whose product with sqrt(M) overflows are refused, before any tile
-    is built, so K is finite.
+    When Z is X, the profile writes each tile of ``_distance_tiles`` into
+    K[a:b, a:], and it is mirrored into the rows below, so each entry is
+    computed once and K is held with one tile buffer beside it. The profile
+    works entry by entry, so K is bit-equal to the profile of the whole
+    distance matrix, and exactly symmetric when Z is X. X and Z are checked
+    and scaled by ``_scaled`` before any tile is built, so K is finite.
     """
     from scipy.spatial.distance import cdist
 
-    X = matrix("X", X, spec.dim)
-    Z = X if Z is None else matrix("Z", Z, spec.dim)
-    if spec.family == L1_LAPLACIAN:
-        metric, Xs, Zs = "cityblock", X, Z
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            Xs = X @ spec.shape.sqrtM
-            Zs = Xs if Z is X else Z @ spec.shape.sqrtM
-        if not (np.isfinite(Xs).all() and np.isfinite(Zs).all()):
-            raise ValueError("inputs times sqrt(M) must be finite")
-        metric = "euclidean"
+    metric, Xs, Zs = _scaled(spec, X, Z)
     n = Xs.shape[0]
     K = np.empty((n, Zs.shape[0]))
     if Zs is not Xs:
@@ -299,10 +326,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray,
             r = cdist(Xs[a:a + TILE], Zs, metric=metric, out=K[a:a + TILE])
             kernel_profile(spec, r, out=r)
         return K
-    buf = np.empty(min(TILE, n) * n)
-    for a in range(0, n, TILE):
-        b = min(a + TILE, n)
-        r = buf[:(b - a) * (n - a)].reshape(b - a, n - a)
-        kernel_profile(spec, cdist(Xs[a:b], Xs[a:], metric=metric, out=r), out=K[a:b, a:])
+    for a, b, distances in _distance_tiles(metric, Xs):
+        kernel_profile(spec, distances(), out=K[a:b, a:])
         K[b:, a:b] = K[a:b, b:].T
     return K

@@ -37,17 +37,17 @@ __all__ = [
 DESK_SCALE_CAP = 20_000
 
 
-def _labels(labels) -> np.ndarray:
-    """``labels`` as an array if it is 1-D: an (n, 1) column would broadcast
+def _one_d(name: str, A) -> np.ndarray:
+    """``A`` as an array if it is 1-D: an (n, 1) column would broadcast
     against n predictions to an n x n comparison."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    return labels
+    A = np.asarray(A)
+    if A.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {A.shape}")
+    return A
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
-    labels = _labels(labels)
+    labels = _one_d("labels", labels)
     if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     if labels.size == 0:
@@ -279,7 +279,7 @@ def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
     entry per row."""
     n_bins = count("n_bins", n_bins)
     probs = matrix("probs", probs)
-    labels = _labels(labels)
+    labels = _one_d("labels", labels)
     _check_rows("labels", labels, "probs", probs.shape[0])
     conf = probs.max(axis=1)
     pred = probs.argmax(axis=1)
@@ -298,10 +298,12 @@ def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination; ``y_pred`` has one entry per entry of ``y_true``."""
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    y_pred = np.asarray(y_pred, dtype=float).ravel()
+    """Coefficient of determination of 1-D targets; ``y_pred`` has the shape
+    of ``y_true``, one entry per entry and no other axis."""
+    y_true = _one_d("y_true", np.asarray(y_true, dtype=float))
+    y_pred = np.asarray(y_pred, dtype=float)
     _check_rows("y_pred", y_pred, "y_true", y_true.shape[0])
+    y_pred = _one_d("y_pred", y_pred)
     sst = float(((y_true - y_true.mean()) ** 2).sum())
     if sst == 0.0:
         raise ValueError("R^2 is undefined for constant targets")
@@ -315,13 +317,15 @@ def evaluate(model, inputs, y_test: np.ndarray, task: str) -> dict:
     ``inputs`` is whatever the model consumes: the test FeatureMatrix for
     feature models, raw X for exact kernel models; the model's
     ``decision_function`` sends it through ``rng.matrix``. Classification
-    labels must be 1-D, and are refused before any score is computed. The
-    scores are computed once, so an exact model builds its test kernel once.
+    labels must be 1-D, and are refused before any score is computed. R^2
+    scores one output: a model with more output columns is refused before
+    any metric. The scores are computed once, so an exact model builds its
+    test kernel once.
     """
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
     if task == "classification":
-        y_test = _labels(y_test)
+        y_test = _one_d("labels", y_test)
     scores = model.decision_function(inputs)
     if task == "classification":
         pred = scores.argmax(axis=1)
@@ -330,4 +334,9 @@ def evaluate(model, inputs, y_test: np.ndarray, task: str) -> dict:
             "accuracy": float((pred == y_test).mean()),
             "ece": expected_calibration_error(probs, y_test),
         }
-    return {"r2": r_squared(y_test, scores[:, 0] if scores.ndim == 2 else scores)}
+    if scores.ndim == 2:
+        if scores.shape[1] != 1:
+            raise ValueError(f"regression needs one output column, got scores of shape "
+                             f"{scores.shape}")
+        scores = scores[:, 0]
+    return {"r2": r_squared(y_test, scores)}

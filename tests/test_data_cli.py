@@ -996,7 +996,7 @@ class TestSweepsReadOnlyX:
 
     # the rows of `approx --n 50 --d 3` before the sweeps dropped --task, but for
     # rel_nuclear, whose denominator is K's trace, not the sum of |eigvalsh(K)|
-    PINNED = {"rel_frobenius": 0.06365126184526489, "rel_operator": 0.04360894893298836,
+    PINNED = {"rel_frobenius": 0.0636512618452649, "rel_operator": 0.04360894893298836,
               "rel_nuclear": 0.10014801536298482}
 
     @pytest.mark.parametrize("command", ["approx", "bench"])

@@ -1,16 +1,25 @@
+import ast
+import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import heavyrff
 import heavyrff.harness as harness
 from heavyrff import (KernelSpec, RngStream, ShapeMatrix, cf_check, featurize,
                       gram_approx, kernel_matrix, psi, rel_error)
 from heavyrff.features import FeatureMatrix, build_operator
 from heavyrff.learners import fit_krr_exact, fit_ridge_features
 from heavyrff.harness import measure_approximation
+from heavyrff.kernels import TILE
 
 NORMS = ("frobenius", "operator", "nuclear")
 
@@ -141,6 +150,23 @@ class TestRelErrorRefusals:
             rel_error(np.diag([1.0, -1.0]), np.eye(2), "nuclear")
 
 
+def frobenius_in_documented_order(A):
+    """||A||_F of a symmetric A as rel_error documents it, one row at a time:
+    TILE-row tiles from the top, each tile's rows in order, each row its
+    squares in the diagonal block plus twice those right of it, each by
+    numpy's pairwise sum of a 1-D array."""
+    n = A.shape[0]
+    total = 0.0
+    for a in range(0, n, TILE):
+        b = min(a + TILE, n)
+        tile = 0.0
+        for i in range(a, b):
+            sq = A[i, a:] ** 2
+            tile += np.sum(sq[:b - a]) + 2.0 * np.sum(sq[b - a:])
+        total += tile
+    return math.sqrt(total)
+
+
 def anisotropic_shape(d, seed):
     """M with condition number 100 in a random basis."""
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
@@ -164,7 +190,7 @@ class TestExactSideDenominators:
         ev = np.abs(np.linalg.eigvalsh(K))
         assert exact["operator"] == pytest.approx(ev.max(), rel=1e-13, abs=0)
         assert exact["nuclear"] == pytest.approx(ev.sum(), rel=1e-13, abs=0)
-        assert exact["frobenius"] == np.linalg.norm(K)
+        assert exact["frobenius"] == frobenius_in_documented_order(K)
 
     def test_indefinite_k(self):
         g = np.random.default_rng(8)
@@ -361,7 +387,8 @@ class TestMeasureApproximation:
     def test_exact_side_computed_once(self, monkeypatch, norms, eigh_calls):
         spec, X = sweep_inputs()
         eigsh_calls = int("operator" in norms)
-        calls = {"kernel_matrix": 0, "eigvalsh": 0, "eigsh": 0}
+        # K is formed once: by kernel_matrix, or by one walk over its tiles
+        calls = {"K": 0, "eigvalsh": 0, "eigsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -369,15 +396,32 @@ class TestMeasureApproximation:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(harness, "kernel_matrix",
-                            counted("kernel_matrix", harness.kernel_matrix))
+        monkeypatch.setattr(harness, "kernel_matrix", counted("K", harness.kernel_matrix))
+        monkeypatch.setattr(harness, "_distance_tiles", counted("K", harness._distance_tiles))
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                             counted("eigsh", scipy.sparse.linalg.eigsh))
         measure_approximation(spec, X, "rff", [32, 128, 512], RngStream(136),
                               norms=norms)
-        assert calls == {"kernel_matrix": 1, "eigvalsh": eigh_calls, "eigsh": eigsh_calls}
+        assert calls == {"K": 1, "eigvalsh": eigh_calls, "eigsh": eigsh_calls}
+
+    @pytest.mark.parametrize("scheme", ["rff", "orf"])
+    def test_frobenius_is_bit_equal_on_either_path(self, scheme):
+        # 600 rows make three tiles, the last one partial; a spectral norm
+        # sends the sweep down the dense path
+        X = np.random.default_rng(15).standard_normal((600, 4))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        spec = KernelSpec("matern", ShapeMatrix.identity(4), nu=1.5)
+        rng, p_grid = RngStream(145), [8, 64]
+        tiled = measure_approximation(spec, X, scheme, p_grid, rng, norms=("frobenius",))
+        dense = measure_approximation(spec, X, scheme, p_grid, rng,
+                                      norms=("frobenius", "operator"))
+        K = kernel_matrix(spec, X)
+        for j, p in enumerate(p_grid):
+            G = gram_approx(featurize(build_operator(scheme, spec, p, rng.substream(j)), X))
+            assert tiled[j]["rel_frobenius"] == dense[j]["rel_frobenius"] == rel_error(K, G)
+            assert tiled[j]["rel_operator"] is None
 
     def test_rejects_unknown_norm(self):
         spec, X = sweep_inputs()
@@ -523,6 +567,61 @@ class TestSweepMemory:
                                 RngStream(9), norms=norms)
         assert peak <= phi_bytes + G_bytes + 2 ** 20
 
+    @pytest.mark.parametrize("scheme", ["rff", "orf"])
+    def test_frobenius_sweep_holds_its_phis_and_two_tiles(self, scheme, traced_growth):
+        # n >> p: the tiled walk holds every Phi and two TILE x n buffers, where
+        # K + G alone would take 64 MB
+        n, d, p_grid = 2000, 8, [16, 64]
+        X = np.random.default_rng(8).standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        spec = KernelSpec("laplacian", ShapeMatrix.identity(d))
+        phis_bytes, tiles_bytes = n * 2 * sum(p_grid) * 8, 2 * TILE * n * 8
+        _, peak = traced_growth(measure_approximation, spec, X, scheme, p_grid,
+                                RngStream(9), norms=("frobenius",), repeats=2)
+        assert peak <= phis_bytes + tiles_bytes + 2 ** 20
+
+
+# a Frobenius-only sweep, run in a fresh interpreter under a given BLAS thread count
+THREADED_SWEEP = """
+import json
+import numpy as np
+from heavyrff import KernelSpec, RngStream, ShapeMatrix
+from heavyrff.harness import measure_approximation
+X = np.random.default_rng(11).standard_normal((2000, 16))
+X /= np.linalg.norm(X, axis=1, keepdims=True)
+rows = measure_approximation(KernelSpec("laplacian", ShapeMatrix.identity(16)), X, "orf",
+                             [64, 256, 1024], RngStream(12), norms=("frobenius",))
+print(json.dumps(rows))
+"""
+
+
+def test_blas_thread_count_moves_no_sweep_value():
+    # numpy's 2-D Frobenius norm is one threaded BLAS dot product, whose bits
+    # depend on the thread count; the tile rule adds in one fixed order
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heavyrff.__file__)))
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADED_SWEEP], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        rows.append([{key: value for key, value in row.items()
+                      if not key.endswith("_ms") and key != "speedup"}
+                     for row in json.loads(proc.stdout)])
+    assert [row["p"] for row in rows[0]] == [64, 256, 1024]
+    assert rows[0] == rows[1]
+
+
+def test_the_frobenius_rule_is_written_once():
+    # every Frobenius norm harness takes goes through its tile rule, which
+    # adds in one fixed order; numpy's threaded dot product does not
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    attributes = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                for alias in node.names}
+    assert not {"np.linalg.norm", "numpy.linalg.norm"} & attributes
+    assert "norm" not in imported
+
 
 class TestBenchSpeedup:
     """The sweep as ``bench`` runs it: Frobenius only, timed over repeats."""
@@ -546,10 +645,11 @@ class TestBenchSpeedup:
         assert errs[-1] < errs[0]
 
     def test_exact_side_once_and_errors_match_rel_error(self, monkeypatch):
+        # one walk over K's tiles serves every p and both repeats
         spec, X = sweep_inputs()
         calls = []
-        real = harness._exact_side
-        monkeypatch.setattr(harness, "_exact_side",
+        real = harness._distance_tiles
+        monkeypatch.setattr(harness, "_distance_tiles",
                             lambda *args: calls.append(1) or real(*args))
         rng = RngStream(138)
         p_grid = [32, 128, 512]

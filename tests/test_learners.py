@@ -411,9 +411,21 @@ class TestMetrics:
         (lambda: fit_logistic_features(FeatureMatrix(np.eye(4, 2)), (np.arange(4) % 2)[:, None],
                                        1e-3),
          "labels must be 1-D, got shape (4, 1)"),
+        # raveled, these four predictions used to score R^2 = -1.8
+        (lambda: r_squared(np.arange(4.0), np.zeros((2, 2))),
+         "y_pred must have 4 rows, one per row of y_true; got shape (2, 2)"),
+        (lambda: r_squared(np.arange(4.0), np.zeros((4, 1))),
+         "y_pred must be 1-D, got shape (4, 1)"),
+        (lambda: r_squared(np.arange(4.0)[:, None], np.zeros(4)),
+         "y_true must be 1-D, got shape (4, 1)"),
+        # only column 0 of three used to be scored
+        (lambda: evaluate(learners.LinearModel(np.ones((2, 3))), FeatureMatrix(np.eye(4, 2)),
+                          np.arange(4.0), "regression"),
+         "regression needs one output column, got scores of shape (4, 3)"),
     ], ids=["evaluate-0-rows", "ece-0-rows", "ece-1-D", "ece-labels", "r2-lengths",
             "evaluate-regression-lengths", "one_hot-column", "ece-label-column",
-            "logistic-label-column"])
+            "logistic-label-column", "r2-shape", "r2-column", "r2-true-column",
+            "evaluate-regression-outputs"])
     def test_metrics_refuse_what_they_cannot_score_by_name(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
@@ -428,6 +440,14 @@ class TestMetrics:
 
         with pytest.raises(ValueError, match=r"^labels must be 1-D, got shape \(4, 1\)$"):
             evaluate(Unscored(), None, np.zeros((4, 1), int), "classification")
+
+    def test_evaluate_refuses_several_outputs_before_any_metric(self, monkeypatch):
+        # theta of shape (2, 3) scores three outputs; R^2 of the first alone read 0.0
+        monkeypatch.setattr(learners, "r_squared", lambda *args: pytest.fail("R^2 computed"))
+        model = learners.LinearModel(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^regression needs one output column, got "
+                                             r"scores of shape \(4, 3\)$"):
+            evaluate(model, FeatureMatrix(np.eye(4, 2)), np.arange(4.0), "regression")
 
     def test_one_hot_rejects_float_and_negative_labels(self):
         with pytest.raises(ValueError, match="integers"):
