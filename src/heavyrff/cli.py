@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,9 +46,13 @@ def _load_shape(d: int, m_file: str | None) -> ShapeMatrix:
     if m_file is None:
         return ShapeMatrix.identity(d)
     try:
-        M = np.loadtxt(m_file, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # numpy warns of a file with no numbers, refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            M = np.loadtxt(m_file, delimiter=",", ndmin=2)
     except ValueError as exc:  # a cell that is not a number, or bytes that are not UTF-8
         raise ValueError(f"--m-file {m_file}: {exc}") from exc
+    if M.size == 0:
+        raise ValueError(f"--m-file {m_file} holds no numbers")
     if M.shape == (1, d):  # a single row is read as a diagonal
         return ShapeMatrix.diagonal(M[0])
     if M.shape != (d, d):

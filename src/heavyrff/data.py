@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import RngStream, count
+from .rng import RngStream, count, real
 
 __all__ = [
     "DataError",
@@ -88,7 +88,11 @@ def load_csv(path, label_col: int | str = -1, task: str = "classification") -> D
     file with no data rows, a label column outside ``-n_cols .. n_cols - 1``
     and bytes that are not UTF-8. Every line named is a file line: a row's
     is the one its record starts on, though a quoted cell may span breaks.
+    A ``task`` other than "classification" or "regression" is refused before
+    the file is opened.
     """
+    if task not in ("classification", "regression"):
+        raise DataError(f"unknown task {task!r}")
     with open(path, "rb") as fh:
         reader = csv.reader(_text_lines(path, fh))
         header = next(reader, None)
@@ -174,8 +178,11 @@ def subsample(ds: DataSet, cap: int, rng: RngStream) -> DataSet:
 
 def train_test_split(ds: DataSet, test_fraction: float,
                      rng: RngStream) -> tuple[DataSet, DataSet]:
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError("test_fraction must lie in (0, 1)")
+    """A seeded split of ``ds`` into (train, test). The test side holds
+    ``test_fraction`` of the rows, rounded, and at least one; ``test_fraction``
+    is a real number in (0, 1) by ``rng.real``, and one that leaves no training
+    row is refused."""
+    test_fraction = real("test_fraction", test_fraction, "(0, 1)")
     n_test = max(1, int(round(test_fraction * ds.n)))
     if n_test >= ds.n:
         raise ValueError(f"test_fraction {test_fraction} leaves no training rows "
@@ -204,13 +211,12 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
 
     A positive ``margin`` rejects points whose top-two class scores are closer
     than it, which controls how hard the decision boundary is. ValueError ends
-    a margin that is not >= 0 and finite, 64 rounds of ``2 * n`` candidates in
-    a row that keep no point, and a margin with one class, which has no second
-    score.
+    a margin outside [0, inf) (by ``rng.real``), 64 rounds of ``2 * n``
+    candidates in a row that keep no point, and a margin with one class, which
+    has no second score.
     """
     n, d, n_classes = count("n", n), count("d", d), count("n_classes", n_classes)
-    if not 0 <= margin < np.inf:
-        raise ValueError(f"margin must be >= 0 and finite, got {margin}")
+    margin = real("margin", margin, "[0, inf)")
     if margin > 0.0 and n_classes < 2:
         raise ValueError(f"margin {margin} needs at least 2 classes, got {n_classes}")
     g = rng.generator
@@ -236,10 +242,9 @@ def make_classification(n: int, d: int, n_classes: int, rng: RngStream,
 def make_regression(n: int, d: int, rng: RngStream,
                     noise: float = 0.05) -> DataSet:
     """Synthetic regression data from a smooth target plus Gaussian noise of
-    standard deviation ``noise`` (>= 0 and finite); ``n`` and ``d`` are counts."""
+    standard deviation ``noise`` in [0, inf) by ``rng.real``; ``n`` and ``d`` are counts."""
     n, d = count("n", n), count("d", d)
-    if not 0 <= noise < np.inf:
-        raise ValueError(f"noise must be >= 0 and finite, got {noise}")
+    noise = real("noise", noise, "[0, inf)")
     g = rng.generator
     X = g.standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)

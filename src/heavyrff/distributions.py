@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, real
 
 __all__ = [
     "StableParams",
@@ -28,24 +28,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StableParams:
-    """Parameters of the zero-location stable law S(alpha, beta, sigma)."""
+    """Parameters of the zero-location stable law S(alpha, beta, sigma), stored as
+    floats: alpha in (0, 2], beta in [-1, 1] and sigma in (0, inf) by ``rng.real``."""
 
     alpha: float
     beta: float = 0.0
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not (-1.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        for name, interval in (("alpha", "(0, 2]"), ("beta", "[-1, 1]"), ("sigma", "(0, inf)")):
+            object.__setattr__(self, name, real(name, getattr(self, name), interval))
 
 
 @dataclass(frozen=True)
 class GbpParams:
-    """Parameters of the generalized Beta-prime law GBP(alpha, beta, p, q)."""
+    """Parameters of the generalized Beta-prime law GBP(alpha, beta, p, q), stored
+    as floats, each in (0, inf) by ``rng.real``."""
 
     alpha: float
     beta: float
@@ -54,20 +52,17 @@ class GbpParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "p", "q"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+            object.__setattr__(self, name, real(name, getattr(self, name), "(0, inf)"))
 
 
 def sample_chi(k: float, rng: RngStream, size: int) -> np.ndarray:
-    """Draw ``size`` values from the Chi distribution with ``k > 0`` degrees of freedom.
+    """Draw ``size`` values from the Chi distribution with k degrees of freedom,
+    k in (0, inf) by ``rng.real``.
 
     Squaring a draw yields a chi-squared(k) draw; for integer k this is the
     norm of a standard Gaussian vector in k dimensions.
     """
-    if not 0 < k < np.inf:
-        raise ValueError(f"degrees of freedom must be positive and finite, got {k}")
-    return np.sqrt(rng.generator.chisquare(k, size=size))
+    return np.sqrt(rng.generator.chisquare(real("k", k, "(0, inf)"), size=size))
 
 
 def sample_gbp(params: GbpParams, rng: RngStream, size: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .kernels import EXP_POWER, GAUSSIAN, L1_LAPLACIAN, LAPLACIAN, MATERN, Kerne
 from .multivariate import (HaarBlockMatrix, ShapeMatrix, sample_ec_stable,
                            sample_haar_blocks, sample_mv_cauchy, sample_mv_t,
                            sample_mvn, sample_stable_mixing)
-from .rng import RngStream, count, real_array, vectors
+from .rng import RngStream, count, is_integer, real_array, vectors
 
 __all__ = [
     "FeatureOperator",
@@ -270,12 +270,14 @@ def operator_record(op: FeatureOperator) -> dict:
 def operator_from_record(record: dict) -> FeatureOperator:
     """Rebuild an operator by re-sampling from the recorded seeds.
 
-    Only the record's own format is checked here; each value is refused by
-    name by the constructor or builder that takes it."""
+    Only the record's own format is checked here, its version being the integer
+    ``RECORD_VERSION`` (``rng.is_integer``: not ``true`` or ``1.0``); each value
+    is refused by name by the constructor or builder that takes it."""
     if not isinstance(record, dict) or record.get("format") != RECORD_FORMAT:
         raise ValueError("not an operator record")
-    if record.get("version") != RECORD_VERSION:
-        raise ValueError(f"unsupported record version {record.get('version')}")
+    version = record.get("version")
+    if not is_integer(version) or version != RECORD_VERSION:
+        raise ValueError(f"unsupported record version {version}")
     if record.get("layout") != LAYOUT:
         raise ValueError(f"unsupported feature layout {record.get('layout')}")
     scheme, kernel, p, seed, stream_id = _fields(

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .multivariate import ShapeMatrix
-from .rng import is_real, matrix
+from .rng import matrix, real
 
 __all__ = [
     "GAUSSIAN",
@@ -46,45 +46,44 @@ TILE = 256
 # profile overflows in a widening band of r.
 _MATERN_NU_MIN = float(np.finfo(float).tiny)
 _MATERN_NU_MAX = 1e4
+_MATERN_NU = f"[{_MATERN_NU_MIN!r}, {_MATERN_NU_MAX!r}]"  # repr parses back to each bound
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family plus exactly the parameters that family needs, as floats."""
+    """A kernel family plus exactly the parameters that family needs, as floats
+    checked by ``rng.real``: alpha in (0, 2] for exp_power, nu in the Matern
+    envelope [_MATERN_NU_MIN, _MATERN_NU_MAX] for matern. Any other family
+    refuses either one."""
 
     family: str
     shape: ShapeMatrix
-    alpha: float | None = None  # exp_power only, in (0, 2]
-    nu: float | None = None     # matern only, in [_MATERN_NU_MIN, _MATERN_NU_MAX]
+    alpha: float | None = None  # exp_power only
+    nu: float | None = None     # matern only
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        for name in ("alpha", "nu"):
+        for name, family, interval in (("alpha", EXP_POWER, "(0, 2]"),
+                                       ("nu", MATERN, _MATERN_NU)):
             value = getattr(self, name)
-            if value is not None:
-                if not is_real(value):
-                    raise ValueError(f"{name} must be a real number, got {value!r}")
-                object.__setattr__(self, name, float(value))  # frozen: set once, here
-        if self.family == EXP_POWER:
-            if self.alpha is None or not (0.0 < self.alpha <= 2.0):
-                raise ValueError(f"exp_power needs alpha in (0, 2], got {self.alpha}")
-        elif self.alpha is not None:
-            raise ValueError(f"alpha is only valid for exp_power, not {self.family}")
-        if self.family == MATERN:
-            _check_matern_nu(self.nu)
-        elif self.nu is not None:
-            raise ValueError(f"nu is only valid for matern, not {self.family}")
+            if self.family == family:  # frozen: set once, here
+                object.__setattr__(self, name, real(name, value, interval))
+            elif value is not None:
+                raise ValueError(f"{name} is only valid for {family}, not {self.family}")
 
     @property
     def dim(self) -> int:
         return self.shape.dim
 
 
-def _check_matern_nu(nu: float | None) -> None:
-    """Refuse nu outside [_MATERN_NU_MIN, _MATERN_NU_MAX], the Matern family's one envelope."""
-    if nu is None or not _MATERN_NU_MIN <= nu <= _MATERN_NU_MAX:
-        raise ValueError(f"matern needs nu in [{_MATERN_NU_MIN}, {_MATERN_NU_MAX:g}], got nu={nu}")
+def _distances(r) -> np.ndarray:
+    """``r`` as a float array if no entry is negative or NaN. That is read from
+    ``r.min()``, which NaN propagates through, so no mask of r's size is formed."""
+    r = np.asarray(r, dtype=float)
+    if r.size and not r.min() >= 0.0:
+        raise ValueError("distance must be non-negative and not NaN")
+    return r
 
 
 def _matern_bessel(nu: float, r: np.ndarray) -> np.ndarray:
@@ -197,17 +196,16 @@ def matern_profile(nu: float, r: float | np.ndarray) -> float | np.ndarray:
     overflows. Any other nu starts on ``kve`` and takes from the ladder the
     tiny t where ``kve`` overflows.
 
-    nu outside [``_MATERN_NU_MIN``, ``_MATERN_NU_MAX``] is refused before any work. An entry
-    that neither route can represent raises ``ValueError`` naming nu and the
-    smallest such r. That happens only at large nu, in a band of moderate t
+    nu goes through ``rng.real`` with the envelope [``_MATERN_NU_MIN``,
+    ``_MATERN_NU_MAX``], and r through ``_distances``, before any work. An entry
+    that neither route can represent raises ``ValueError`` naming nu as given and
+    the smallest such r. That happens only at large nu, in a band of moderate t
     where ``kve`` overflows and the ladder's e^{-t} is subnormal or its v_nu
     overflows: the profile is finite at every r up to nu ~ 1000, but at
     nu = 1500 it is not for r in about [12.93, 27.38].
     """
-    _check_matern_nu(nu)
-    r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0.0):
-        raise ValueError("distance must be non-negative and not NaN")
+    nu, given = real("nu", nu, _MATERN_NU), nu
+    r = _distances(r)
     first, second = _matern_ladder, _matern_bessel
     if nu - np.floor(nu) not in (0.0, 0.5):
         first, second = second, first
@@ -218,7 +216,7 @@ def matern_profile(nu: float, r: float | np.ndarray) -> float | np.ndarray:
         out[bad] = rest
         if np.isnan(rest).any():
             raise ValueError(
-                f"Matern profile at nu={nu} overflows double precision at "
+                f"Matern profile at nu={given} overflows double precision at "
                 f"r={float(r[bad][np.isnan(rest)].min())!r}; "
                 f"it is finite at every r for nu up to about 1000")
     return float(out) if out.ndim == 0 else out
@@ -233,6 +231,8 @@ def kernel_profile(spec: KernelSpec, r: float | np.ndarray,
     r's shape that receives the values and is returned; it may be ``r``
     itself. Every family but Matern then writes only into ``out``, and the
     values are bit-equal to those of ``out=None``. A 0-d r gives a float.
+    Every family refuses a negative or NaN distance by ``_distances``, which
+    reads r once (``matern_profile`` does it for Matern).
     """
     r = np.asarray(r, dtype=float)
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
@@ -245,6 +245,7 @@ def kernel_profile(spec: KernelSpec, r: float | np.ndarray,
         else:
             out[...] = value
     else:
+        r = _distances(r)
         if out is None:
             out = np.empty(r.shape)
         if spec.family == GAUSSIAN:

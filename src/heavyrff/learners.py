@@ -18,7 +18,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .kernels import KernelSpec, kernel_matrix
-from .rng import count, matrix, real_array
+from .rng import count, matrix, real, real_array
 
 __all__ = [
     "LinearModel",
@@ -119,11 +119,6 @@ def _check_rows(name: str, A: np.ndarray, of: str, n: int) -> None:
         raise ValueError(f"{name} must have {n} rows, one per row of {of}; got shape {A.shape}")
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
-
-
 def _solve_shifted(A: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     """Solve (A + lam I) X = B for an exactly symmetric A, overwriting A with
     its Cholesky factor: A.T is A as an F-ordered view, which LAPACK factors
@@ -141,13 +136,14 @@ def fit_krr_exact(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
 
     Y may be real targets (regression) or an n x C one-hot matrix. X goes
     through ``rng.matrix`` with d columns before the desk-scale cap reads its
-    rows. K is factored in place, so the fit holds one n x n matrix of doubles
-    beside ``kernel_matrix``'s one tile buffer.
+    rows, and lam through ``rng.real`` with [0, inf). K is factored in place,
+    so the fit holds one n x n matrix of doubles beside ``kernel_matrix``'s one
+    tile buffer.
     """
     X = matrix("X", X, spec.dim)
     if X.shape[0] > DESK_SCALE_CAP:
         raise ValueError(f"n={X.shape[0]} exceeds the desk-scale cap {DESK_SCALE_CAP}")
-    _check_lambda(lam)
+    lam = real("lambda", lam, "[0, inf)")
     Y = _as_targets(Y)
     _check_rows("Y", Y, "X", X.shape[0])
     try:
@@ -164,9 +160,9 @@ def fit_ridge_features(phi: FeatureMatrix, Y: np.ndarray, lam: float) -> LinearM
     When the feature dimension exceeds n the algebraically equivalent dual
     form theta = Phi^T (Phi Phi^T + lam I)^{-1} Y is solved instead, which is
     both cheaper and avoids materializing the 2p x 2p normal matrix. Either
-    Gram matrix is factored in place.
+    Gram matrix is factored in place. lam goes through ``rng.real`` with [0, inf).
     """
-    _check_lambda(lam)
+    lam = real("lambda", lam, "[0, inf)")
     P = matrix("Phi", phi.phi)
     Y = _as_targets(Y)
     _check_rows("Y", Y, "Phi", P.shape[0])
@@ -222,9 +218,10 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     """Softmax cross-entropy + (lam/2)||theta||^2 by trust-region Newton-CG.
 
     scipy's ``trust-ncg`` runs on the exact gradient and Hessian-vector products,
-    from theta = 0. It stops when the gradient's 2-norm drops below a finite
-    ``tol`` > 0 (converged) or after ``max_iter`` (a count) Newton iterations; a
-    fit that stops unconverged emits a RuntimeWarning and is marked as not converged.
+    from theta = 0, lam in [0, inf) by ``rng.real``. It stops when the gradient's
+    2-norm drops below ``tol`` in (0, inf) (converged) or after ``max_iter`` (a
+    count) Newton iterations; a fit that stops unconverged emits a RuntimeWarning
+    and is marked as not converged.
     On the lam-strongly convex objective f, a gradient below lam*eps (theta
     within eps of the optimum) or below sqrt(2 lam eps |f|) (less than eps*|f|
     left to gain) also counts as converged, eps = 2^-52. The model carries the
@@ -233,9 +230,8 @@ def fit_logistic_features(phi: FeatureMatrix, labels: np.ndarray, lam: float,
     # imported here so that loading the package does not pay for scipy.optimize
     from scipy.optimize import minimize
 
-    _check_lambda(lam)
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be > 0 and finite, got {tol}")
+    lam = real("lambda", lam, "[0, inf)")
+    tol = real("tol", tol, "(0, inf)")
     max_iter = count("max_iter", max_iter)
     P = matrix("Phi", phi.phi)
     labels = np.asarray(labels)

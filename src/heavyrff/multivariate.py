@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import StableParams, redraw_once, sample_stable_cms
-from .rng import RngStream, count, is_real, vectors
+from .rng import RngStream, count, is_real, real, vectors
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -171,11 +171,11 @@ def sample_mv_cauchy(shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarra
 def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream, size: int) -> np.ndarray:
     """Draw ``size`` rows from the multivariate t with 2*nu degrees of freedom, shape M.
 
-    u * sqrt(2 nu / v) for u ~ N(0, M) and v ~ chi-squared(2 nu); a v below
-    1e-300 is redrawn once by :func:`redraw_once`, and NaN after that.
+    u * sqrt(2 nu / v) for u ~ N(0, M) and v ~ chi-squared(2 nu), nu in (0, inf)
+    by ``rng.real``; a v below 1e-300 is redrawn once by :func:`redraw_once`, and
+    NaN after that.
     """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    nu = real("nu", nu, "(0, inf)")
     u = sample_mvn(shape, rng, size)
     v = redraw_once(lambda k: rng.generator.chisquare(2.0 * nu, size=k),
                     lambda v: v < 1e-300, size)
@@ -184,14 +184,13 @@ def sample_mv_t(nu: float, shape: ShapeMatrix, rng: RngStream, size: int) -> np.
 
 
 def sample_stable_mixing(alpha: float, rng: RngStream, size: int) -> np.ndarray:
-    """``size`` draws of sqrt(A) for A one-sided stable, alpha in (0, 2].
+    """``size`` draws of sqrt(A) for A one-sided stable, alpha in (0, 2] by ``rng.real``.
 
     A ~ S(alpha/2, 1, 2 cos^{2/alpha}(pi alpha / 4)), the scale that gives
     sqrt(A) * N(0, M) the characteristic function e^{-||u||_M^alpha}. At
     alpha = 2 the law of A is the point mass at 2, and nothing is drawn.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    alpha = real("alpha", alpha, "(0, 2]")
     if alpha == 2.0:
         return np.full(size, np.sqrt(2.0))
     sigma = 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)

@@ -32,6 +32,25 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def real(name: str, value, interval: str) -> float:
+    """``value`` as a float if it is a real number (``is_real``) in ``interval``.
+
+    ``interval`` is text such as ``"(0, inf)"``, ``"[0, inf)"`` or ``"(0, 2]"``:
+    a bracket includes its end and a parenthesis excludes it, and the same text
+    names the interval in the refusal. NaN lies in no interval, and an integer
+    too large for a float in none either.
+    """
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    try:
+        x = float(value) if is_real(value) else np.nan
+    except OverflowError:
+        x = np.nan
+    if not ((lo <= x if interval[0] == "[" else lo < x)
+            and (x <= hi if interval[-1] == "]" else x < hi)):
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return x
+
+
 def real_array(name: str, A) -> np.ndarray:
     """``A`` as a float array, refusing by name one that is not bool, integer or
     float: the float cast would drop a complex one's imaginary parts with no

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import signal
 import stat
 import subprocess
@@ -141,6 +142,12 @@ class TestLoadCsv:
         with pytest.raises(DataError) as info:
             load_csv(str(path))
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("task", ["clasification", "Regression", None])
+    def test_unknown_task_is_refused_before_the_file_is_opened(self, tmp_path, task):
+        # the typo read the labels as regression floats and was stamped as the task
+        with pytest.raises(DataError, match=rf"^unknown task {re.escape(repr(task))}$"):
+            load_csv(tmp_path / "missing.csv", task=task)
 
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a,b", "1,2"])
@@ -405,7 +412,8 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("noise", [float("nan"), -1.0, float("inf")])
     def test_regression_refuses_a_noise_that_is_not_nonnegative_and_finite(self, noise):
-        with pytest.raises(ValueError, match=rf"^noise must be >= 0 and finite, got {noise}$"):
+        with pytest.raises(ValueError, match=rf"^noise must be a real number in \[0, inf\), "
+                                             rf"got {noise}$"):
             make_regression(5, 2, RngStream(0), noise=noise)
 
     def test_margin_filters_boundary_points(self):
@@ -429,7 +437,8 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
     def test_margin_not_nonnegative_and_finite_is_refused_by_name(self, margin):
-        with pytest.raises(ValueError, match=rf"^margin must be >= 0 and finite, got {margin}$"):
+        with pytest.raises(ValueError, match=rf"^margin must be a real number in \[0, inf\), "
+                                             rf"got {margin}$"):
             make_classification(5, 2, 2, RngStream(0), margin=margin)
 
     def test_margin_with_one_class_is_refused_by_name(self):
@@ -653,6 +662,23 @@ class TestCliRuns:
         assert read_report(out)["status"] == "failed"
         assert not list(tmp_path.glob("feat-operator-*"))
 
+    @pytest.mark.parametrize("content", [b"", b"\n\n", b"# 1,0\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_m_file_with_no_numbers_is_refused_without_a_warning(self, tmp_path, capsys,
+                                                                  content):
+        # numpy warned "loadtxt: input contained no data", then a 0x1 matrix was refused
+        m_file = tmp_path / "empty.csv"
+        m_file.write_bytes(content)
+        out = tmp_path / "feat"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["features", "--d", "2", "--m-file", str(m_file),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --m-file {m_file} holds no numbers"]
+        assert read_report(out)["status"] == "failed"
+        assert not list(tmp_path.glob("feat-operator-*"))
+
     @pytest.mark.parametrize("kernel, rows", [
         ("l1_laplacian", ["nan,1,1"]), ("laplacian", ["nan,1,1"]),
         ("laplacian", ["inf,0,0", "0,1,0", "0,0,1"])])
@@ -668,8 +694,8 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("nu, message", [
         ("inf", "--nu must be finite, got inf"),
-        ("1e300", "matern needs nu in [2.2250738585072014e-308, 10000], got nu=1e+300"),
-        ("1e5", "matern needs nu in [2.2250738585072014e-308, 10000], got nu=100000.0"),
+        ("1e300", "nu must be a real number in [2.2250738585072014e-308, 10000.0], got 1e+300"),
+        ("1e5", "nu must be a real number in [2.2250738585072014e-308, 10000.0], got 100000.0"),
     ])
     def test_matern_nu_outside_the_envelope_fails_by_name(self, tmp_path, capsys,
                                                           monkeypatch, nu, message):
@@ -695,7 +721,8 @@ class TestCliRuns:
         assert main(["features", "--kernel", "matern", "--nu", nu, "--d", "2",
                      "--p", "4", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: matern needs nu in [2.2250738585072014e-308, 10000], got nu={float(nu)}"]
+            f"error: nu must be a real number in [2.2250738585072014e-308, 10000.0], "
+            f"got {float(nu)}"]
         assert read_report(out)["status"] == "failed"
         assert not [name for name in os.listdir(tmp_path) if "operator" in name]
 

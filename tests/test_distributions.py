@@ -248,13 +248,13 @@ class TestFiniteDraws:
 class TestFiniteParameters:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_law_parameters_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"must be a real number in \(0, inf\)"):
             GbpParams(1.0, 1.0, 1.0, bad)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"must be a real number in \(0, inf\)"):
             StableParams(1.5, 0.0, bad)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"must be a real number in \(0, inf\)"):
             sample_chi(bad, RngStream(0), size=1)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"must be a real number in \(0, inf\)"):
             sample_gbp(GbpParams(1.0, bad, 1.0, 1.0), RngStream(0), size=1)
 
 

@@ -475,6 +475,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value, message", [
         ("version", 2, "unsupported record version 2"),
+        ("version", True, "unsupported record version True"),
+        ("version", 1.0, "unsupported record version 1.0"),
         ("layout", "cos-then-sin", "unsupported feature layout cos-then-sin")])
     def test_rejects_other_version_or_layout(self, key, value, message):
         record = operator_record(build_rff(spec_for("laplacian"), 4, RngStream(120)))
@@ -513,9 +515,9 @@ class TestSerialization:
         pytest.param(("p",), 0, "feature count p must be an integer >= 1, got 0", id="zero-p"),
         pytest.param(("kernel", "family"), None, "unknown kernel family None",
                      id="null-family"),
-        pytest.param(("kernel", "alpha"), "0.5", "alpha must be a real number, got '0.5'",
+        pytest.param(("kernel", "alpha"), "0.5", "alpha is only valid for exp_power, not laplacian",
                      id="str-alpha"),
-        pytest.param(("kernel", "nu"), True, "nu must be a real number, got True",
+        pytest.param(("kernel", "nu"), True, "nu is only valid for matern, not laplacian",
                      id="bool-nu"),
         pytest.param(("kernel", "M"), "identity",
                      "M must be a nonempty square matrix of real numbers, got 'identity'",
@@ -532,13 +534,15 @@ class TestSerialization:
     # a library caller meets the refusal a record reader meets
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: spec_for("exp_power", alpha="1"),
-                     "alpha must be a real number, got '1'", id="KernelSpec-str-alpha"),
+                     "alpha must be a real number in (0, 2], got '1'", id="KernelSpec-str-alpha"),
         pytest.param(lambda: spec_for("exp_power", alpha=True),
-                     "alpha must be a real number, got True", id="KernelSpec-bool-alpha"),
+                     "alpha must be a real number in (0, 2], got True", id="KernelSpec-bool-alpha"),
         pytest.param(lambda: spec_for("matern", nu="1"),
-                     "nu must be a real number, got '1'", id="KernelSpec-str-nu"),
+                     "nu must be a real number in [2.2250738585072014e-308, 10000.0], got '1'",
+                     id="KernelSpec-str-nu"),
         pytest.param(lambda: spec_for("matern", nu=True),
-                     "nu must be a real number, got True", id="KernelSpec-bool-nu"),
+                     "nu must be a real number in [2.2250738585072014e-308, 10000.0], got True",
+                     id="KernelSpec-bool-nu"),
         *(pytest.param(lambda M=M: ShapeMatrix(M),
                        f"M must be a nonempty square matrix of real numbers, got {M!r}",
                        id=f"ShapeMatrix-{name}")

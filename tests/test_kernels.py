@@ -105,7 +105,7 @@ class TestKernelSpec:
                                     5e-324, 1e-310])
     def test_matern_needs_finite_positive_nu(self, nu):
         with pytest.raises(ValueError, match=re.escape(
-                f"matern needs nu in [2.2250738585072014e-308, 10000], got nu={nu}")):
+                f"nu must be a real number in [2.2250738585072014e-308, 10000.0], got {nu!r}")):
             KernelSpec("matern", ShapeMatrix.identity(2), nu=nu)
 
     def test_matern_takes_the_largest_nu_of_the_envelope(self):
@@ -297,7 +297,7 @@ class TestMaternProfile:
         monkeypatch.setattr(kernels, "_matern_ladder", reached)
         monkeypatch.setattr(kernels, "_matern_bessel", reached)
         with pytest.raises(ValueError, match=re.escape(
-                f"matern needs nu in [2.2250738585072014e-308, 10000], got nu={nu}")):
+                f"nu must be a real number in [2.2250738585072014e-308, 10000.0], got {nu!r}")):
             matern_profile(nu, np.array([0.0, 1.0]))
 
     def test_each_route_leaves_what_it_cannot_give_nan(self, monkeypatch):
@@ -412,6 +412,25 @@ class TestKernelProfileOut:
         with pytest.raises(ValueError, match=r"^kernel_profile out must be a float64 array "
                                              r"of shape \(2, 3\)$"):
             kernel_profile(spec, np.ones((2, 3)), out=out)
+
+    @pytest.mark.parametrize("family, kw", [("gaussian", {}), ("l1_laplacian", {}),
+                                            ("laplacian", {}), ("exp_power", {"alpha": 1.0}),
+                                            ("matern", {"nu": 2.5}), ("matern", {"nu": 1.3})])
+    @pytest.mark.parametrize("r", [-1.0, np.nan, [0.5, np.nan], [[0.5, 2.0], [-5e-324, 1.0]]],
+                             ids=["negative", "nan", "nan-entry", "negative-entry"])
+    def test_every_family_refuses_a_bad_distance(self, monkeypatch, family, kw, r):
+        # all but Matern returned a value: e^1 = 2.718 for r = -1 (0.607 for the
+        # Gaussian), and NaN for NaN; each call reads r once, Matern's included
+        reads = []
+        read = kernels._distances
+        monkeypatch.setattr(kernels, "_distances", lambda r: reads.append(1) or read(r))
+        spec = KernelSpec(family, ShapeMatrix.identity(2), **kw)
+        out = np.zeros(np.shape(r))
+        for given_out in (None, out):
+            with pytest.raises(ValueError, match="^distance must be non-negative and not NaN$"):
+                kernel_profile(spec, r, out=given_out)
+        assert len(reads) == 2 and not out.any()
+        assert kernel_profile(spec, np.zeros(0)).shape == (0,)
 
 
 TILED_FAMILIES = [("gaussian", {}), ("l1_laplacian", {}), ("laplacian", {}),

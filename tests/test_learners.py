@@ -51,7 +51,7 @@ class TestKrrExact:
 
     def test_rejects_negative_lambda(self):
         spec = KernelSpec("laplacian", ShapeMatrix.identity(2))
-        with pytest.raises(ValueError, match="lambda must be >= 0"):
+        with pytest.raises(ValueError, match=r"lambda must be a real number in \[0, inf\)"):
             fit_krr_exact(spec, np.eye(2), np.zeros(2), -1e-3)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
@@ -61,7 +61,7 @@ class TestKrrExact:
         for fit, args in ((fit_krr_exact, (spec, np.eye(2), np.zeros(2))),
                           (fit_ridge_features, (phi, np.zeros(2))),
                           (fit_logistic_features, (phi, np.array([0, 1])))):
-            with pytest.raises(ValueError, match="lambda must be >= 0 and finite"):
+            with pytest.raises(ValueError, match=r"lambda must be a real number in \[0, inf\)"):
                 fit(*args, lam)
 
     def test_duplicate_rows_at_zero_lambda_name_the_singular_system(self):
@@ -364,7 +364,8 @@ class TestLogisticFeatures:
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     def test_refuses_a_tol_that_is_not_positive_and_finite(self, tol):
         phi = FeatureMatrix(np.full((4, 2), 0.5))
-        with pytest.raises(ValueError, match=rf"^tol must be > 0 and finite, got {tol}$"):
+        with pytest.raises(ValueError, match=rf"^tol must be a real number in \(0, inf\), "
+                                             rf"got {tol}$"):
             fit_logistic_features(phi, np.arange(4) % 2, 1e-3, tol=tol)
 
 
